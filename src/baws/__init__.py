@@ -8,11 +8,12 @@ windows, and the full-history forecaster ship as baselines, together with
 simulation scenarios, evaluation metrics, and a batch CLI.
 """
 
+from types import ModuleType as _ModuleType
+
 from .baselines import (
     SAWSConfig,
     full_window_forecast,
     rolling_forecast,
-    saws_select,
     saws_threshold,
 )
 from .bootstrap import (
@@ -82,67 +83,6 @@ from .selection import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BacktestConfig",
-    "BootstrapConfig",
-    "CallableThreshold",
-    "CandidateGridConfig",
-    "ConfigError",
-    "DataError",
-    "ExperimentTensor",
-    "FitResult",
-    "FixedThreshold",
-    "ForecastRecord",
-    "GaussianTruth",
-    "LossSeries",
-    "Mean",
-    "MetricsReport",
-    "SAWSConfig",
-    "ScenarioPath",
-    "SelectionTrace",
-    "SkewedTTruth",
-    "ThresholdValue",
-    "VaR",
-    "VaRES",
-    "block_length",
-    "block_resample",
-    "bonferroni_level",
-    "bootstrap_gaps",
-    "bootstrap_threshold",
-    "candidate_windows",
-    "cumulative_loss",
-    "cumulative_risk_mean",
-    "cumulative_risk_var",
-    "empirical_quantile",
-    "empirical_score",
-    "emit_results",
-    "fit_mean",
-    "fit_target",
-    "fit_var",
-    "fit_var_es",
-    "full_window_forecast",
-    "gen_garch",
-    "gen_setting_a",
-    "gen_setting_b",
-    "generate",
-    "iid_resample",
-    "joint_vares_score",
-    "load_price_csv",
-    "mab",
-    "mean_variance",
-    "mse",
-    "pairwise_test",
-    "pinball_score",
-    "pointwise_score",
-    "rejection_probability_gaussian",
-    "rolling_forecast",
-    "run_backtest",
-    "run_experiment",
-    "saws_select",
-    "saws_threshold",
-    "select_window",
-    "skewed_t_quantile",
-    "skewed_t_sample",
-    "squared_loss",
-    "tail_es_given_v",
-]
+# every public name imported above, so each export is listed once
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

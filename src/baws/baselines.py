@@ -1,9 +1,9 @@
 """Reference forecasters: fixed rolling window, full window, and the
-stability-test selector with deterministic power-law thresholds.
+deterministic power-law thresholds of the SAWS selector.
 
-The deterministic selector shares the candidate grid and pairwise test
-machinery of ``selection.select_window``; only the threshold policy
-differs.  Two threshold families are provided,
+SAWS is ``selection.select_window`` with a ``SAWSConfig`` as its threshold
+policy in place of a ``BootstrapConfig``.  Two threshold families are
+provided,
 
     convex_smooth   tau(i) = c_tau * i^-(1 - alpha_tau)
     lipschitz       tau(i) = c_tau * i^-(1/2 - alpha_tau)
@@ -21,9 +21,8 @@ import numpy as np
 
 from .estimators import FitResult, fit_target
 from .scoring import ForecastTarget
-from .selection import CandidateGridConfig, SelectionTrace, select_window
 
-_FAMILIES = ("convex_smooth", "lipschitz")
+SAWS_FAMILIES = ("convex_smooth", "lipschitz")
 
 
 @dataclass(frozen=True)
@@ -39,8 +38,8 @@ class SAWSConfig:
             raise ValueError("alpha_tau must lie in (0, 1)")
         if self.c_tau <= 0:
             raise ValueError("c_tau must be positive")
-        if self.family not in _FAMILIES:
-            raise ValueError(f"family must be one of {_FAMILIES}")
+        if self.family not in SAWS_FAMILIES:
+            raise ValueError(f"family must be one of {SAWS_FAMILIES}")
 
     def threshold_for(self, window_length: int) -> float:
         return saws_threshold(window_length, self)
@@ -55,15 +54,6 @@ def saws_threshold(window_length: int, cfg: SAWSConfig) -> float:
     else:
         exponent = 0.5 - cfg.alpha_tau
     return float(cfg.c_tau * window_length ** (-exponent))
-
-
-def saws_select(history, target: ForecastTarget, cfg: SAWSConfig,
-                grid: CandidateGridConfig = CandidateGridConfig(),
-                prev_k: int | None = None, *,
-                time_index: int | None = None) -> SelectionTrace:
-    """Select a window with deterministic thresholds; same trace contract
-    as ``selection.select_window``."""
-    return select_window(history, target, cfg, grid, prev_k, time_index=time_index)
 
 
 def rolling_forecast(history, window: int, target: ForecastTarget) -> FitResult:

@@ -8,7 +8,8 @@ the nonnegative score gaps
 where theta_b is fitted on the b-th resample (iid, or moving-block for
 dependent data) and theta_hat on the window itself.  Both estimators are
 scored on the original window, so every gap is >= 0 by the minimizer
-property of theta_hat.
+property of theta_hat.  This module draws the resamples; the target's
+``resample_gaps`` (or its ``iid_gaps`` shortcut) turns them into gaps.
 
 Resampling is vectorized across replications.  Streams derive from
 (seed, time_index, window_length) through ``numpy.random.SeedSequence``,
@@ -24,18 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .estimators import FitResult, _profile_rows, fit_from_stats
-from .scoring import (
-    ForecastTarget,
-    Mean,
-    VaR,
-    VaRES,
-    WindowStats,
-    joint_score_at,
-    order_index,
-    pinball_score_at,
-    window_stats,
-)
+from .estimators import FitResult, fit_from_stats
+from .scoring import ForecastTarget, WindowStats, order_index, window_stats
+
+# unused here; bound so that benchmark/tracing.py can patch these names
+from .scoring import joint_score_at, pinball_score_at  # noqa: F401
 
 _GAP_SLACK = 1e-9  # tolerated negative rounding noise, relative to score scale
 
@@ -114,6 +108,21 @@ def block_length(i: int, c: float) -> tuple[int, int]:
     return l, i // l
 
 
+def oversized_block(k_min: int, c: float,
+                    max_window: int | None = None) -> tuple[int, int] | None:
+    """First window length i >= k_min (up to ``max_window``) whose block
+    length l exceeds it, as (i, l), or None.  The scan stops at the first i
+    where c * (i^(1/3) + 1) + 0.5 <= i: that bound on l(i) stays <= i for
+    every larger i, since its slope is then below 1 and falling."""
+    i = k_min
+    while (max_window is None or i <= max_window) and c * (i ** (1.0 / 3.0) + 1.0) + 0.5 > i:
+        l, _ = block_length(i, c)
+        if l > i:
+            return i, l
+        i += 1
+    return None
+
+
 def block_resample(window, block_len: int, rng: np.random.Generator) -> np.ndarray:
     """Concatenate m = floor(i/l) blocks drawn with replacement from the
     i - l + 1 contiguous length-l blocks, in draw order (length m*l <= i)."""
@@ -155,11 +164,12 @@ def _resample_rows(window, stats: WindowStats, cfg: BootstrapConfig,
     return sliding_window_view(w, l)[starts].reshape(B, m * l)
 
 
-def _guarded_gaps(raw: np.ndarray, scale: float) -> np.ndarray:
-    """Clip rounding noise; genuine negatives violate the minimizer property."""
+def guarded_gaps(raw: np.ndarray, scale: float, kind: str) -> np.ndarray:
+    """Clip rounding noise off score gaps; genuine negatives violate the
+    minimizer property of the reference fit."""
     floor = -_GAP_SLACK * max(1.0, abs(scale))
     if raw.min() < floor:
-        raise AssertionError("negative bootstrap gap beyond rounding tolerance")
+        raise AssertionError(f"negative {kind} gap beyond rounding tolerance")
     return np.maximum(raw, 0.0)
 
 
@@ -173,43 +183,13 @@ def bootstrap_gaps(window, target: ForecastTarget, cfg: BootstrapConfig, *,
     if stats is None:
         stats = window_stats(window)
     rng = derive_rng(cfg.rng_seed, time_index, stats.n)
-    B, n = cfg.replications, stats.n
-
-    if isinstance(target, VaR) and cfg.mode == "iid":
-        # The fitted VaR of an iid resample is its j-th order statistic,
-        # which lands on sorted-window position floor(n * U_(j)) with
-        # U_(j) ~ Beta(j, n - j + 1); sampling that position directly is
-        # distribution-exact and avoids materializing the resamples.
-        j = order_index(target.alpha, n)
-        u = rng.beta(j, n - j + 1, size=B)
-        pos = np.minimum((n * u).astype(np.int64), n - 1)
-        at = np.concatenate((stats.values_sorted[pos], stats.values_sorted[j - 1: j]))
-        scores = pinball_score_at(stats, at, target.alpha)
-        fit = FitResult(np.array([stats.values_sorted[j - 1]]),
-                        float(scores[-1]), n)
-        raw = scores[:-1] - fit.score
-        return _guarded_gaps(raw, fit.score), fit
-
-    fit = fit_from_stats(stats, target)
-
-    rows = _resample_rows(window, stats, cfg, rng)
-    if isinstance(target, Mean):
-        # quadratic score: gap reduces exactly to (mean_b - mean)^2;
-        # centered means keep constant windows at exactly zero
-        d = (rows - stats.center).mean(axis=1) - (stats.mean - stats.center)
-        return d * d, fit
-    if isinstance(target, VaR):
-        j = order_index(target.alpha, rows.shape[1])
-        rows.partition(j - 1, axis=1)
-        est = rows[:, j - 1]
-        raw = pinball_score_at(stats, est, target.alpha) - fit.score
-        return _guarded_gaps(raw, fit.score), fit
-    if isinstance(target, VaRES):
-        rows.sort(axis=1)
-        v, e = _profile_rows(rows, target.alpha)
-        raw = joint_score_at(stats, v, e, target.alpha) - fit.score
-        return _guarded_gaps(raw, fit.score), fit
-    raise TypeError(f"unknown forecast target {target!r}")
+    shortcut = target.iid_gaps(stats, cfg.replications, rng) if cfg.mode == "iid" else None
+    if shortcut is None:
+        fit = fit_from_stats(stats, target)
+        raw = target.resample_gaps(stats, _resample_rows(window, stats, cfg, rng), fit)
+    else:
+        raw, fit = shortcut
+    return guarded_gaps(raw, fit.score, "bootstrap"), fit
 
 
 def bootstrap_threshold(window, target: ForecastTarget, cfg: BootstrapConfig, *,

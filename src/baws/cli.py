@@ -30,10 +30,10 @@ from .pipeline import (
     run_backtest,
     run_experiment,
 )
-from .baselines import SAWSConfig
+from .baselines import SAWS_FAMILIES, SAWSConfig
 from .scenarios import SCENARIOS, generate
-from .scoring import Mean, VaR, VaRES
-from .selection import CandidateGridConfig, rejection_probability_gaussian
+from .scoring import TARGETS
+from .selection import ERROR_CONTROLS, CandidateGridConfig, rejection_probability_gaussian
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,13 +44,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _target(name: str, alpha: float):
     name = name.lower()
-    if name == "mean":
-        return Mean()
-    if name == "var":
-        return VaR(alpha)
-    if name == "vares":
-        return VaRES(alpha)
-    raise ConfigError(f"unknown target {name!r}; expected mean, var, or vares")
+    if name not in TARGETS:
+        raise ConfigError(f"unknown target {name!r}; expected one of {', '.join(TARGETS)}")
+    return TARGETS[name].from_level(alpha)
 
 
 def _grid(args) -> CandidateGridConfig:
@@ -64,7 +60,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_method_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--target", default="var", help="mean | var | vares")
+    p.add_argument("--target", default="var", help=" | ".join(TARGETS))
     p.add_argument("--alpha", type=float, default=0.95, help="tail level")
     p.add_argument("--beta", type=float, default=0.9, help="threshold level")
     p.add_argument("--B", dest="boot_b", type=int, default=500,
@@ -74,11 +70,8 @@ def _add_method_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k0", type=int, default=20, help="minimum candidate window")
     p.add_argument("--max-window", type=int, default=None)
     p.add_argument("--t0", type=int, default=501, help="first forecast index")
-    p.add_argument("--error-control", default="pcer", choices=("pcer", "fwer"))
-    p.add_argument("--saws-alpha-tau", type=float, default=None)
-    p.add_argument("--saws-c-tau", type=float, default=None)
-    p.add_argument("--saws-family", default=None,
-                   choices=("convex_smooth", "lipschitz"))
+    p.add_argument("--error-control", default="pcer", choices=ERROR_CONTROLS,
+                   help="baws only")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,6 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss-col", default=None)
     p.add_argument("--date-col", default=None)
     p.add_argument("--format", default="wide", choices=("wide", "long"))
+    p.add_argument("--saws-alpha-tau", type=float, default=None)
+    p.add_argument("--saws-c-tau", type=float, default=None)
+    p.add_argument("--saws-family", default=None, choices=SAWS_FAMILIES)
     _add_method_options(p)
     _add_common(p)
 
@@ -148,17 +144,10 @@ def _apply_config_file(parser, args, argv):
 
 
 def _saws_override(args, target) -> SAWSConfig | None:
-    fields = (args.saws_alpha_tau, args.saws_c_tau, args.saws_family)
-    if all(f is None for f in fields):
-        return None
-    from .pipeline import default_saws_config
-
-    base = default_saws_config(target)
-    return SAWSConfig(
-        alpha_tau=base.alpha_tau if args.saws_alpha_tau is None else args.saws_alpha_tau,
-        c_tau=base.c_tau if args.saws_c_tau is None else args.saws_c_tau,
-        family=base.family if args.saws_family is None else args.saws_family,
-    )
+    given = {"alpha_tau": args.saws_alpha_tau, "c_tau": args.saws_c_tau,
+             "family": args.saws_family}
+    given = {key: value for key, value in given.items() if value is not None}
+    return SAWSConfig(**{**target.saws_defaults, **given}) if given else None
 
 
 def _check_scenario(name: str) -> str:
@@ -193,8 +182,6 @@ def _cmd_experiment(args) -> None:
     target = _target(args.target, args.alpha)
     scenario = _check_scenario(args.scenario)
     methods = [m for m in args.methods.split(",") if m.strip()]
-    for spec in methods:
-        parse_method(spec)
     report = run_experiment(
         scenario, methods, target,
         n=args.n, T=args.horizon, t0=args.t0, seed=args.seed, alpha=args.alpha,
@@ -233,20 +220,17 @@ def _cmd_diagnose(args) -> None:
                              f"{prob:.12g}"])
 
 
+COMMANDS = {"simulate": _cmd_simulate, "backtest": _cmd_backtest,
+            "experiment": _cmd_experiment, "diagnose": _cmd_diagnose}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         args = _apply_config_file(parser, args, argv)
-        if args.command == "simulate":
-            _cmd_simulate(args)
-        elif args.command == "backtest":
-            _cmd_backtest(args)
-        elif args.command == "experiment":
-            _cmd_experiment(args)
-        elif args.command == "diagnose":
-            _cmd_diagnose(args)
+        COMMANDS[args.command](args)
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

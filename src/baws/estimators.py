@@ -1,69 +1,41 @@
-"""Exact empirical-score minimizers for each forecast target.
+"""Exact empirical-score minimizers on a window.
 
-All fits are deterministic and validated against brute-force minimization
-in the test suite:
+Each target's ``fit`` (in ``scoring``) holds its algorithm; these are the
+window-level entry points.  All fits are deterministic and validated
+against brute-force minimization in the test suite:
 
     mean      sample mean (closed form)
-    VaR       order statistic ceil(alpha * k), the lower endpoint of the
-              minimizing interval when alpha * k is integral
-    VaR/ES    profile search: the empirical joint score, for fixed e, is
-              piecewise linear in v with knots at the sample points, so a
-              minimizer sits at a knot; the optimal e given v is closed
-              form from the first-order condition.  O(k log k) overall.
+    VaR       order statistic ceil(alpha * k)
+    VaR/ES    exact profile search over the sample points, O(k log k)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from .scoring import (
+    FitResult,
     ForecastTarget,
     Mean,
     VaR,
     VaRES,
     WindowStats,
-    joint_score_at,
-    mean_score_at,
-    order_index,
-    pinball_score_at,
-    tail_weight,
-    tail_weight_integral,
+    tail_mean_at,
     window_stats,
 )
 
 
-@dataclass(frozen=True)
-class FitResult:
-    """Fitted parameter vector, its achieved empirical score, and window length."""
-
-    theta: np.ndarray
-    score: float
-    window_length: int
-
-
 def fit_mean(window) -> FitResult:
     """Minimize the empirical squared error; the minimizer is the sample mean."""
-    stats = window_stats(window)
-    return _fit_mean_from_stats(stats)
-
-
-def _fit_mean_from_stats(stats: WindowStats) -> FitResult:
-    theta = np.array([stats.mean])
-    return FitResult(theta, float(mean_score_at(stats, stats.mean)), stats.n)
+    return fit_target(window, Mean())
 
 
 def fit_var(window, alpha: float) -> FitResult:
     """Minimize the empirical pinball score over quantile estimates."""
-    stats = window_stats(window)
-    return _fit_var_from_stats(stats, alpha)
+    return fit_target(window, VaR(alpha))
 
 
-def _fit_var_from_stats(stats: WindowStats, alpha: float) -> FitResult:
-    j = order_index(alpha, stats.n)
-    v = float(stats.values_sorted[j - 1])
-    return FitResult(np.array([v]), float(pinball_score_at(stats, v, alpha)), stats.n)
+def fit_var_es(window, alpha: float) -> FitResult:
+    """Minimize the empirical joint VaR/ES score; exact profile algorithm."""
+    return fit_target(window, VaRES(alpha))
 
 
 def tail_es_given_v(window, v: float, alpha: float) -> float:
@@ -73,54 +45,7 @@ def tail_es_given_v(window, v: float, alpha: float) -> float:
     point in e of the empirical joint score (its e-derivative is a strictly
     positive factor times the bracket that this solves).
     """
-    stats = window_stats(window)
-    from .scoring import tail_mean_at
-
-    return float(v + tail_mean_at(stats, v) / (1.0 - alpha))
-
-
-def _profile_rows(sorted_rows: np.ndarray, alpha: float):
-    """Joint VaR/ES fit for each row of a (B, L) matrix of sorted samples.
-
-    Evaluates the profiled joint score at every sample point of each row and
-    returns per-row minimizing (v, e).  Ties in v contribute identical
-    (v, e, score) entries; argmin picks the first, i.e. the smallest v.
-
-    Elements tied with the candidate v contribute zero to both the strict
-    "below" and the weak "above" side, so position-based counts are exact
-    even with duplicates.
-    """
-    B, L = sorted_rows.shape
-    r = np.arange(L)
-    center = sorted_rows[:, :1]
-    vc = sorted_rows - center  # pinball/tail terms are shift-invariant
-    prefix = np.concatenate((np.zeros((B, 1)), np.cumsum(vc, axis=1)), axis=1)
-    total = prefix[:, -1][:, None]
-    s_lt = prefix[:, :-1]
-    below = (1.0 - alpha) * (r * vc - s_lt)
-    above = alpha * ((total - s_lt) - (L - r) * vc)
-    pin = (below + above) / L
-    tail = ((total - s_lt) - (L - r) * vc) / L
-    e = center + vc + tail / (1.0 - alpha)
-    # profiled score: the tail terms cancel at e = e(v), leaving
-    # pinball(v) - softplus(-e(v))
-    profiled = pin - tail_weight_integral(e)
-    best = np.argmin(profiled, axis=1)
-    rows = np.arange(B)
-    return sorted_rows[rows, best], e[rows, best]
-
-
-def fit_var_es(window, alpha: float) -> FitResult:
-    """Minimize the empirical joint VaR/ES score; exact profile algorithm."""
-    stats = window_stats(window)
-    return _fit_var_es_from_stats(stats, alpha)
-
-
-def _fit_var_es_from_stats(stats: WindowStats, alpha: float) -> FitResult:
-    v, e = _profile_rows(stats.values_sorted[None, :], alpha)
-    theta = np.array([v[0], e[0]])
-    score = float(joint_score_at(stats, theta[0], theta[1], alpha))
-    return FitResult(theta, score, stats.n)
+    return float(v + tail_mean_at(window_stats(window), v) / (1.0 - alpha))
 
 
 def fit_target(window, target: ForecastTarget) -> FitResult:
@@ -130,10 +55,4 @@ def fit_target(window, target: ForecastTarget) -> FitResult:
 
 def fit_from_stats(stats: WindowStats, target: ForecastTarget) -> FitResult:
     """Fit from precomputed ``WindowStats`` (shared by selection and bootstrap)."""
-    if isinstance(target, Mean):
-        return _fit_mean_from_stats(stats)
-    if isinstance(target, VaR):
-        return _fit_var_from_stats(stats, target.alpha)
-    if isinstance(target, VaRES):
-        return _fit_var_es_from_stats(stats, target.alpha)
-    raise TypeError(f"unknown forecast target {target!r}")
+    return target.fit(stats)

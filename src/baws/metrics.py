@@ -24,7 +24,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 from scipy.stats import t as student_t
 
-from .scoring import ForecastTarget, param_dim, pointwise_score
+from .scoring import ForecastTarget, pointwise_score
 from .scenarios import skewed_t_moments, skewed_t_quantile
 
 _NORM_PDF_C = 1.0 / np.sqrt(2.0 * np.pi)
@@ -184,7 +184,7 @@ def cumulative_risk_var(tensor: ExperimentTensor, truth, alpha: float) -> float:
 
 def cumulative_loss(tensor: ExperimentTensor, target: ForecastTarget) -> float:
     """Average over replications of the summed realized forecast loss."""
-    if tensor.estimates.shape[2] != param_dim(target):
+    if tensor.estimates.shape[2] != target.dim:
         raise ValueError("estimate dimension does not match target")
     scores = pointwise_score(tensor.realized, tensor.estimates, target)
     return float(np.mean(np.sum(scores, axis=1)))

@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import csv
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .baselines import SAWSConfig, full_window_forecast, rolling_forecast
-from .bootstrap import BootstrapConfig
-from .metrics import (
+from .baselines import SAWSConfig, rolling_forecast
+from .bootstrap import BootstrapConfig, oversized_block
+from .metrics import (  # cumulative_risk_* are called through this module
     ExperimentTensor,
     GaussianTruth,
     SkewedTTruth,
@@ -32,8 +34,8 @@ from .metrics import (
     mse,
 )
 from .scenarios import ScenarioPath, generate
-from .scoring import ForecastTarget, Mean, VaR, VaRES, param_dim, pointwise_score
-from .selection import CandidateGridConfig, select_window
+from .scoring import TARGETS, ForecastTarget, pointwise_score
+from .selection import ERROR_CONTROLS, CandidateGridConfig, select_window
 
 WORKERS_ENV = "BAWS_WORKERS"
 
@@ -88,10 +90,22 @@ class BacktestConfig:
             raise ConfigError("t0 must exceed the minimum window k_min")
         if self.method == "fixed" and (self.fixed_k is None or self.fixed_k < 1):
             raise ConfigError("fixed method requires fixed_k >= 1")
+        if self.error_control not in ERROR_CONTROLS:
+            raise ConfigError(f"error_control must be one of {ERROR_CONTROLS}, "
+                              f"got {self.error_control!r}")
+        if self.error_control == "fwer" and self.method != "baws":
+            raise ConfigError("error_control 'fwer' requires method 'baws'")
         if self.method == "baws" and self.bootstrap is None:
             object.__setattr__(self, "bootstrap", BootstrapConfig())
         if self.method == "saws" and self.saws is None:
             object.__setattr__(self, "saws", default_saws_config(self.target))
+        if self.method == "baws" and self.bootstrap.mode == "block":
+            oversized = oversized_block(self.grid.k_min, self.bootstrap.block_c,
+                                        self.grid.max_window)
+            if oversized is not None:
+                i, l = oversized
+                raise ConfigError(f"block length {l} exceeds window length {i}; "
+                                  "lower block_c or raise k_min")
 
 
 @dataclass(frozen=True)
@@ -109,9 +123,7 @@ class ForecastRecord:
 def default_saws_config(target: ForecastTarget) -> SAWSConfig:
     """Deterministic-threshold defaults: convex/smooth family for the mean,
     Lipschitz family for tail targets."""
-    if isinstance(target, Mean):
-        return SAWSConfig(alpha_tau=0.1, c_tau=0.3, family="convex_smooth")
-    return SAWSConfig(alpha_tau=0.1, c_tau=0.5, family="lipschitz")
+    return SAWSConfig(**target.saws_defaults)
 
 
 def run_backtest(series, cfg: BacktestConfig, *, dates=None,
@@ -138,30 +150,26 @@ def run_backtest(series, cfg: BacktestConfig, *, dates=None,
     if first < cfg.t0:
         raise ConfigError("start_t cannot precede t0")
 
-    boot = cfg.bootstrap
-    if cfg.method == "baws" and boot is not None and boot.rng_seed is None:
-        boot = replace(boot, rng_seed=cfg.seed)
+    # adaptive methods select with a threshold policy; the others fit the
+    # last min(t - 1, span) observations
+    policy = {"baws": cfg.bootstrap, "saws": cfg.saws}.get(cfg.method)
+    if cfg.method == "baws" and policy.rng_seed is None:
+        policy = replace(policy, rng_seed=cfg.seed)
+    span = n if cfg.grid.max_window is None else cfg.grid.max_window
+    if cfg.method == "fixed":
+        span = min(span, cfg.fixed_k)
 
-    cap = cfg.grid.max_window
     prev_k = initial_prev_k
     records: list[ForecastRecord] = []
     for t in range(first, n + 1):
         history = x[: t - 1]
-        if cfg.method == "baws":
-            trace = select_window(history, cfg.target, boot, cfg.grid, prev_k,
+        if policy is not None:
+            trace = select_window(history, cfg.target, policy, cfg.grid, prev_k,
                                   time_index=t, error_control=cfg.error_control)
             k_hat, fit = trace.k_hat, trace.fit
             prev_k = k_hat
-        elif cfg.method == "saws":
-            trace = select_window(history, cfg.target, cfg.saws, cfg.grid, prev_k,
-                                  time_index=t)
-            k_hat, fit = trace.k_hat, trace.fit
-            prev_k = k_hat
-        elif cfg.method == "fixed":
-            k_hat = min(cfg.fixed_k, t - 1) if cap is None else min(cfg.fixed_k, t - 1, cap)
-            fit = rolling_forecast(history, k_hat, cfg.target)
         else:
-            k_hat = t - 1 if cap is None else min(t - 1, cap)
+            k_hat = min(t - 1, span)
             fit = rolling_forecast(history, k_hat, cfg.target)
         realized = float(x[t - 1])
         score = float(pointwise_score(realized, fit.theta, cfg.target))
@@ -220,29 +228,32 @@ def _derived_seed(*key: int) -> int:
     return int(np.random.SeedSequence(key).generate_state(1, np.uint64)[0])
 
 
-def _replication(args) -> dict:
-    (scenario, T, alpha, seed, rep, method_specs, target, t0, grid,
-     beta, replications, mode, block_c, error_control) = args
-    path_seed = _derived_seed(seed, 1, rep)
-    if callable(scenario):
-        path = scenario(path_seed)
+@dataclass(frozen=True)
+class _ExperimentSpec:
+    """Everything a replication needs besides its index."""
+
+    scenario: object  # scenario name, or a callable seed -> ScenarioPath
+    T: int
+    alpha: float | None
+    seed: int
+    methods: tuple[tuple[str, BacktestConfig], ...]  # (spec, config template)
+
+
+def _replication(spec: _ExperimentSpec, rep: int) -> dict:
+    path_seed = _derived_seed(spec.seed, 1, rep)
+    if callable(spec.scenario):
+        path = spec.scenario(path_seed)
     else:
-        path = generate(scenario, T=T, seed=path_seed, alpha=alpha)
-    horizon = len(path.losses) - t0 + 1
+        path = generate(spec.scenario, T=spec.T, seed=path_seed, alpha=spec.alpha)
     out = {"path": path, "methods": {}}
-    for idx, spec in enumerate(method_specs):
-        kind, fixed_k = parse_method(spec)
-        boot = saws = None
-        if kind == "baws":
-            boot = BootstrapConfig(beta=beta, replications=replications, mode=mode,
-                                   block_c=block_c,
-                                   rng_seed=_derived_seed(seed, 2, rep, idx))
-        cfg = BacktestConfig(method=kind, target=target, t0=t0, grid=grid,
-                             bootstrap=boot, saws=saws, fixed_k=fixed_k,
-                             seed=path_seed, error_control=error_control)
+    for idx, (name, cfg) in enumerate(spec.methods):
+        cfg = replace(cfg, seed=path_seed)
+        if cfg.method == "baws":
+            cfg = replace(cfg, bootstrap=replace(
+                cfg.bootstrap, rng_seed=_derived_seed(spec.seed, 2, rep, idx)))
         records = run_backtest(path.losses, cfg)
-        assert len(records) == horizon
-        out["methods"][spec] = (
+        assert len(records) == len(path.losses) - cfg.t0 + 1
+        out["methods"][name] = (
             np.array([r.theta for r in records]),
             np.array([r.k_hat for r in records], dtype=np.int64),
         )
@@ -262,70 +273,61 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
     ``scenario`` is a scenario name (A1-A3, B1-B3, GARCH) or a callable
     mapping a seed to a ``ScenarioPath``.  The bootstrap mode defaults to
     moving-block for the serially dependent GARCH scenario and iid
-    otherwise.  Replications run in parallel across processes when the
-    machine (or the BAWS_WORKERS variable) allows.
+    otherwise.  ``error_control`` applies to the BAWS methods.  Replications
+    run in parallel across processes when the machine (or the BAWS_WORKERS
+    variable) allows.
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
-    if isinstance(target, (VaR, VaRES)) and alpha is None:
-        alpha = target.alpha
+    if alpha is None:
+        alpha = getattr(target, "alpha", None)
     if mode is None:
         mode = "block" if isinstance(scenario, str) and scenario.upper() == "GARCH" else "iid"
     scenario_label = scenario if isinstance(scenario, str) else getattr(
         scenario, "__name__", "custom")
 
-    tasks = [
-        (scenario, T, alpha, seed, rep, tuple(methods), target, t0, grid,
-         beta, replications, mode, block_c, error_control)
-        for rep in range(n)
-    ]
+    boot = BootstrapConfig(beta=beta, replications=replications, mode=mode,
+                           block_c=block_c)
+    configs = []
+    for name in methods:
+        kind, fixed_k = parse_method(name)
+        is_baws = kind == "baws"
+        configs.append((name, BacktestConfig(
+            method=kind, target=target, t0=t0, grid=grid,
+            bootstrap=boot if is_baws else None, fixed_k=fixed_k,
+            error_control=error_control if is_baws else "pcer")))
+    spec = _ExperimentSpec(scenario, T, alpha, seed, tuple(configs))
     workers = _experiment_workers() if workers is None else workers
     if workers > 1 and n > 1:
         with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
-            results = list(pool.map(_replication, tasks))
+            results = list(pool.map(partial(_replication, spec), range(n)))
     else:
-        results = [_replication(task) for task in tasks]
+        results = [_replication(spec, rep) for rep in range(n)]
 
-    first_path = results[0]["path"]
-    horizon = len(first_path.losses) - t0 + 1
-    dim = param_dim(target)
-    realized = np.stack([res["path"].losses[t0 - 1:] for res in results])
-    if isinstance(target, Mean):
-        truths = np.stack([res["path"].true_mean[t0 - 1:] for res in results])
+    paths = [res["path"] for res in results]
+    realized = np.stack([p.losses[t0 - 1:] for p in paths])
+    truths = np.stack([target.truth(p)[t0 - 1:] for p in paths])
+    sigma = np.stack([p.true_sigma[t0 - 1:] for p in paths])
+    if paths[0].innovations == "gaussian":
+        population = GaussianTruth(np.stack([p.true_mean[t0 - 1:] for p in paths]), sigma)
     else:
-        truths = np.stack([res["path"].true_var[t0 - 1:] for res in results])
-    mu_paths = np.stack([res["path"].true_mean[t0 - 1:] for res in results])
-    sigma_paths = np.stack([res["path"].true_sigma[t0 - 1:] for res in results])
-    gaussian = first_path.innovations == "gaussian"
+        population = SkewedTTruth(sigma, paths[0].nu, paths[0].skew)
+    # targets call the metric functions through this module's names, as the
+    # rows below do, so that patching a name here reaches every call
+    metrics = sys.modules[__name__]
 
     rows: list[tuple[str, str, str, float]] = []
-    for spec in methods:
-        est = np.empty((n, horizon, dim))
-        wins = np.empty((n, horizon), dtype=np.int64)
-        for rep, res in enumerate(results):
-            theta, k_hat = res["methods"][spec]
-            est[rep] = theta
-            wins[rep] = k_hat
+    for name in methods:
+        est = np.stack([res["methods"][name][0] for res in results])
+        wins = np.stack([res["methods"][name][1] for res in results])
         tensor = ExperimentTensor(est, truths, realized, windows=wins)
-        rows.append((spec, scenario_label, "MAB", mab(tensor)))
+        values = [("MAB", mab(tensor))]
         if n >= 2:
-            rows.append((spec, scenario_label, "Var", mean_variance(tensor)))
-        rows.append((spec, scenario_label, "MSE", mse(tensor)))
-        if isinstance(target, Mean):
-            rows.append((spec, scenario_label, "CR", cumulative_risk_mean(tensor)))
-        elif isinstance(target, VaR):
-            if gaussian:
-                truth = GaussianTruth(mu_paths, sigma_paths)
-            else:
-                truth = SkewedTTruth(sigma_paths, first_path.nu, first_path.skew)
-            rows.append((spec, scenario_label, "CR",
-                         cumulative_risk_var(tensor, truth, target.alpha)))
-        if isinstance(target, VaRES):
-            rows.append((spec, scenario_label, "MAB_es", mab(tensor, component=1)))
-            if n >= 2:
-                rows.append((spec, scenario_label, "Var_es", mean_variance(tensor, component=1)))
-            rows.append((spec, scenario_label, "MSE_es", mse(tensor, component=1)))
-        rows.append((spec, scenario_label, "CL", cumulative_loss(tensor, target)))
+            values.append(("Var", mean_variance(tensor)))
+        values.append(("MSE", mse(tensor)))
+        values += target.metric_rows(tensor, population, metrics)
+        values.append(("CL", cumulative_loss(tensor, target)))
+        rows += [(name, scenario_label, metric, value) for metric, value in values]
     return MetricsReport(tuple(rows))
 
 
@@ -407,27 +409,22 @@ def load_price_csv(path, price_col: str | None = None, loss_col: str | None = No
     return LossSeries(np.asarray(values), tuple(dates) if date_idx is not None else None)
 
 
-def _theta_columns(target: ForecastTarget) -> list[str]:
-    if isinstance(target, Mean):
-        return ["mean_hat"]
-    if isinstance(target, VaR):
-        return ["var_hat"]
-    return ["var_hat", "es_hat"]
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_forecasts_csv(records, path, target: ForecastTarget) -> None:
     """Backtest records as wide CSV: t, date?, k_hat, estimates, realized, score."""
     records = list(records)
-    with_dates = any(r.date is not None for r in records)
-    header = ["t"] + (["date"] if with_dates else []) + ["k_hat"]
-    header += _theta_columns(target) + ["realized_loss", "realized_score"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in records:
-            row = [str(r.t)] + ([r.date or ""] if with_dates else []) + [str(r.k_hat)]
-            row += [_fmt(v) for v in r.theta] + [_fmt(r.realized), _fmt(r.score)]
-            writer.writerow(row)
+    dated = any(r.date is not None for r in records)
+    header = ["t", *(["date"] if dated else []), "k_hat", *target.columns,
+              "realized_loss", "realized_score"]
+    _write_csv(path, header, (
+        [str(r.t), *([r.date or ""] if dated else []), str(r.k_hat),
+         *map(_fmt, r.theta), _fmt(r.realized), _fmt(r.score)] for r in records))
 
 
 def read_forecasts_csv(path) -> list[ForecastRecord]:
@@ -439,7 +436,8 @@ def read_forecasts_csv(path) -> list[ForecastRecord]:
         raise DataError(f"{path}: empty file")
     header = rows[0]
     idx = {name: pos for pos, name in enumerate(header)}
-    theta_cols = [c for c in ("mean_hat", "var_hat", "es_hat") if c in idx]
+    known = dict.fromkeys(c for cls in TARGETS.values() for c in cls.columns)
+    theta_cols = [c for c in known if c in idx]
     records = []
     for row in rows[1:]:
         records.append(ForecastRecord(
@@ -455,39 +453,28 @@ def read_forecasts_csv(path) -> list[ForecastRecord]:
 
 def write_long_csv(records, path, target: ForecastTarget) -> None:
     """Backtest records as long plot-ready CSV: series, t, value."""
-    names = _theta_columns(target)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["series", "t", "value"])
+    def rows():
         for r in records:
-            writer.writerow(["k_hat", str(r.t), str(r.k_hat)])
-            for name, value in zip(names, r.theta):
-                writer.writerow([name, str(r.t), _fmt(value)])
-            writer.writerow(["realized_loss", str(r.t), _fmt(r.realized)])
-            writer.writerow(["realized_score", str(r.t), _fmt(r.score)])
+            t = str(r.t)
+            yield ["k_hat", t, str(r.k_hat)]
+            yield from ([name, t, _fmt(v)] for name, v in zip(target.columns, r.theta))
+            yield ["realized_loss", t, _fmt(r.realized)]
+            yield ["realized_score", t, _fmt(r.score)]
+
+    _write_csv(path, ["series", "t", "value"], rows())
 
 
 def write_metrics_csv(report: MetricsReport, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "scenario", "metric", "value"])
-        for method, scenario, metric, value in report.rows:
-            writer.writerow([method, scenario, metric, _fmt(value)])
+    _write_csv(path, ["method", "scenario", "metric", "value"],
+               ([*row[:3], _fmt(row[3])] for row in report.rows))
 
 
 def write_scenario_csv(path_obj: ScenarioPath, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "loss", "true_mean", "true_sigma", "true_var"])
-        T = path_obj.losses.size
-        for i in range(T):
-            writer.writerow([
-                str(i + 1),
-                _fmt(path_obj.losses[i]),
-                _fmt(path_obj.true_mean[i]),
-                _fmt(path_obj.true_sigma[i]),
-                _fmt(path_obj.true_var[i]) if path_obj.true_var is not None else "",
-            ])
+    var = path_obj.true_var
+    _write_csv(path, ["t", "loss", "true_mean", "true_sigma", "true_var"], (
+        [str(i + 1), _fmt(path_obj.losses[i]), _fmt(path_obj.true_mean[i]),
+         _fmt(path_obj.true_sigma[i]), _fmt(var[i]) if var is not None else ""]
+        for i in range(path_obj.losses.size)))
 
 
 def emit_results(obj, path, fmt: str = "wide",

@@ -1,4 +1,4 @@
-"""Scoring functions for mean, VaR, and joint VaR/ES forecasts.
+"""Forecast targets and their scoring functions for mean, VaR, and joint VaR/ES.
 
 Every forecast target is scored by a consistent (elicitable) loss:
 
@@ -10,49 +10,34 @@ Every forecast target is scored by a consistent (elicitable) loss:
 ``empirical_score`` averages the pointwise loss over a look-back window;
 window selection compares these averages across windows.  All scores are
 evaluated in double precision and are overflow-safe for large |e|.
+
+Each target is one ``ForecastTarget`` class, the only place where the
+package decides anything per target.  A target class supplies
+
+    name, dim, columns      CLI name, parameter dimension, CSV columns
+    saws_defaults           SAWSConfig keyword defaults
+    from_level(alpha)       the target at a tail level (used by the CLI)
+    pointwise(x, theta)     loss at single observations
+    score_at(stats, theta)  empirical score on a window's WindowStats
+    fit(stats)              exact empirical-score minimizer, a FitResult
+    resample_gaps(stats, rows, fit)
+                            raw bootstrap score gaps of (B, L) resamples
+    iid_gaps(stats, B, rng) (raw gaps, fit) for B iid resamples drawn
+                            without materializing them, or None
+    truth(path)             true parameter path of a scenario
+    metric_rows(tensor, population, metrics)
+                            experiment metric rows between MSE and CL
+
+Adding a target means one class here plus its entry in ``TARGETS``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from scipy.special import expit
-
-
-@dataclass(frozen=True)
-class Mean:
-    """Conditional-mean target, scored by squared error."""
-
-
-@dataclass(frozen=True)
-class VaR:
-    """Value-at-Risk (alpha-quantile of the loss), scored by pinball loss."""
-
-    alpha: float
-
-    def __post_init__(self):
-        _check_level(self.alpha)
-
-
-@dataclass(frozen=True)
-class VaRES:
-    """Joint (VaR, ES) target, scored by the two-parameter joint loss."""
-
-    alpha: float
-
-    def __post_init__(self):
-        _check_level(self.alpha)
-
-
-ForecastTarget = Union[Mean, VaR, VaRES]
-
-
-def param_dim(target: ForecastTarget) -> int:
-    """Dimension of the parameter vector fitted for ``target``."""
-    return 2 if isinstance(target, VaRES) else 1
 
 
 def _check_level(alpha: float) -> None:
@@ -126,31 +111,6 @@ def joint_vares_score(x, v, e, alpha: float):
     base = ((x < v) - alpha) * (v - x)
     tail = w * (x >= v) * (v - x) / (1.0 - alpha)
     return base + tail + w * (e - v) - tail_weight_integral(e)
-
-
-def pointwise_score(x, theta, target: ForecastTarget):
-    """Loss of parameter vector ``theta`` at a single observation ``x``."""
-    theta = np.asarray(theta, dtype=float)
-    if isinstance(target, Mean):
-        return squared_loss(x, theta[..., 0])
-    if isinstance(target, VaR):
-        return pinball_score(x, theta[..., 0], target.alpha)
-    if isinstance(target, VaRES):
-        return joint_vares_score(x, theta[..., 0], theta[..., 1], target.alpha)
-    raise TypeError(f"unknown forecast target {target!r}")
-
-
-def empirical_score(window, theta, target: ForecastTarget) -> float:
-    """Average loss of ``theta`` over a window: (1/k) * sum of pointwise scores."""
-    window = np.asarray(window, dtype=float)
-    if window.size == 0:
-        raise ValueError("empirical_score requires a non-empty window")
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if theta.shape[-1] != param_dim(target):
-        raise ValueError(
-            f"parameter dimension {theta.shape[-1]} does not match target {target!r}"
-        )
-    return float(np.mean(pointwise_score(window, theta, target)))
 
 
 class WindowStats:
@@ -254,13 +214,214 @@ def joint_score_at(stats: WindowStats, v, e, alpha: float) -> np.ndarray:
     )
 
 
+@dataclass(frozen=True)
+class FitResult:
+    """Fitted parameter vector, its achieved empirical score, and window length."""
+
+    theta: np.ndarray
+    score: float
+    window_length: int
+
+
+def _profile_rows(sorted_rows: np.ndarray, alpha: float):
+    """Joint VaR/ES fit for each row of a (B, L) matrix of sorted samples.
+
+    Evaluates the profiled joint score at every sample point of each row and
+    returns per-row minimizing (v, e).  Ties in v contribute identical
+    (v, e, score) entries; argmin picks the first, i.e. the smallest v.
+
+    Elements tied with the candidate v contribute zero to both the strict
+    "below" and the weak "above" side, so position-based counts are exact
+    even with duplicates.
+    """
+    B, L = sorted_rows.shape
+    r = np.arange(L)
+    center = sorted_rows[:, :1]
+    vc = sorted_rows - center  # pinball/tail terms are shift-invariant
+    prefix = np.concatenate((np.zeros((B, 1)), np.cumsum(vc, axis=1)), axis=1)
+    total = prefix[:, -1][:, None]
+    s_lt = prefix[:, :-1]
+    below = (1.0 - alpha) * (r * vc - s_lt)
+    above = alpha * ((total - s_lt) - (L - r) * vc)
+    pin = (below + above) / L
+    tail = ((total - s_lt) - (L - r) * vc) / L
+    e = center + vc + tail / (1.0 - alpha)
+    # profiled score: the tail terms cancel at e = e(v), leaving
+    # pinball(v) - softplus(-e(v))
+    profiled = pin - tail_weight_integral(e)
+    best = np.argmin(profiled, axis=1)
+    rows = np.arange(B)
+    return sorted_rows[rows, best], e[rows, best]
+
+
+class ForecastTarget:
+    """Base of the target classes; the module docstring lists the protocol."""
+
+    dim = 1
+
+    @classmethod
+    def from_level(cls, alpha: float) -> ForecastTarget:
+        return cls()
+
+    def iid_gaps(self, stats: WindowStats, replications: int, rng):
+        return None
+
+
+@dataclass(frozen=True)
+class Mean(ForecastTarget):
+    """Conditional-mean target, scored by squared error; the fit is the
+    sample mean."""
+
+    name = "mean"
+    columns = ("mean_hat",)
+    saws_defaults = {"alpha_tau": 0.1, "c_tau": 0.3, "family": "convex_smooth"}
+
+    def pointwise(self, x, theta):
+        return squared_loss(x, theta[..., 0])
+
+    def score_at(self, stats: WindowStats, theta) -> np.ndarray:
+        return mean_score_at(stats, theta[..., 0])
+
+    def fit(self, stats: WindowStats) -> FitResult:
+        return FitResult(np.array([stats.mean]), float(mean_score_at(stats, stats.mean)),
+                         stats.n)
+
+    def resample_gaps(self, stats: WindowStats, rows: np.ndarray, fit: FitResult):
+        # quadratic score: gap reduces exactly to (mean_b - mean)^2;
+        # centered means keep constant windows at exactly zero
+        d = (rows - stats.center).mean(axis=1) - (stats.mean - stats.center)
+        return d * d
+
+    def truth(self, path):
+        return path.true_mean
+
+    def metric_rows(self, tensor, population, metrics):
+        return [("CR", metrics.cumulative_risk_mean(tensor))]
+
+
+@dataclass(frozen=True)
+class _TailTarget(ForecastTarget):
+    """A target at tail level alpha, compared with the true VaR path."""
+
+    alpha: float
+
+    saws_defaults = {"alpha_tau": 0.1, "c_tau": 0.5, "family": "lipschitz"}
+
+    def __post_init__(self):
+        _check_level(self.alpha)
+
+    @classmethod
+    def from_level(cls, alpha: float) -> ForecastTarget:
+        return cls(alpha)
+
+    def truth(self, path):
+        return path.true_var
+
+
+@dataclass(frozen=True)
+class VaR(_TailTarget):
+    """Value-at-Risk (alpha-quantile of the loss), scored by pinball loss.
+
+    The fit is the order statistic ceil(alpha * k), the lower endpoint of
+    the minimizing interval when alpha * k is integral.
+    """
+
+    name = "var"
+    columns = ("var_hat",)
+
+    def pointwise(self, x, theta):
+        return pinball_score(x, theta[..., 0], self.alpha)
+
+    def score_at(self, stats: WindowStats, theta) -> np.ndarray:
+        return pinball_score_at(stats, theta[..., 0], self.alpha)
+
+    def fit(self, stats: WindowStats) -> FitResult:
+        j = order_index(self.alpha, stats.n)
+        v = float(stats.values_sorted[j - 1])
+        return FitResult(np.array([v]), float(pinball_score_at(stats, v, self.alpha)), stats.n)
+
+    def resample_gaps(self, stats: WindowStats, rows: np.ndarray, fit: FitResult):
+        j = order_index(self.alpha, rows.shape[1])
+        rows.partition(j - 1, axis=1)
+        return pinball_score_at(stats, rows[:, j - 1], self.alpha) - fit.score
+
+    def iid_gaps(self, stats: WindowStats, replications: int, rng):
+        # The fitted VaR of an iid resample is its j-th order statistic,
+        # which lands on sorted-window position floor(n * U_(j)) with
+        # U_(j) ~ Beta(j, n - j + 1); sampling that position directly is
+        # distribution-exact and avoids materializing the resamples.
+        n = stats.n
+        j = order_index(self.alpha, n)
+        u = rng.beta(j, n - j + 1, size=replications)
+        pos = np.minimum((n * u).astype(np.int64), n - 1)
+        at = np.concatenate((stats.values_sorted[pos], stats.values_sorted[j - 1: j]))
+        scores = pinball_score_at(stats, at, self.alpha)
+        fit = FitResult(np.array([stats.values_sorted[j - 1]]), float(scores[-1]), n)
+        return scores[:-1] - fit.score, fit
+
+    def metric_rows(self, tensor, population, metrics):
+        return [("CR", metrics.cumulative_risk_var(tensor, population, self.alpha))]
+
+
+@dataclass(frozen=True)
+class VaRES(_TailTarget):
+    """Joint (VaR, ES) target, scored by the two-parameter joint loss.
+
+    The fit is an exact profile search: for fixed e the empirical joint
+    score is piecewise linear in v with knots at the sample points, so a
+    minimizer sits at a knot, and the optimal e given v is closed form
+    from the first-order condition.  O(k log k) overall.
+    """
+
+    name = "vares"
+    dim = 2
+    columns = ("var_hat", "es_hat")
+
+    def pointwise(self, x, theta):
+        return joint_vares_score(x, theta[..., 0], theta[..., 1], self.alpha)
+
+    def score_at(self, stats: WindowStats, theta) -> np.ndarray:
+        return joint_score_at(stats, theta[..., 0], theta[..., 1], self.alpha)
+
+    def fit(self, stats: WindowStats) -> FitResult:
+        v, e = _profile_rows(stats.values_sorted[None, :], self.alpha)
+        theta = np.array([v[0], e[0]])
+        score = float(joint_score_at(stats, theta[0], theta[1], self.alpha))
+        return FitResult(theta, score, stats.n)
+
+    def resample_gaps(self, stats: WindowStats, rows: np.ndarray, fit: FitResult):
+        rows.sort(axis=1)
+        v, e = _profile_rows(rows, self.alpha)
+        return joint_score_at(stats, v, e, self.alpha) - fit.score
+
+    def metric_rows(self, tensor, population, metrics):
+        rows = [("MAB_es", metrics.mab(tensor, component=1))]
+        if tensor.n >= 2:
+            rows.append(("Var_es", metrics.mean_variance(tensor, component=1)))
+        return rows + [("MSE_es", metrics.mse(tensor, component=1))]
+
+
+TARGETS = {cls.name: cls for cls in (Mean, VaR, VaRES)}
+
+
+def pointwise_score(x, theta, target: ForecastTarget):
+    """Loss of parameter vector ``theta`` at a single observation ``x``."""
+    return target.pointwise(x, np.asarray(theta, dtype=float))
+
+
+def empirical_score(window, theta, target: ForecastTarget) -> float:
+    """Average loss of ``theta`` over a window: (1/k) * sum of pointwise scores."""
+    window = np.asarray(window, dtype=float)
+    if window.size == 0:
+        raise ValueError("empirical_score requires a non-empty window")
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if theta.shape[-1] != target.dim:
+        raise ValueError(
+            f"parameter dimension {theta.shape[-1]} does not match target {target!r}"
+        )
+    return float(np.mean(pointwise_score(window, theta, target)))
+
+
 def score_at(stats: WindowStats, theta: np.ndarray, target: ForecastTarget) -> np.ndarray:
     """Empirical score of parameter rows ``theta`` (shape (..., dim)) on a window."""
-    theta = np.asarray(theta, dtype=float)
-    if isinstance(target, Mean):
-        return mean_score_at(stats, theta[..., 0])
-    if isinstance(target, VaR):
-        return pinball_score_at(stats, theta[..., 0], target.alpha)
-    if isinstance(target, VaRES):
-        return joint_score_at(stats, theta[..., 0], theta[..., 1], target.alpha)
-    raise TypeError(f"unknown forecast target {target!r}")
+    return target.score_at(stats, np.asarray(theta, dtype=float))

@@ -23,11 +23,17 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 from scipy.special import ndtr
 
-from .bootstrap import BootstrapConfig, bootstrap_gaps, empirical_quantile, order_index
+from .bootstrap import (
+    BootstrapConfig,
+    bootstrap_gaps,
+    empirical_quantile,
+    guarded_gaps,
+    order_index,
+)
 from .estimators import FitResult, fit_from_stats
 from .scoring import ForecastTarget, score_at, window_stats
 
-_GAP_SLACK = 1e-9
+ERROR_CONTROLS = ("pcer", "fwer")
 
 
 @dataclass(frozen=True)
@@ -100,7 +106,6 @@ class SelectionTrace:
     pair_reject: np.ndarray
     admissible: np.ndarray
     k_hat: int
-    theta_hat: np.ndarray
     fit: FitResult
 
     def pair_records(self) -> Iterator[PairDecision]:
@@ -203,8 +208,9 @@ def select_window(history, target: ForecastTarget, policy,
     run).  Returns the full decision trace; the smallest candidate has no
     references and is always admissible, so a selection always exists.
     """
-    if error_control not in ("pcer", "fwer"):
-        raise ValueError(f"error_control must be 'pcer' or 'fwer', got {error_control!r}")
+    if error_control not in ERROR_CONTROLS:
+        raise ValueError(f"error_control must be one of {ERROR_CONTROLS}, "
+                         f"got {error_control!r}")
     x = np.asarray(history, dtype=float)
     if x.ndim != 1:
         raise ValueError("history must be 1-dimensional")
@@ -230,9 +236,7 @@ def select_window(history, target: ForecastTarget, policy,
             gaps, fits[i] = bootstrap_gaps(x[n - i:], target, policy,
                                            time_index=t, stats=stats[i])
             if error_control == "fwer":
-                g = np.sort(gaps)
-                sorted_gaps[i] = g
-                taus[i] = float(g[order_index(policy.beta, g.size) - 1])
+                sorted_gaps[i] = np.sort(gaps)
             else:
                 taus[i] = empirical_quantile(gaps, policy.beta)
         else:
@@ -246,23 +250,18 @@ def select_window(history, target: ForecastTarget, policy,
     for pos, i in enumerate(candidates[:-1]):
         larger = candidates[pos + 1:]
         raw = score_at(stats[i], theta_rows[pos + 1:], target) - fits[i].score
-        floor = -_GAP_SLACK * max(1.0, abs(fits[i].score))
-        if raw.min() < floor:
-            raise AssertionError("negative pairwise gap beyond rounding tolerance")
-        gaps_i = np.maximum(raw, 0.0)
+        gaps_i = guarded_gaps(raw, fits[i].score, "pairwise")
         refs.extend([i] * len(larger))
         cands.extend(larger)
         gap_col.append(gaps_i)
         if error_control == "pcer":
             tau_col.append(np.full(len(larger), taus[i]))
         else:
+            # candidate k at position s has s references below it
             g = sorted_gaps[i]
-            pair_taus = []
-            for k in larger:
-                s = candidates.index(k)  # number of references below k
-                level = bonferroni_level(policy.beta, s)
-                pair_taus.append(float(g[order_index(level, g.size) - 1]))
-            tau_col.append(np.asarray(pair_taus))
+            tau_col.append(np.array([
+                float(g[order_index(bonferroni_level(policy.beta, s), g.size) - 1])
+                for s in range(pos + 1, len(candidates))]))
 
     pair_reference = np.asarray(refs, dtype=np.int64)
     pair_candidate = np.asarray(cands, dtype=np.int64)
@@ -289,6 +288,5 @@ def select_window(history, target: ForecastTarget, policy,
         pair_reject=pair_reject[order],
         admissible=admissible,
         k_hat=k_hat,
-        theta_hat=fits[k_hat].theta,
         fit=fits[k_hat],
     )

@@ -5,11 +5,12 @@ from baws.baselines import (
     SAWSConfig,
     full_window_forecast,
     rolling_forecast,
-    saws_select,
     saws_threshold,
 )
+from baws.bootstrap import BootstrapConfig
 from baws.scoring import Mean, VaR
 from baws.selection import CandidateGridConfig as Grid
+from baws.selection import select_window
 
 
 def test_saws_threshold_derived_values():
@@ -66,22 +67,19 @@ def test_saws_select_threshold_extremes():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(300)
     huge = SAWSConfig(alpha_tau=0.1, c_tau=1e9)
-    assert saws_select(x, Mean(), huge, Grid(k_min=20)).k_hat == 300
+    assert select_window(x, Mean(), huge, Grid(k_min=20)).k_hat == 300
     tiny = SAWSConfig(alpha_tau=0.5, c_tau=1e-9, family="lipschitz")
     picks = []
     for rep in range(10):
         data = np.random.default_rng(rep).standard_normal(300)
-        picks.append(saws_select(data, Mean(), tiny, Grid(k_min=20)).k_hat)
+        picks.append(select_window(data, Mean(), tiny, Grid(k_min=20)).k_hat)
     assert np.median(picks) == 20  # any positive gap rejects
 
 
 def test_saws_select_shares_candidate_machinery():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(400)
-    from baws.bootstrap import BootstrapConfig
-    from baws.selection import select_window
-
-    a = saws_select(x, Mean(), SAWSConfig(), Grid(k_min=20), prev_k=120)
+    a = select_window(x, Mean(), SAWSConfig(), Grid(k_min=20), prev_k=120)
     b = select_window(x, Mean(), BootstrapConfig(rng_seed=0, replications=50),
                       Grid(k_min=20), prev_k=120)
     assert np.array_equal(a.candidates, b.candidates)

@@ -11,6 +11,7 @@ from baws.bootstrap import (
     derive_rng,
     empirical_quantile,
     iid_resample,
+    oversized_block,
 )
 from baws.estimators import fit_mean, fit_target, fit_var_es
 from baws.scoring import Mean, VaR, VaRES, empirical_score, order_index
@@ -58,6 +59,18 @@ def test_block_length_rounding_and_floor():
         block_length(0, 1.0)
     with pytest.raises(ValueError):
         block_length(10, -1.0)
+
+
+def test_oversized_block_matches_full_scan():
+    for c in (0.5, 1.0, 2.5, 4.0, 8.0, 10.0, 17.0):
+        for k_min in range(2, 60):
+            bad = [(i, block_length(i, c)[0]) for i in range(k_min, 500)
+                   if block_length(i, c)[0] > i]
+            assert oversized_block(k_min, c) == (bad[0] if bad else None)
+            for max_window in (k_min, k_min + 3):
+                within = [b for b in bad if b[0] <= max_window]
+                assert oversized_block(k_min, c, max_window) == (
+                    within[0] if within else None)
 
 
 def test_block_resample_single_block():

@@ -108,6 +108,33 @@ def test_exit_codes(tmp_path):
                 "--method", "full", "--out", out]) == 2
 
 
+def test_invalid_configs_exit_1_before_running(tmp_path, capsys):
+    sim = tmp_path / "sim.csv"
+    run(["simulate", "--scenario", "GARCH", "--T", "80", "--seed", "3", "--out", sim])
+    out = tmp_path / "o.csv"
+    base = ["backtest", "--input", sim, "--loss-col", "loss", "--t0", "50",
+            "--B", "20", "--out", out]
+    assert run(base + ["--method", "saws", "--error-control", "fwer"]) == 1
+    assert "fwer" in capsys.readouterr().err
+    assert run(base + ["--block-c", "10", "--k0", "20"]) == 1
+    assert "block length 30 exceeds window length 20" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_experiment_rejects_saws_options(tmp_path):
+    out = tmp_path / "m.csv"
+    base = ["experiment", "--scenario", "A1", "--methods", "saws", "--n", "1",
+            "--T", "60", "--t0", "41", "--k0", "10", "--out", out]
+    for flag, value in (("--saws-alpha-tau", "0.2"), ("--saws-c-tau", "50"),
+                        ("--saws-family", "lipschitz")):
+        assert run(base + [flag, value]) == 1
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"saws_c_tau": 50}))
+    assert run(base + ["--config", cfgfile]) == 1
+    assert not out.exists()
+    assert run(base) == 0
+
+
 def test_unknown_scenario_message(tmp_path, capsys):
     assert run(["simulate", "--scenario", "QQ", "--out", tmp_path / "o.csv"]) == 1
     assert "error" in capsys.readouterr().err

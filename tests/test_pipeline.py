@@ -198,6 +198,47 @@ def test_backtest_validation():
         run_backtest(np.array([np.nan] * 60), cfg)
 
 
+def test_error_control_checked_at_construction():
+    with pytest.raises(ConfigError, match="error_control"):
+        BacktestConfig(method="baws", target=Mean(), error_control="bogus")
+    for method, fixed_k in (("saws", None), ("fixed", 5), ("full", None)):
+        with pytest.raises(ConfigError, match="fwer"):
+            BacktestConfig(method=method, target=Mean(), fixed_k=fixed_k,
+                           error_control="fwer")
+    BacktestConfig(method="baws", target=Mean(), error_control="fwer")
+
+
+def test_block_length_checked_at_construction():
+    def config(c, k_min, max_window=None):
+        return BacktestConfig(method="baws", target=VaR(0.95), t0=200,
+                              grid=Grid(k_min=k_min, max_window=max_window),
+                              bootstrap=BootstrapConfig(mode="block", block_c=c))
+
+    with pytest.raises(ConfigError, match="block length 30 exceeds window length 20"):
+        config(10, 20)
+    # k_min = 27 fits (l = 24), but lengths 28-31 get l = 32
+    with pytest.raises(ConfigError, match="block length 32 exceeds window length 28"):
+        config(8, 27)
+    config(8, 27, max_window=27)
+    config(8, 32)
+    config(1.0, 20)
+    # the iid bootstrap and the other methods draw no blocks
+    BacktestConfig(method="baws", target=VaR(0.95), grid=Grid(k_min=20),
+                   bootstrap=BootstrapConfig(mode="iid", block_c=10))
+    BacktestConfig(method="saws", target=VaR(0.95), grid=Grid(k_min=20),
+                   bootstrap=BootstrapConfig(mode="block", block_c=10))
+
+
+def test_experiment_fwer_applies_to_baws_only():
+    kwargs = dict(n=1, T=80, t0=41, seed=3, replications=40, grid=Grid(k_min=10),
+                  workers=1)
+    fwer = run_experiment("A1", ["baws", "saws"], VaR(0.9), error_control="fwer", **kwargs)
+    pcer = run_experiment("A1", ["baws", "saws"], VaR(0.9), **kwargs)
+    assert fwer.value("saws", "MSE") == pcer.value("saws", "MSE")
+    with pytest.raises(ConfigError, match="error_control"):
+        run_experiment("A1", ["baws"], VaR(0.9), error_control="bogus", **kwargs)
+
+
 def test_default_saws_config_per_target():
     assert default_saws_config(Mean()).family == "convex_smooth"
     assert default_saws_config(Mean()).c_tau == 0.3

@@ -172,18 +172,18 @@ def test_squared_loss_gap_identity():
 
 
 def test_threshold_agnostic_core():
-    from baws.baselines import SAWSConfig, saws_select, saws_threshold
+    from baws.baselines import SAWSConfig, saws_threshold
 
     rng = np.random.default_rng(3)
     x = rng.standard_normal(300)
     cfg = SAWSConfig(alpha_tau=0.1, c_tau=0.5, family="lipschitz")
-    a = saws_select(x, VaR(0.9), cfg, Grid(k_min=20))
+    a = select_window(x, VaR(0.9), cfg, Grid(k_min=20))
     b = select_window(x, VaR(0.9), CallableThreshold(lambda i: saws_threshold(i, cfg)),
                       Grid(k_min=20))
     assert a.k_hat == b.k_hat
     assert np.array_equal(a.pair_gap, b.pair_gap)
     assert np.array_equal(a.pair_threshold, b.pair_threshold)
-    assert np.array_equal(a.theta_hat, b.theta_hat)
+    assert np.array_equal(a.fit.theta, b.fit.theta)
 
 
 def test_fwer_mode_tightens_thresholds():
