@@ -6,7 +6,7 @@ against brute-force minimization in the test suite:
 
     mean      sample mean (closed form)
     VaR       order statistic ceil(alpha * k)
-    VaR/ES    exact profile search over the sample points, O(k log k)
+    VaR/ES    the VaR order statistic and its shortfall e(v), closed form
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .scoring import (
     VaR,
     VaRES,
     WindowStats,
-    tail_mean_at,
+    es_given_v,
     window_stats,
 )
 
@@ -34,7 +34,8 @@ def fit_var(window, alpha: float) -> FitResult:
 
 
 def fit_var_es(window, alpha: float) -> FitResult:
-    """Minimize the empirical joint VaR/ES score; exact profile algorithm."""
+    """Minimize the empirical joint VaR/ES score: v is the order statistic
+    ceil(alpha * k) that ``fit_var`` returns and e = ``tail_es_given_v``."""
     return fit_target(window, VaRES(alpha))
 
 
@@ -45,7 +46,7 @@ def tail_es_given_v(window, v: float, alpha: float) -> float:
     point in e of the empirical joint score (its e-derivative is a strictly
     positive factor times the bracket that this solves).
     """
-    return float(v + tail_mean_at(window_stats(window), v) / (1.0 - alpha))
+    return float(es_given_v(window_stats(window), v, alpha))
 
 
 def fit_target(window, target: ForecastTarget) -> FitResult:

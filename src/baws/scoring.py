@@ -201,6 +201,12 @@ def tail_mean_at(stats: WindowStats, v) -> np.ndarray:
     return ((stats.total - s_lt) - (stats.n - n_lt) * vc) / stats.n
 
 
+def es_given_v(stats: WindowStats, v, alpha: float) -> np.ndarray:
+    """Shortfall estimate e(v) = v + mean((x - v)+) / (1 - alpha) minimizing
+    the empirical joint score in e at a fixed quantile estimate v."""
+    return v + tail_mean_at(stats, v) / (1.0 - alpha)
+
+
 def joint_score_at(stats: WindowStats, v, e, alpha: float) -> np.ndarray:
     """Empirical joint VaR/ES score at estimates ``(v, e)``."""
     v = np.asarray(v, dtype=float)
@@ -221,37 +227,6 @@ class FitResult:
     theta: np.ndarray
     score: float
     window_length: int
-
-
-def _profile_rows(sorted_rows: np.ndarray, alpha: float):
-    """Joint VaR/ES fit for each row of a (B, L) matrix of sorted samples.
-
-    Evaluates the profiled joint score at every sample point of each row and
-    returns per-row minimizing (v, e).  Ties in v contribute identical
-    (v, e, score) entries; argmin picks the first, i.e. the smallest v.
-
-    Elements tied with the candidate v contribute zero to both the strict
-    "below" and the weak "above" side, so position-based counts are exact
-    even with duplicates.
-    """
-    B, L = sorted_rows.shape
-    r = np.arange(L)
-    center = sorted_rows[:, :1]
-    vc = sorted_rows - center  # pinball/tail terms are shift-invariant
-    prefix = np.concatenate((np.zeros((B, 1)), np.cumsum(vc, axis=1)), axis=1)
-    total = prefix[:, -1][:, None]
-    s_lt = prefix[:, :-1]
-    below = (1.0 - alpha) * (r * vc - s_lt)
-    above = alpha * ((total - s_lt) - (L - r) * vc)
-    pin = (below + above) / L
-    tail = ((total - s_lt) - (L - r) * vc) / L
-    e = center + vc + tail / (1.0 - alpha)
-    # profiled score: the tail terms cancel at e = e(v), leaving
-    # pinball(v) - softplus(-e(v))
-    profiled = pin - tail_weight_integral(e)
-    best = np.argmin(profiled, axis=1)
-    rows = np.arange(B)
-    return sorted_rows[rows, best], e[rows, best]
 
 
 class ForecastTarget:
@@ -314,6 +289,18 @@ class _TailTarget(ForecastTarget):
     def from_level(cls, alpha: float) -> ForecastTarget:
         return cls(alpha)
 
+    def order_statistic(self, values: np.ndarray):
+        """(v, j): the order statistic j = ceil(alpha * n) along the last axis.
+
+        A 1-d ``values`` must be sorted (``WindowStats.values_sorted``); the
+        rows of a 2-d ``values`` are partitioned in place around position j,
+        so ``values[:, j:]`` afterwards holds each row's values >= v.
+        """
+        j = order_index(self.alpha, values.shape[-1])
+        if values.ndim > 1:
+            values.partition(j - 1, axis=-1)
+        return values[..., j - 1], j
+
     def truth(self, path):
         return path.true_var
 
@@ -336,14 +323,11 @@ class VaR(_TailTarget):
         return pinball_score_at(stats, theta[..., 0], self.alpha)
 
     def fit(self, stats: WindowStats) -> FitResult:
-        j = order_index(self.alpha, stats.n)
-        v = float(stats.values_sorted[j - 1])
+        v = float(self.order_statistic(stats.values_sorted)[0])
         return FitResult(np.array([v]), float(pinball_score_at(stats, v, self.alpha)), stats.n)
 
     def resample_gaps(self, stats: WindowStats, rows: np.ndarray, fit: FitResult):
-        j = order_index(self.alpha, rows.shape[1])
-        rows.partition(j - 1, axis=1)
-        return pinball_score_at(stats, rows[:, j - 1], self.alpha) - fit.score
+        return pinball_score_at(stats, self.order_statistic(rows)[0], self.alpha) - fit.score
 
     def iid_gaps(self, stats: WindowStats, replications: int, rng):
         # The fitted VaR of an iid resample is its j-th order statistic,
@@ -351,12 +335,11 @@ class VaR(_TailTarget):
         # U_(j) ~ Beta(j, n - j + 1); sampling that position directly is
         # distribution-exact and avoids materializing the resamples.
         n = stats.n
-        j = order_index(self.alpha, n)
+        v, j = self.order_statistic(stats.values_sorted)
         u = rng.beta(j, n - j + 1, size=replications)
         pos = np.minimum((n * u).astype(np.int64), n - 1)
-        at = np.concatenate((stats.values_sorted[pos], stats.values_sorted[j - 1: j]))
-        scores = pinball_score_at(stats, at, self.alpha)
-        fit = FitResult(np.array([stats.values_sorted[j - 1]]), float(scores[-1]), n)
+        scores = pinball_score_at(stats, np.append(stats.values_sorted[pos], v), self.alpha)
+        fit = FitResult(np.array([v]), float(scores[-1]), n)
         return scores[:-1] - fit.score, fit
 
     def metric_rows(self, tensor, population, metrics):
@@ -367,10 +350,14 @@ class VaR(_TailTarget):
 class VaRES(_TailTarget):
     """Joint (VaR, ES) target, scored by the two-parameter joint loss.
 
-    The fit is an exact profile search: for fixed e the empirical joint
-    score is piecewise linear in v with knots at the sample points, so a
-    minimizer sits at a knot, and the optimal e given v is closed form
-    from the first-order condition.  O(k log k) overall.
+    The fit is closed form.  At fixed v the score is minimized in e at
+    e(v) = v + mean((x - v)+) / (1 - alpha) (``es_given_v``), where it equals
+    pinball(v) - softplus(-e(v)).  The pinball term is minimized on the
+    alpha-quantile interval; so is e(v), the Rockafellar-Uryasev function,
+    and -softplus(-e) increases with e.  Both terms are flat on that
+    interval, so its lower endpoint, the order statistic x_(j) with
+    j = ceil(alpha * k) that ``VaR`` fits, is the smallest minimizing v, and
+    e = e(x_(j)).  O(k) on partitioned rows.
     """
 
     name = "vares"
@@ -384,14 +371,15 @@ class VaRES(_TailTarget):
         return joint_score_at(stats, theta[..., 0], theta[..., 1], self.alpha)
 
     def fit(self, stats: WindowStats) -> FitResult:
-        v, e = _profile_rows(stats.values_sorted[None, :], self.alpha)
-        theta = np.array([v[0], e[0]])
+        v = float(self.order_statistic(stats.values_sorted)[0])
+        theta = np.array([v, es_given_v(stats, v, self.alpha)])
         score = float(joint_score_at(stats, theta[0], theta[1], self.alpha))
         return FitResult(theta, score, stats.n)
 
     def resample_gaps(self, stats: WindowStats, rows: np.ndarray, fit: FitResult):
-        rows.sort(axis=1)
-        v, e = _profile_rows(rows, self.alpha)
+        v, j = self.order_statistic(rows)
+        # e(v) of each row: after the partition its values >= v sit past j
+        e = v + (rows[:, j:] - v[:, None]).sum(axis=1) / (rows.shape[1] * (1.0 - self.alpha))
         return joint_score_at(stats, v, e, self.alpha) - fit.score
 
     def metric_rows(self, tensor, population, metrics):

@@ -14,9 +14,17 @@ from baws.bootstrap import (
     oversized_block,
 )
 from baws.estimators import fit_mean, fit_target, fit_var_es
-from baws.scoring import Mean, VaR, VaRES, empirical_score, order_index
+from baws.scoring import (
+    Mean,
+    VaR,
+    VaRES,
+    empirical_score,
+    joint_score_at,
+    order_index,
+    window_stats,
+)
 
-from conftest import direct_pinball
+from conftest import brute_force_var_es, direct_pinball
 
 
 def test_iid_resample_basics():
@@ -238,6 +246,25 @@ def test_vares_gaps_match_naive_loop():
         naive[b] = empirical_score(w, theta, VaRES(0.9)) - fit.score
     assert naive.min() >= -1e-12
     assert ks_2samp(fast, naive).statistic < 0.06
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("L", [10, 12, 19, 20, 40, 57])
+@pytest.mark.parametrize("alpha", [0.9, 0.95])
+def test_vares_resample_gaps_match_row_fits(L, alpha):
+    # coarse values force ties, and alpha * L is integral for L in {10, 20, 40}
+    rng = np.random.default_rng(L)
+    stats = window_stats(np.round(rng.standard_t(4, size=L), 1))
+    rows = stats.values_sorted[rng.integers(0, L, size=(60, L))]
+    target = VaRES(alpha)
+    fit = target.fit(stats)
+    gaps = target.resample_gaps(stats, rows.copy(), fit)
+    row_fits = [fit_var_es(row, alpha) for row in rows]
+    expected = [joint_score_at(stats, *f.theta, alpha) - fit.score for f in row_fits]
+    np.testing.assert_allclose(gaps, expected, rtol=0, atol=1e-12)
+    if L <= 12:
+        for row, f in zip(rows[:15], row_fits):
+            assert f.score == pytest.approx(brute_force_var_es(row, alpha)[2], abs=1e-9)
 
 
 def test_null_exceedance_rate_small_reference():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from baws.estimators import fit_mean, fit_target, fit_var, fit_var_es, tail_es_given_v
 from baws.scoring import Mean, VaR, VaRES, empirical_score
@@ -94,16 +94,15 @@ def test_fit_var_es_large_sample_gaussian():
 
 
 def test_var_and_var_es_choose_same_quantile():
+    # both fits take the smallest minimizing v, the order statistic
+    # ceil(alpha * k); every other draw uses a level on a coarse grid, which
+    # makes alpha * k integral (a flat minimizing interval) for many k
     rng = np.random.default_rng(6)
-    for _ in range(1000):
+    for n in range(1000):
         k = int(rng.integers(1, 30))
-        alpha = float(rng.uniform(0.05, 0.95))
+        alpha = float(rng.uniform(0.05, 0.95) if n % 2 else rng.choice([0.5, 0.75, 0.8, 0.9]))
         w = np.round(rng.normal(size=k), 1)  # coarse values force ties
-        v1 = fit_var(w, alpha).theta[0]
-        fit2 = fit_var_es(w, alpha)
-        if v1 != fit2.theta[0]:
-            other = direct_pinball(w, fit2.theta[0], alpha)
-            assert other == pytest.approx(direct_pinball(w, v1, alpha), abs=1e-12)
+        assert fit_var_es(w, alpha).theta[0] == fit_var(w, alpha).theta[0]
 
 
 def test_no_sample_point_beats_fit():
@@ -136,6 +135,7 @@ def test_achieved_score_matches_empirical_score():
     st.lists(st.floats(-50, 50), min_size=1, max_size=25),
     st.floats(-100, 100),
 )
+@example([0.0] * 9 + [1.0], -4.0)  # alpha * k integral: v must stay x_(9)
 def test_location_equivariance(values, shift):
     w = np.asarray(values)
     shifted = w + shift

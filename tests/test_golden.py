@@ -72,9 +72,9 @@ DIGESTS = {
     "backtest-baws-vares-block-wide":
         "5c2b1914f8283d1fb21b63346dfa9b485e178d48ac03b535e318907cbd1dfe62",
     "backtest-baws-vares-iid-long":
-        "b9c79bb020643565255bcc6e956693e3b5286df40d308975e830161ed7f7d13d",
+        "5251a952421ca6b4de4cffa4177e61ce20928ac77d70379a0fe05a3bd4238e26",
     "backtest-baws-vares-iid-wide":
-        "2d1d3a48ce58bc3697562c95d4889c7723f1ffd7909be287f947720cb365170d",
+        "ff12c6a1aa4dd6f3cb4af4923477e8423dce63b2f276c9aa50093bef4aecb70e",
     "backtest-fixed-vares":
         "54178297cbaac0790a3f86de6b5bd62c8f7e0368d1a80140aa3decac3a2986c9",
     "backtest-full-var":
@@ -86,7 +86,7 @@ DIGESTS = {
     "experiment-A1-mean":
         "893891d6e0d4faf393923c090717fa4faee0f8673c47d5e1eb8e3c4ef0629384",
     "experiment-A3-vares":
-        "8d724b8b994ee390fd19e882613aed7a41488b06911bd5a0d71db59f33fe2ced",
+        "69b5354b101e8438c7f55b975247b1dcd8dbda2047e0ca5ced647afcb902f8f5",
     "experiment-GARCH-var":
         "decc3ae72e9a1de0a4d0893e26815290adaa1ee7cc3dde1bebed1f23fcf600ba",
 }
