@@ -289,17 +289,10 @@ class _TailTarget(ForecastTarget):
     def from_level(cls, alpha: float) -> ForecastTarget:
         return cls(alpha)
 
-    def order_statistic(self, values: np.ndarray):
-        """(v, j): the order statistic j = ceil(alpha * n) along the last axis.
-
-        A 1-d ``values`` must be sorted (``WindowStats.values_sorted``); the
-        rows of a 2-d ``values`` are partitioned in place around position j,
-        so ``values[:, j:]`` afterwards holds each row's values >= v.
-        """
-        j = order_index(self.alpha, values.shape[-1])
-        if values.ndim > 1:
-            values.partition(j - 1, axis=-1)
-        return values[..., j - 1], j
+    def quantile_index(self, n: int) -> int:
+        """1-based index j = ceil(alpha * n) of the fitted order statistic:
+        position j - 1 of a sorted window or of a row partitioned at j - 1."""
+        return order_index(self.alpha, n)
 
     def truth(self, path):
         return path.true_var
@@ -323,11 +316,13 @@ class VaR(_TailTarget):
         return pinball_score_at(stats, theta[..., 0], self.alpha)
 
     def fit(self, stats: WindowStats) -> FitResult:
-        v = float(self.order_statistic(stats.values_sorted)[0])
+        v = float(stats.values_sorted[self.quantile_index(stats.n) - 1])
         return FitResult(np.array([v]), float(pinball_score_at(stats, v, self.alpha)), stats.n)
 
     def resample_gaps(self, stats: WindowStats, rows: np.ndarray, fit: FitResult):
-        return pinball_score_at(stats, self.order_statistic(rows)[0], self.alpha) - fit.score
+        j = self.quantile_index(rows.shape[1])
+        rows.partition(j - 1, axis=1)
+        return pinball_score_at(stats, rows[:, j - 1], self.alpha) - fit.score
 
     def iid_gaps(self, stats: WindowStats, replications: int, rng):
         # The fitted VaR of an iid resample is its j-th order statistic,
@@ -335,7 +330,8 @@ class VaR(_TailTarget):
         # U_(j) ~ Beta(j, n - j + 1); sampling that position directly is
         # distribution-exact and avoids materializing the resamples.
         n = stats.n
-        v, j = self.order_statistic(stats.values_sorted)
+        j = self.quantile_index(n)
+        v = stats.values_sorted[j - 1]
         u = rng.beta(j, n - j + 1, size=replications)
         pos = np.minimum((n * u).astype(np.int64), n - 1)
         scores = pinball_score_at(stats, np.append(stats.values_sorted[pos], v), self.alpha)
@@ -371,13 +367,15 @@ class VaRES(_TailTarget):
         return joint_score_at(stats, theta[..., 0], theta[..., 1], self.alpha)
 
     def fit(self, stats: WindowStats) -> FitResult:
-        v = float(self.order_statistic(stats.values_sorted)[0])
+        v = float(stats.values_sorted[self.quantile_index(stats.n) - 1])
         theta = np.array([v, es_given_v(stats, v, self.alpha)])
         score = float(joint_score_at(stats, theta[0], theta[1], self.alpha))
         return FitResult(theta, score, stats.n)
 
     def resample_gaps(self, stats: WindowStats, rows: np.ndarray, fit: FitResult):
-        v, j = self.order_statistic(rows)
+        j = self.quantile_index(rows.shape[1])
+        rows.partition(j - 1, axis=1)
+        v = rows[:, j - 1]
         # e(v) of each row: after the partition its values >= v sit past j
         e = v + (rows[:, j:] - v[:, None]).sum(axis=1) / (rows.shape[1] * (1.0 - self.alpha))
         return joint_score_at(stats, v, e, self.alpha) - fit.score

@@ -8,16 +8,10 @@ the library's fast paths, so implementation and oracle stay independent.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-from hypothesis import settings
 from scipy.optimize import minimize_scalar
 from scipy.stats import t as student_t
-
-# CI prints the @reproduce_failure blob of a failing property test
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def direct_pinball(window, v, alpha):
