@@ -56,6 +56,8 @@ from .scenarios import (
     gen_setting_a,
     gen_setting_b,
     generate,
+    skewed_t_cdf,
+    skewed_t_partial_expectation,
     skewed_t_quantile,
     skewed_t_sample,
 )

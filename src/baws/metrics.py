@@ -20,12 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
-from scipy.stats import t as student_t
 
 from .scoring import ForecastTarget, pointwise_score
-from .scenarios import skewed_t_moments, skewed_t_quantile
+from .scenarios import skewed_t_cdf, skewed_t_partial_expectation, skewed_t_quantile
 
 _NORM_PDF_C = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -108,42 +106,6 @@ class SkewedTTruth:
     skew: float
 
 
-def _skewt_density(nu: float, r: float):
-    """Density of the standardized skewed t (mixture pieces share the t kernel)."""
-    m, s = skewed_t_moments(nu, r)
-    norm = 2.0 * r / (1.0 + r * r)
-
-    def pdf(y):
-        x = m + s * y
-        arg = x / r if x >= 0 else x * r
-        return s * norm * student_t.pdf(arg, nu)
-
-    return pdf, m, s
-
-
-def _skewt_partial_expectation(a: float, nu: float, r: float) -> float:
-    """E[eps * 1{eps <= a}] for the standardized skewed t, by quadrature."""
-    pdf, m, s = _skewt_density(nu, r)
-    kink = -m / s  # density kink where the two-piece switches sign
-    pieces = [(-np.inf, min(a, kink))]
-    if a > kink:
-        pieces.append((kink, a))
-    total = 0.0
-    for lo, hi in pieces:
-        val, _ = quad(lambda y: y * pdf(y), lo, hi, epsabs=1e-10, epsrel=1e-10)
-        total += val
-    return total
-
-
-def _skewt_cdf(y, nu: float, r: float):
-    """CDF of the standardized skewed t."""
-    m, s = skewed_t_moments(nu, r)
-    x = m + s * np.asarray(y, dtype=float)
-    lower = 2.0 / (1.0 + r * r) * student_t.cdf(x * r, nu)
-    upper = 1.0 - 2.0 * r * r / (1.0 + r * r) * (1.0 - student_t.cdf(x / r, nu))
-    return np.where(x <= 0, lower, upper)
-
-
 def cumulative_risk_var(tensor: ExperimentTensor, truth, alpha: float) -> float:
     """Cumulative excess expected pinball risk of VaR forecasts.
 
@@ -152,8 +114,10 @@ def cumulative_risk_var(tensor: ExperimentTensor, truth, alpha: float) -> float:
         -alpha v - E[X 1{X < v}] + E[X 1{X < VaR}] + v P(X < v),
 
     which vanishes at v = VaR.  Gaussian truths use the closed-form partial
-    expectation mu Phi(z) - sigma phi(z); skewed-t truths integrate the
-    standardized density numerically (absolute tolerance 1e-8 per term).
+    expectation mu Phi(z) - sigma phi(z); skewed-t truths use the closed-form
+    partial expectation of the standardized innovation
+    (``skewed_t_partial_expectation``), evaluated over the whole
+    (replication, time) array at once.
     """
     v = tensor.estimates[:, :, 0]
     n, horizon = v.shape
@@ -169,13 +133,10 @@ def cumulative_risk_var(tensor: ExperimentTensor, truth, alpha: float) -> float:
         sigma = np.broadcast_to(np.asarray(truth.sigma, dtype=float), (n, horizon))
         nu, r = truth.nu, truth.skew
         q_z = -skewed_t_quantile(1.0 - alpha, nu, r)  # alpha-quantile of Z = -eps
-        psi_true = _skewt_partial_expectation(-q_z, nu, r)
+        psi_true = skewed_t_partial_expectation(-q_z, nu, r)
         a = -v / sigma
-        psi = np.empty_like(a)
-        flat_a, flat_psi = a.ravel(), psi.ravel()
-        for idx in range(flat_a.size):
-            flat_psi[idx] = _skewt_partial_expectation(flat_a[idx], nu, r)
-        prob_below = 1.0 - _skewt_cdf(a, nu, r)
+        psi = skewed_t_partial_expectation(a, nu, r)
+        prob_below = 1.0 - skewed_t_cdf(a, nu, r)
         risk = -alpha * v - sigma * psi + sigma * psi_true + v * prob_below
     else:
         raise TypeError(f"unsupported truth distribution {truth!r}")

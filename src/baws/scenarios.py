@@ -165,6 +165,41 @@ def skewed_t_quantile(p, nu: float, r: float):
     return float(out) if out.ndim == 0 else out
 
 
+def skewed_t_cdf(y, nu: float, r: float):
+    """CDF of the standardized skewed t (the two-piece CDF at x = m + s y)."""
+    m, s = skewed_t_moments(nu, r)
+    x = m + s * np.asarray(y, dtype=float)
+    lower = 2.0 / (1.0 + r * r) * student_t.cdf(x * r, nu)
+    upper = 1.0 - 2.0 * r * r / (1.0 + r * r) * (1.0 - student_t.cdf(x / r, nu))
+    out = np.where(x <= 0, lower, upper)
+    return float(out) if out.ndim == 0 else out
+
+
+def _t_tail_abs_moment(a, nu: float):
+    """E[|T| 1{|T| >= a}] for T ~ t_nu and a >= 0: 2 (nu + a^2)/(nu - 1) t_nu(a)."""
+    return 2.0 * (nu + a * a) / (nu - 1.0) * student_t.pdf(a, nu)
+
+
+def skewed_t_partial_expectation(a, nu: float, r: float):
+    """E[eps 1{eps <= a}] for the standardized skewed t eps, in closed form.
+
+    With y = m + s a and p = r^2/(1+r^2), the two-piece partial expectation
+    E[X 1{X <= y}] is -((1-p)/r) g(-r y) for y <= 0 (only the negative
+    piece -|T|/r reaches below y) and m - p r g(y/r) above (the mean minus
+    the positive piece beyond y), where g(a) = E[|T| 1{|T| >= a}].
+    Standardizing gives (E[X 1{X <= y}] - m P(X <= y)) / s.
+    """
+    m, s = skewed_t_moments(nu, r)
+    y = m + s * np.asarray(a, dtype=float)
+    p = r * r / (1.0 + r * r)
+    # clamped so that each branch is evaluated only on its own half-line
+    lower = -((1.0 - p) / r) * _t_tail_abs_moment(-r * np.minimum(y, 0.0), nu)
+    upper = m - p * r * _t_tail_abs_moment(np.maximum(y, 0.0) / r, nu)
+    partial = np.where(y <= 0, lower, upper)
+    out = (partial - m * skewed_t_cdf(a, nu, r)) / s
+    return float(out) if out.ndim == 0 else out
+
+
 def gen_garch(T: int = 2000, seed: int = 0, alpha: float | None = 0.95,
               nu: float = GARCH_NU, skew: float = GARCH_SKEW) -> ScenarioPath:
     """Loss path L_t = -sigma_t eps_t with GARCH(1,1) volatility.

@@ -262,7 +262,7 @@ class Mean(ForecastTarget):
                          stats.n)
 
     def resample_gaps(self, stats: WindowStats, rows: np.ndarray, fit: FitResult):
-        # quadratic score: gap reduces exactly to (mean_b - mean)^2;
+        # squared-loss score: gap reduces exactly to (mean_b - mean)^2;
         # centered means keep constant windows at exactly zero
         d = (rows - stats.center).mean(axis=1) - (stats.mean - stats.center)
         return d * d

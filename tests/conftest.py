@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
-from scipy.stats import t as student_t
 
 
 def direct_pinball(window, v, alpha):
@@ -62,23 +62,28 @@ def brute_force_var_es(window, alpha, grid_points=800):
     return best
 
 
-def t_partial_abs_moment(a, nu):
-    """E[|T| 1{|T| >= a}] for T ~ t_nu and a >= 0 (closed form)."""
-    return 2.0 * (nu + a * a) / (nu - 1.0) * student_t.pdf(a, nu)
-
-
-def skewt_partial_expectation_closed(a, nu, r):
-    """E[eps 1{eps <= a}] for the standardized skewed t, in closed form."""
+def skewt_partial_expectation_quad(a, nu, r):
+    """E[eps 1{eps <= a}] for the standardized skewed t, by quadrature of
+    y * density(y), split at the density kink -m/s."""
     from baws.scenarios import skewed_t_moments
 
     m, s = skewed_t_moments(nu, r)
-    y = m + s * a
-    p = r * r / (1.0 + r * r)
-    if y <= 0:
-        partial = -((1.0 - p) / r) * t_partial_abs_moment(-r * y, nu)
-    else:
-        partial = m - p * r * t_partial_abs_moment(y / r, nu)
-    cdf_lower = 2.0 / (1.0 + r * r) * student_t.cdf(y * r, nu)
-    cdf_upper = 1.0 - 2.0 * r * r / (1.0 + r * r) * (1.0 - student_t.cdf(y / r, nu))
-    cdf = cdf_lower if y <= 0 else cdf_upper
-    return (partial - m * cdf) / s
+    # t_nu density constant, times the two-piece weight 2r/(1+r^2) and the
+    # Jacobian s of x = m + s y
+    c = (math.exp(math.lgamma((nu + 1) / 2.0) - math.lgamma(nu / 2.0))
+         / math.sqrt(nu * math.pi) * 2.0 * r / (1.0 + r * r) * s)
+
+    def pdf(y):
+        x = m + s * y
+        arg = x / r if x >= 0 else x * r
+        return c * (1.0 + arg * arg / nu) ** (-(nu + 1) / 2.0)
+
+    kink = -m / s
+    pieces = [(-np.inf, min(a, kink))]
+    if a > kink:
+        pieces.append((kink, a))
+    total = 0.0
+    for lo, hi in pieces:
+        val, _ = quad(lambda y: y * pdf(y), lo, hi, epsabs=1e-10, epsrel=1e-10)
+        total += val
+    return total

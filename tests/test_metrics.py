@@ -6,7 +6,6 @@ from baws.metrics import (
     ExperimentTensor,
     GaussianTruth,
     SkewedTTruth,
-    _skewt_partial_expectation,
     cumulative_loss,
     cumulative_risk_mean,
     cumulative_risk_var,
@@ -14,10 +13,15 @@ from baws.metrics import (
     mean_variance,
     mse,
 )
-from baws.scenarios import skewed_t_quantile
+from baws.scenarios import (
+    skewed_t_cdf,
+    skewed_t_moments,
+    skewed_t_partial_expectation,
+    skewed_t_quantile,
+)
 from baws.scoring import Mean, VaR, VaRES
 
-from conftest import skewt_partial_expectation_closed
+from conftest import skewt_partial_expectation_quad
 
 
 def _tensor(estimates, truths, realized=None):
@@ -123,11 +127,34 @@ def test_cr_var_nonnegative_on_grid():
 
 
 def test_skewt_partial_expectation_quad_vs_closed_form():
-    for nu, r in ((5.0, 0.95), (4.5, 0.8), (6.0, 1.1)):
-        for a in (-3.0, -1.2, -0.1, 0.0, 0.4, 1.7, 3.5):
-            quad_val = _skewt_partial_expectation(a, nu, r)
-            closed = skewt_partial_expectation_closed(a, nu, r)
-            assert quad_val == pytest.approx(closed, abs=1e-8)
+    for nu, r in ((5.0, 0.95), (4.5, 0.8), (6.0, 1.1), (3.0, 0.7), (30.0, 1.3)):
+        m, s = skewed_t_moments(nu, r)
+        kink = -m / s  # where the two pieces meet
+        a = np.concatenate([np.linspace(-40.0, 40.0, 161),
+                            [kink - 1e-12, kink, kink + 1e-12]]).reshape(2, -1)
+        closed = skewed_t_partial_expectation(a, nu, r)
+        assert closed.shape == a.shape
+        oracle = np.vectorize(lambda x: skewt_partial_expectation_quad(x, nu, r))(a)
+        np.testing.assert_allclose(closed, oracle, rtol=0, atol=1e-10)
+
+
+def test_cr_var_skewt_matches_cellwise_quadrature():
+    rng = np.random.default_rng(5)
+    alpha, nu, r = 0.95, 5.0, 0.95
+    sigma = rng.uniform(0.005, 0.05, size=(3, 7))
+    v = sigma * rng.uniform(-1.0, 4.0, size=(3, 7))
+    got = cumulative_risk_var(_tensor(v[:, :, None], v), SkewedTTruth(sigma, nu, r), alpha)
+    # X = sigma Z with Z = -eps:  E[X 1{X < v}] = -sigma E[eps 1{eps > -v/sigma}]
+    # = sigma E[eps 1{eps <= -v/sigma}] (eps has mean zero), P(X < v) = 1 - F(-v/sigma)
+    q = -skewed_t_quantile(1 - alpha, nu, r)
+    psi_true = skewt_partial_expectation_quad(-q, nu, r)
+    risk = np.empty_like(v)
+    for i, j in np.ndindex(*v.shape):
+        a = -v[i, j] / sigma[i, j]
+        psi = skewt_partial_expectation_quad(a, nu, r)
+        risk[i, j] = (-alpha * v[i, j] - sigma[i, j] * psi + sigma[i, j] * psi_true
+                      + v[i, j] * (1.0 - skewed_t_cdf(a, nu, r)))
+    assert got == pytest.approx(float(np.mean(risk.sum(axis=1))), abs=1e-9)
 
 
 def test_cr_var_skewt_zero_at_true_var():
