@@ -2,7 +2,9 @@
 
 Conventions: ``estimates`` has shape (replications, horizon, dim); truths
 and realized losses have shape (horizon,) or (replications, horizon), the
-latter for scenarios whose true parameter path is itself random.  All
+latter for scenarios whose true parameter path is itself random.  A truth
+of shape (replications or 1, horizon, dim) holds one truth per estimate
+component; a 1- or 2-d truth is shared by every component.  All
 reductions subtract the aligned truth before averaging, which coincides
 with the usual definitions when the truth is common across replications.
 
@@ -47,8 +49,11 @@ class ExperimentTensor:
             est = est[:, :, None]
         if est.ndim != 3:
             raise ValueError("estimates must have shape (n, horizon, dim)")
-        n, horizon, _ = est.shape
-        truths = np.broadcast_to(np.asarray(self.truths, dtype=float), (n, horizon)).copy()
+        n, horizon, dim = est.shape
+        truths = np.asarray(self.truths, dtype=float)
+        if truths.ndim < 3:  # one truth shared by every component
+            truths = np.broadcast_to(truths, (n, horizon))[:, :, None]
+        truths = np.broadcast_to(truths, (n, horizon, dim)).copy()
         realized = np.broadcast_to(np.asarray(self.realized, dtype=float), (n, horizon)).copy()
         object.__setattr__(self, "estimates", est)
         object.__setattr__(self, "truths", truths)
@@ -63,7 +68,7 @@ class ExperimentTensor:
         return self.estimates.shape[1]
 
     def errors(self, component: int = 0) -> np.ndarray:
-        return self.estimates[:, :, component] - self.truths
+        return self.estimates[:, :, component] - self.truths[:, :, component]
 
 
 def mab(tensor: ExperimentTensor, component: int = 0) -> float:

@@ -9,8 +9,9 @@ Three families, all seeded and bit-reproducible:
             innovations and a persistence jump at t = 1000
 
 Each path carries its true mean/volatility sequences and, when a tail
-level is supplied, the true VaR path (mu + sigma * z_alpha for Gaussians,
-sigma times the flipped innovation quantile for the GARCH process).
+level is supplied, the true VaR and ES paths (mu + sigma * z_alpha and
+mu + sigma * phi(z_alpha) / (1 - alpha) for Gaussians; sigma times the
+flipped innovation's quantile and ES for the GARCH process).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, ndtri
+from scipy.stats import norm
 from scipy.stats import t as student_t
 
 GARCH_OMEGA = 1e-5
@@ -47,13 +49,18 @@ class ScenarioPath:
     innovations: str = "gaussian"  # "gaussian" | "skewt"
     nu: float | None = None
     skew: float | None = None
+    true_es: np.ndarray | None = None
 
 
 def _gaussian_path(name, seed, mu, sigma, alpha, rng) -> ScenarioPath:
     losses = mu + sigma * rng.standard_normal(mu.size)
-    true_var = mu + sigma * ndtri(alpha) if alpha is not None else None
-    return ScenarioPath(name, seed, losses, mu, np.broadcast_to(sigma, mu.shape).copy(),
-                        true_var, alpha)
+    sigma = np.broadcast_to(sigma, mu.shape).copy()
+    true_var = true_es = None
+    if alpha is not None:
+        z = ndtri(alpha)
+        true_var = mu + sigma * z
+        true_es = mu + sigma * (norm.pdf(z) / (1.0 - alpha))
+    return ScenarioPath(name, seed, losses, mu, sigma, true_var, alpha, true_es=true_es)
 
 
 def _piecewise(t: np.ndarray, breaks: list[int], values: list[float]) -> np.ndarray:
@@ -225,12 +232,15 @@ def gen_garch(T: int = 2000, seed: int = 0, alpha: float | None = 0.95,
         var[u] = GARCH_OMEGA + (GARCH_ARCH * eps_sq[u - 1] + gamma) * var[u - 1]
     sigma = np.sqrt(var[GARCH_BURN_IN:])
     losses = -sigma * eps[GARCH_BURN_IN:]
-    true_var = None
+    true_var = true_es = None
     if alpha is not None:
-        # L_t = sigma_t * (-eps); quantile of -eps at alpha is -q_eps(1 - alpha)
-        true_var = sigma * (-skewed_t_quantile(1.0 - alpha, nu, skew))
+        # L_t = sigma_t * (-eps); quantile of -eps at alpha is q = -q_eps(1 - alpha),
+        # and its ES is E[-eps | eps <= -q] = -E[eps 1{eps <= -q}] / (1 - alpha)
+        q = -skewed_t_quantile(1.0 - alpha, nu, skew)
+        true_var = sigma * q
+        true_es = sigma * (-skewed_t_partial_expectation(-q, nu, skew) / (1.0 - alpha))
     return ScenarioPath("GARCH", seed, losses, np.zeros(T), sigma, true_var, alpha,
-                        innovations="skewt", nu=nu, skew=skew)
+                        innovations="skewt", nu=nu, skew=skew, true_es=true_es)
 
 
 def generate(name: str, T: int = 2000, seed: int = 0,

@@ -24,7 +24,8 @@ package decides anything per target.  A target class supplies
                             raw bootstrap score gaps of (B, L) resamples
     iid_gaps(stats, B, rng) (raw gaps, fit) for B iid resamples drawn
                             without materializing them, or None
-    truth(path)             true parameter path of a scenario
+    truth(path)             true parameter path of a scenario, shape (T,)
+                            or (T, dim) with one column per component
     metric_rows(tensor, population, metrics)
                             experiment metric rows between MSE and CL
 
@@ -276,7 +277,7 @@ class Mean(ForecastTarget):
 
 @dataclass(frozen=True)
 class _TailTarget(ForecastTarget):
-    """A target at tail level alpha, compared with the true VaR path."""
+    """A target at tail level alpha; its truth is the true VaR path."""
 
     alpha: float
 
@@ -379,6 +380,9 @@ class VaRES(_TailTarget):
         # e(v) of each row: after the partition its values >= v sit past j
         e = v + (rows[:, j:] - v[:, None]).sum(axis=1) / (rows.shape[1] * (1.0 - self.alpha))
         return joint_score_at(stats, v, e, self.alpha) - fit.score
+
+    def truth(self, path):
+        return np.stack([path.true_var, path.true_es], axis=-1)
 
     def metric_rows(self, tensor, population, metrics):
         rows = [("MAB_es", metrics.mab(tensor, component=1))]

@@ -86,7 +86,7 @@ DIGESTS = {
     "experiment-A1-mean":
         "893891d6e0d4faf393923c090717fa4faee0f8673c47d5e1eb8e3c4ef0629384",
     "experiment-A3-vares":
-        "69b5354b101e8438c7f55b975247b1dcd8dbda2047e0ca5ced647afcb902f8f5",
+        "942da9e882d7ddaef8a1d3951c11e517d9d407150d39fade29ccd22385eeccd6",
     "experiment-GARCH-var":
         "decc3ae72e9a1de0a4d0893e26815290adaa1ee7cc3dde1bebed1f23fcf600ba",
 }

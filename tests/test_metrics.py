@@ -198,6 +198,15 @@ def test_cumulative_loss_dimension_check():
         cumulative_loss(t, VaRES(0.9))
 
 
+def test_tensor_truth_per_component():
+    truths = np.stack([np.full(4, 1.0), np.full(4, 3.0)], axis=-1)  # (horizon, dim)
+    est = np.zeros((2, 4, 2))
+    t = ExperimentTensor(est, truths[None], np.zeros((2, 4)))
+    assert np.all(t.errors(0) == -1.0) and np.all(t.errors(1) == -3.0)
+    shared = ExperimentTensor(est, np.full(4, 1.0), np.zeros((2, 4)))
+    assert np.all(shared.errors(1) == -1.0)  # one truth for every component
+
+
 def test_tensor_shape_validation():
     with pytest.raises(ValueError):
         ExperimentTensor(np.zeros((2, 3, 1, 1)), np.zeros(3), np.zeros((2, 3)))

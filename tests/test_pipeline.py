@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from baws import pipeline
 from baws.bootstrap import BootstrapConfig
 from baws.pipeline import (
     BacktestConfig,
@@ -18,7 +21,7 @@ from baws.pipeline import (
     write_forecasts_csv,
 )
 from baws.scenarios import ScenarioPath, gen_setting_a
-from baws.scoring import Mean, VaR
+from baws.scoring import Mean, VaR, VaRES
 from baws.selection import CandidateGridConfig as Grid
 
 
@@ -285,6 +288,27 @@ def test_experiment_vares_reports_both_components():
         assert np.isfinite(report.value("fixed:20", metric))
     with pytest.raises(KeyError):
         report.value("fixed:20", "CR")  # no VaR/ES cumulative risk row
+
+
+def test_experiment_vares_perfect_forecaster_has_zero_error(monkeypatch):
+    # a forecaster that knows the true (VaR, ES) path of each replication
+    paths = {}
+
+    def scenario(seed):
+        path = gen_setting_a("A3", T=60, seed=seed, alpha=0.9)
+        paths[id(path.losses)] = path
+        return path
+
+    def oracle_backtest(losses, cfg):
+        path = paths[id(losses)]
+        truth = np.column_stack([path.true_var, path.true_es])[cfg.t0 - 1:]
+        return [SimpleNamespace(theta=theta, k_hat=1) for theta in truth]
+
+    monkeypatch.setattr(pipeline, "run_backtest", oracle_backtest)
+    report = run_experiment(scenario, ["full"], VaRES(0.9), n=2, T=60, t0=41,
+                            grid=Grid(k_min=10), workers=1)
+    for metric in ("MAB", "MSE", "MAB_es", "Var_es", "MSE_es"):
+        assert report.value("full", metric) == 0.0
 
 
 # ---------------------------------------------------------------------------

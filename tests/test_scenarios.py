@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.special import ndtri
+from scipy.stats import norm
 
 from baws.scenarios import (
     GARCH_BURN_IN,
@@ -154,6 +155,27 @@ def test_garch_true_var_scales_with_sigma():
     q = -skewed_t_quantile(0.05, 5.0, 0.95)
     assert np.allclose(path.true_var, path.true_sigma * q, rtol=1e-12)
     assert q > 0
+
+
+def test_gaussian_true_es_matches_tail_expectation():
+    path = gen_setting_a("A3", T=2000, seed=0, alpha=0.9)
+    for t in (0, 1000, 1999):
+        mu, sigma, v = path.true_mean[t], path.true_sigma[t], path.true_var[t]
+        expected = norm.expect(lambda x: x, loc=mu, scale=sigma, lb=v, conditional=True)
+        assert path.true_es[t] == pytest.approx(expected, rel=1e-9)
+    assert gen_setting_a("A1", T=10, seed=0).true_es is None
+
+
+def test_garch_true_es_matches_monte_carlo():
+    alpha, nu, r = 0.95, 5.0, 0.95
+    path = gen_garch(T=300, seed=13, alpha=alpha, nu=nu, skew=r)
+    es_z = path.true_es / path.true_sigma
+    assert np.allclose(es_z, es_z[0], rtol=1e-12)
+    # ES of the loss innovation -eps: mean of -eps beyond its alpha-quantile
+    loss = -skewed_t_sample(nu, r, np.random.default_rng(14), size=4_000_000)
+    q = -skewed_t_quantile(1 - alpha, nu, r)
+    assert es_z[0] == pytest.approx(loss[loss >= q].mean(), abs=0.01)
+    assert es_z[0] > q
 
 
 def test_generate_dispatch_and_reproducibility():
