@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ndtri
+from scipy.special import gammaln, ndtri, stdtr
 from scipy.stats import norm
 from scipy.stats import t as student_t
 
@@ -113,6 +113,12 @@ def gen_setting_b(variant: str, T: int = 2000, seed: int = 0,
     return _gaussian_path(variant, seed, mu, sigma, alpha, rng)
 
 
+def _t_abs_moment(nu: float) -> float:
+    """E|T| for T ~ t_nu."""
+    return (2.0 * np.sqrt(nu) * np.exp(gammaln((nu + 1) / 2.0) - gammaln(nu / 2.0))
+            / (np.sqrt(np.pi) * (nu - 1.0)))
+
+
 def skewed_t_moments(nu: float, r: float) -> tuple[float, float]:
     """Mean and standard deviation of the unstandardized two-piece skewed t.
 
@@ -127,11 +133,7 @@ def skewed_t_moments(nu: float, r: float) -> tuple[float, float]:
         raise ValueError("degrees of freedom must exceed 2 for a finite variance")
     if r <= 0:
         raise ValueError("skewness parameter must be positive")
-    abs_moment = (
-        2.0 * np.sqrt(nu) * np.exp(gammaln((nu + 1) / 2.0) - gammaln(nu / 2.0))
-        / (np.sqrt(np.pi) * (nu - 1.0))
-    )
-    m = abs_moment * (r - 1.0 / r)
+    m = _t_abs_moment(nu) * (r - 1.0 / r)
     msq = nu / (nu - 2.0) * (r**3 + r**-3) / (r + 1.0 / r)
     return float(m), float(np.sqrt(msq - m * m))
 
@@ -176,15 +178,20 @@ def skewed_t_cdf(y, nu: float, r: float):
     """CDF of the standardized skewed t (the two-piece CDF at x = m + s y)."""
     m, s = skewed_t_moments(nu, r)
     x = m + s * np.asarray(y, dtype=float)
-    lower = 2.0 / (1.0 + r * r) * student_t.cdf(x * r, nu)
-    upper = 1.0 - 2.0 * r * r / (1.0 + r * r) * (1.0 - student_t.cdf(x / r, nu))
+    lower = 2.0 / (1.0 + r * r) * stdtr(nu, x * r)
+    upper = 1.0 - 2.0 * r * r / (1.0 + r * r) * (1.0 - stdtr(nu, x / r))
     out = np.where(x <= 0, lower, upper)
     return float(out) if out.ndim == 0 else out
 
 
 def _t_tail_abs_moment(a, nu: float):
-    """E[|T| 1{|T| >= a}] for T ~ t_nu and a >= 0: 2 (nu + a^2)/(nu - 1) t_nu(a)."""
-    return 2.0 * (nu + a * a) / (nu - 1.0) * student_t.pdf(a, nu)
+    """E[|T| 1{|T| >= a}] for T ~ t_nu and a >= 0.
+
+    Equals 2 (nu + a^2)/(nu - 1) t_nu(a); writing out the density
+    t_nu(a) = t_nu(0) (1 + a^2/nu)^(-(nu+1)/2) and E|T| = 2 nu t_nu(0)/(nu - 1)
+    gives E|T| (1 + a^2/nu)^(-(nu-1)/2).
+    """
+    return _t_abs_moment(nu) * (1.0 + a * a / nu) ** (-(nu - 1.0) / 2.0)
 
 
 def skewed_t_partial_expectation(a, nu: float, r: float):
