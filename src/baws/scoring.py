@@ -382,6 +382,8 @@ class VaRES(_TailTarget):
         return joint_score_at(stats, v, e, self.alpha) - fit.score
 
     def truth(self, path):
+        if path.true_es is None:
+            raise ValueError("VaR/ES metrics need a scenario path with true_es")
         return np.stack([path.true_var, path.true_es], axis=-1)
 
     def metric_rows(self, tensor, population, metrics):

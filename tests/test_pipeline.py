@@ -309,6 +309,9 @@ def test_experiment_vares_perfect_forecaster_has_zero_error(monkeypatch):
                             grid=Grid(k_min=10), workers=1)
     for metric in ("MAB", "MSE", "MAB_es", "Var_es", "MSE_es"):
         assert report.value("full", metric) == 0.0
+    no_es = ScenarioPath("const", 0, np.zeros(5), np.zeros(5), np.ones(5), np.ones(5), 0.9)
+    with pytest.raises(ValueError, match="true_es"):
+        VaRES(0.9).truth(no_es)
 
 
 # ---------------------------------------------------------------------------
