@@ -4,29 +4,22 @@ Selects, at every time step, the longest stretch of recent history that is
 statistically indistinguishable from the present, then fits the forecast
 on it.  Thresholds for the stability tests are calibrated by bootstrap
 (iid or moving-block); deterministic threshold families, fixed rolling
-windows, and the full-history forecaster ship as baselines, together with
+windows and the full-history window ship as baselines, together with
 simulation scenarios, evaluation metrics, and a batch CLI.
 """
 
 from types import ModuleType as _ModuleType
 
-from .baselines import (
-    SAWSConfig,
-    full_window_forecast,
-    rolling_forecast,
-    saws_threshold,
-)
+from .baselines import SAWSConfig, rolling_forecast
 from .bootstrap import (
     BootstrapConfig,
-    ThresholdValue,
     block_length,
     block_resample,
     bootstrap_gaps,
-    bootstrap_threshold,
     empirical_quantile,
     iid_resample,
 )
-from .estimators import FitResult, fit_mean, fit_target, fit_var, fit_var_es, tail_es_given_v
+from .errors import ConfigError, DataError
 from .metrics import (
     ExperimentTensor,
     GaussianTruth,
@@ -40,8 +33,6 @@ from .metrics import (
 )
 from .pipeline import (
     BacktestConfig,
-    ConfigError,
-    DataError,
     ForecastRecord,
     LossSeries,
     MetricsReport,
@@ -62,23 +53,22 @@ from .scenarios import (
     skewed_t_sample,
 )
 from .scoring import (
+    FitResult,
     Mean,
     VaR,
     VaRES,
     empirical_score,
+    fit_target,
     joint_vares_score,
     pinball_score,
     pointwise_score,
     squared_loss,
 )
 from .selection import (
-    CallableThreshold,
     CandidateGridConfig,
-    FixedThreshold,
     SelectionTrace,
     bonferroni_level,
     candidate_windows,
-    pairwise_test,
     rejection_probability_gaussian,
     select_window,
 )

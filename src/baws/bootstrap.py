@@ -25,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .estimators import FitResult, fit_from_stats
-from .scoring import ForecastTarget, WindowStats, order_index, window_stats
+from .errors import ConfigError
+from .scoring import (FitResult, ForecastTarget, WindowStats, fit_from_stats, order_index,
+                      window_stats)
 
 # unused here; bound so that benchmark/tracing.py can patch these names
 from .scoring import joint_score_at, pinball_score_at  # noqa: F401
@@ -53,24 +54,15 @@ class BootstrapConfig:
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
+            raise ConfigError(f"beta must lie in (0, 1), got {self.beta}")
         if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+            raise ConfigError("replications must be >= 1")
         if self.mode not in ("iid", "block"):
-            raise ValueError(f"mode must be 'iid' or 'block', got {self.mode!r}")
+            raise ConfigError(f"mode must be 'iid' or 'block', got {self.mode!r}")
         if self.block_c <= 0:
-            raise ValueError("block_c must be positive")
+            raise ConfigError("block_c must be positive")
         if self.rng_seed is not None and self.rng_seed < 0:
-            raise ValueError("rng_seed must be nonnegative")
-
-
-@dataclass(frozen=True)
-class ThresholdValue:
-    """Calibrated threshold for one reference window."""
-
-    tau: float
-    window_length: int
-    replications: int
+            raise ConfigError("rng_seed must be nonnegative")
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
@@ -190,11 +182,3 @@ def bootstrap_gaps(window, target: ForecastTarget, cfg: BootstrapConfig, *,
     else:
         raw, fit = shortcut
     return guarded_gaps(raw, fit.score, "bootstrap"), fit
-
-
-def bootstrap_threshold(window, target: ForecastTarget, cfg: BootstrapConfig, *,
-                        time_index: int = 0) -> ThresholdValue:
-    """Calibrate the stability threshold for one window."""
-    gaps, _ = bootstrap_gaps(window, target, cfg, time_index=time_index)
-    tau = empirical_quantile(gaps, cfg.beta)
-    return ThresholdValue(tau, int(np.asarray(window).size), cfg.replications)

@@ -24,6 +24,8 @@ from .pipeline import (
     BacktestConfig,
     ConfigError,
     DataError,
+    _fmt,
+    _write_csv,
     emit_results,
     load_price_csv,
     parse_method,
@@ -203,21 +205,15 @@ def _ints(text: str) -> list[int]:
 
 
 def _cmd_diagnose(args) -> None:
-    import csv as _csv
-
     combos = itertools.product(
         _floats(args.mu1), _floats(args.mu2), _floats(args.var1), _floats(args.var2),
         _ints(args.k), _ints(args.k0_list), _floats(args.tau),
     )
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["mu1", "mu2", "var1", "var2", "k", "k0", "tau",
-                         "rejection_probability"])
-        for mu1, mu2, var1, var2, k, k0, tau in combos:
-            prob = rejection_probability_gaussian(mu1, mu2, var1, var2, k, k0, tau)
-            writer.writerow([f"{mu1:.12g}", f"{mu2:.12g}", f"{var1:.12g}",
-                             f"{var2:.12g}", str(k), str(k0), f"{tau:.12g}",
-                             f"{prob:.12g}"])
+    _write_csv(args.out, ["mu1", "mu2", "var1", "var2", "k", "k0", "tau",
+                          "rejection_probability"], (
+        [_fmt(mu1), _fmt(mu2), _fmt(var1), _fmt(var2), str(k), str(k0), _fmt(tau),
+         _fmt(rejection_probability_gaussian(mu1, mu2, var1, var2, k, k0, tau))]
+        for mu1, mu2, var1, var2, k, k0, tau in combos))
 
 
 COMMANDS = {"simulate": _cmd_simulate, "backtest": _cmd_backtest,

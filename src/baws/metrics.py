@@ -41,7 +41,6 @@ class ExperimentTensor:
     estimates: np.ndarray
     truths: np.ndarray
     realized: np.ndarray
-    windows: np.ndarray | None = None
 
     def __post_init__(self):
         est = np.asarray(self.estimates, dtype=float)

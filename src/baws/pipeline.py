@@ -22,6 +22,7 @@ import numpy as np
 
 from .baselines import SAWSConfig, rolling_forecast
 from .bootstrap import BootstrapConfig, oversized_block
+from .errors import ConfigError, DataError
 from .metrics import (  # cumulative_risk_* are called through this module
     ExperimentTensor,
     GaussianTruth,
@@ -40,14 +41,6 @@ from .selection import ERROR_CONTROLS, CandidateGridConfig, select_window
 WORKERS_ENV = "BAWS_WORKERS"
 
 METHODS = ("baws", "saws", "fixed", "full")
-
-
-class ConfigError(ValueError):
-    """Invalid configuration or usage (CLI exit code 1)."""
-
-
-class DataError(ValueError):
-    """Malformed or unusable input data (CLI exit code 2)."""
 
 
 @dataclass(frozen=True)
@@ -98,7 +91,7 @@ class BacktestConfig:
         if self.method == "baws" and self.bootstrap is None:
             object.__setattr__(self, "bootstrap", BootstrapConfig())
         if self.method == "saws" and self.saws is None:
-            object.__setattr__(self, "saws", default_saws_config(self.target))
+            object.__setattr__(self, "saws", SAWSConfig(**self.target.saws_defaults))
         if self.method == "baws" and self.bootstrap.mode == "block":
             oversized = oversized_block(self.grid.k_min, self.bootstrap.block_c,
                                         self.grid.max_window)
@@ -118,12 +111,6 @@ class ForecastRecord:
     realized: float
     score: float
     date: str | None = None
-
-
-def default_saws_config(target: ForecastTarget) -> SAWSConfig:
-    """Deterministic-threshold defaults: convex/smooth family for the mean,
-    Lipschitz family for tail targets."""
-    return SAWSConfig(**target.saws_defaults)
 
 
 def run_backtest(series, cfg: BacktestConfig, *, dates=None,
@@ -236,6 +223,7 @@ class _ExperimentSpec:
     T: int
     alpha: float | None
     seed: int
+    target: ForecastTarget
     methods: tuple[tuple[str, BacktestConfig], ...]  # (spec, config template)
 
 
@@ -245,18 +233,14 @@ def _replication(spec: _ExperimentSpec, rep: int) -> dict:
         path = spec.scenario(path_seed)
     else:
         path = generate(spec.scenario, T=spec.T, seed=path_seed, alpha=spec.alpha)
-    out = {"path": path, "methods": {}}
+    # a path without the target's truth fails here, before its backtests run
+    out = {"path": path, "truth": spec.target.truth(path), "methods": {}}
     for idx, (name, cfg) in enumerate(spec.methods):
-        cfg = replace(cfg, seed=path_seed)
-        if cfg.method == "baws":
-            cfg = replace(cfg, bootstrap=replace(
-                cfg.bootstrap, rng_seed=_derived_seed(spec.seed, 2, rep, idx)))
+        # BAWS draws its bootstrap streams from cfg.seed; other methods ignore it
+        cfg = replace(cfg, seed=_derived_seed(spec.seed, 2, rep, idx))
         records = run_backtest(path.losses, cfg)
         assert len(records) == len(path.losses) - cfg.t0 + 1
-        out["methods"][name] = (
-            np.array([r.theta for r in records]),
-            np.array([r.k_hat for r in records], dtype=np.int64),
-        )
+        out["methods"][name] = np.array([r.theta for r in records])
     return out
 
 
@@ -296,7 +280,7 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
             method=kind, target=target, t0=t0, grid=grid,
             bootstrap=boot if is_baws else None, fixed_k=fixed_k,
             error_control=error_control if is_baws else "pcer")))
-    spec = _ExperimentSpec(scenario, T, alpha, seed, tuple(configs))
+    spec = _ExperimentSpec(scenario, T, alpha, seed, target, tuple(configs))
     workers = _experiment_workers() if workers is None else workers
     if workers > 1 and n > 1:
         with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
@@ -306,7 +290,7 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
 
     paths = [res["path"] for res in results]
     realized = np.stack([p.losses[t0 - 1:] for p in paths])
-    truths = np.stack([target.truth(p)[t0 - 1:] for p in paths])
+    truths = np.stack([res["truth"][t0 - 1:] for res in results])
     sigma = np.stack([p.true_sigma[t0 - 1:] for p in paths])
     if paths[0].innovations == "gaussian":
         population = GaussianTruth(np.stack([p.true_mean[t0 - 1:] for p in paths]), sigma)
@@ -318,9 +302,8 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
 
     rows: list[tuple[str, str, str, float]] = []
     for name in methods:
-        est = np.stack([res["methods"][name][0] for res in results])
-        wins = np.stack([res["methods"][name][1] for res in results])
-        tensor = ExperimentTensor(est, truths, realized, windows=wins)
+        est = np.stack([res["methods"][name] for res in results])
+        tensor = ExperimentTensor(est, truths, realized)
         values = [("MAB", mab(tensor))]
         if n >= 2:
             values.append(("Var", mean_variance(tensor)))

@@ -23,6 +23,9 @@ from scipy.special import gammaln, ndtri, stdtr
 from scipy.stats import norm
 from scipy.stats import t as student_t
 
+from .errors import ConfigError
+from .scoring import _check_level
+
 GARCH_OMEGA = 1e-5
 GARCH_ARCH = 0.04
 GARCH_PERSISTENCE_LOW = 0.70
@@ -74,7 +77,7 @@ def gen_setting_a(variant: str, T: int = 2000, seed: int = 0,
                   alpha: float | None = None) -> ScenarioPath:
     """Independent N(mu_t, sigma_t^2) draws with abrupt regime breaks."""
     if T < 1:
-        raise ValueError("T must be >= 1")
+        raise ConfigError("T must be >= 1")
     rng = np.random.default_rng(seed)
     t = np.arange(1, T + 1)
     if variant == "A1":
@@ -95,7 +98,7 @@ def gen_setting_b(variant: str, T: int = 2000, seed: int = 0,
                   alpha: float | None = None) -> ScenarioPath:
     """Independent Gaussians around a smoothly drifting mean path."""
     if T < 1:
-        raise ValueError("T must be >= 1")
+        raise ConfigError("T must be >= 1")
     rng = np.random.default_rng(seed)
     t = np.arange(1, T + 1)
     sigma = np.full(T, 0.5)
@@ -224,7 +227,7 @@ def gen_garch(T: int = 2000, seed: int = 0, alpha: float | None = 0.95,
     burn-in (discarded) washes out the initialization.
     """
     if T < 1:
-        raise ValueError("T must be >= 1")
+        raise ConfigError("T must be >= 1")
     rng = np.random.default_rng(seed)
     total = T + GARCH_BURN_IN
     eps = skewed_t_sample(nu, skew, rng, size=total)
@@ -253,6 +256,8 @@ def gen_garch(T: int = 2000, seed: int = 0, alpha: float | None = 0.95,
 def generate(name: str, T: int = 2000, seed: int = 0,
              alpha: float | None = None) -> ScenarioPath:
     """Generate a scenario path by name (A1-A3, B1-B3, GARCH)."""
+    if alpha is not None:
+        _check_level(alpha)
     key = name.upper()
     if key in ("A1", "A2", "A3"):
         return gen_setting_a(key, T, seed, alpha)

@@ -30,6 +30,10 @@ package decides anything per target.  A target class supplies
                             experiment metric rows between MSE and CL
 
 Adding a target means one class here plus its entry in ``TARGETS``.
+Callers fit a target through its two entry points:
+
+    fit_target(window, target)      fit on a raw window
+    fit_from_stats(stats, target)   fit on precomputed WindowStats
 """
 
 from __future__ import annotations
@@ -40,10 +44,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .errors import ConfigError
+
 
 def _check_level(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
-        raise ValueError(f"tail level must lie strictly in (0, 1), got {alpha}")
+        raise ConfigError(f"tail level must lie strictly in (0, 1), got {alpha}")
 
 
 def _check_finite(name: str, *values) -> None:
@@ -242,6 +248,12 @@ class ForecastTarget:
     def iid_gaps(self, stats: WindowStats, replications: int, rng):
         return None
 
+    def _path_truth(self, path, field: str):
+        value = getattr(path, field)
+        if value is None:
+            raise ValueError(f"{self.name} metrics need a scenario path with {field}")
+        return value
+
 
 @dataclass(frozen=True)
 class Mean(ForecastTarget):
@@ -296,7 +308,7 @@ class _TailTarget(ForecastTarget):
         return order_index(self.alpha, n)
 
     def truth(self, path):
-        return path.true_var
+        return self._path_truth(path, "true_var")
 
 
 @dataclass(frozen=True)
@@ -382,9 +394,7 @@ class VaRES(_TailTarget):
         return joint_score_at(stats, v, e, self.alpha) - fit.score
 
     def truth(self, path):
-        if path.true_es is None:
-            raise ValueError("VaR/ES metrics need a scenario path with true_es")
-        return np.stack([path.true_var, path.true_es], axis=-1)
+        return np.stack([super().truth(path), self._path_truth(path, "true_es")], axis=-1)
 
     def metric_rows(self, tensor, population, metrics):
         rows = [("MAB_es", metrics.mab(tensor, component=1))]
@@ -417,3 +427,13 @@ def empirical_score(window, theta, target: ForecastTarget) -> float:
 def score_at(stats: WindowStats, theta: np.ndarray, target: ForecastTarget) -> np.ndarray:
     """Empirical score of parameter rows ``theta`` (shape (..., dim)) on a window."""
     return target.score_at(stats, np.asarray(theta, dtype=float))
+
+
+def fit_target(window, target: ForecastTarget) -> FitResult:
+    """Fit the empirical-score minimizer for ``target`` on ``window``."""
+    return target.fit(window_stats(window))
+
+
+def fit_from_stats(stats: WindowStats, target: ForecastTarget) -> FitResult:
+    """Fit from precomputed ``WindowStats`` (shared by selection and bootstrap)."""
+    return target.fit(stats)

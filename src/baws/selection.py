@@ -8,8 +8,8 @@ is tested against a threshold tau(t, i).  A candidate survives when no
 comparison rejects, and the largest surviving window is selected.
 
 Thresholds come from a pluggable policy: a ``BootstrapConfig`` (calibrated
-from the data), or any object exposing ``threshold_for(window_length)``
-(deterministic families, fixed constants, user-supplied rules).  With the
+from the data), or any object exposing ``threshold_for(window_length)``,
+such as the deterministic SAWS families of ``baselines``.  With the
 default error control each comparison runs at level 1 - beta; the "fwer"
 mode tightens pairwise levels by a Bonferroni split across the comparisons
 of each candidate, re-quantiling the cached bootstrap gap samples.
@@ -18,7 +18,7 @@ of each candidate, re-quantiling the cached bootstrap gap samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -30,8 +30,8 @@ from .bootstrap import (
     guarded_gaps,
     order_index,
 )
-from .estimators import FitResult, fit_from_stats
-from .scoring import ForecastTarget, score_at, window_stats
+from .errors import ConfigError
+from .scoring import FitResult, ForecastTarget, fit_from_stats, score_at, window_stats
 
 ERROR_CONTROLS = ("pcer", "fwer")
 
@@ -53,36 +53,16 @@ class CandidateGridConfig:
 
     def __post_init__(self):
         if self.k_min < 2:
-            raise ValueError("k_min must be >= 2")
+            raise ConfigError("k_min must be >= 2")
         if self.max_window is not None and self.max_window < self.k_min:
-            raise ValueError("max_window must be >= k_min")
+            raise ConfigError("max_window must be >= k_min")
         starts = [b[0] for b in self.bands]
         if sorted(starts) != starts or len(set(starts)) != len(starts):
-            raise ValueError("band starts must be strictly increasing")
+            raise ConfigError("band starts must be strictly increasing")
         if any(step < 1 for _, step in self.bands):
-            raise ValueError("band steps must be positive")
+            raise ConfigError("band steps must be positive")
         if self.explore_step < 1:
-            raise ValueError("explore_step must be positive")
-
-
-@dataclass(frozen=True)
-class FixedThreshold:
-    """Constant threshold, independent of the window length."""
-
-    value: float
-
-    def threshold_for(self, window_length: int) -> float:
-        return self.value
-
-
-@dataclass(frozen=True)
-class CallableThreshold:
-    """Adapter wrapping any window-length -> threshold rule."""
-
-    fn: Callable[[int], float]
-
-    def threshold_for(self, window_length: int) -> float:
-        return float(self.fn(window_length))
+            raise ConfigError("explore_step must be positive")
 
 
 class PairDecision(NamedTuple):
@@ -148,13 +128,6 @@ def candidate_windows(history_length: int, prev_k: int | None = None,
         pts.add(anchor)
         pts.update(range(anchor + 1, limit + 1, cfg.explore_step))
     return sorted(pts)
-
-
-def pairwise_test(gap: float, tau: float) -> int:
-    """1 if the score gap strictly exceeds the threshold, else 0."""
-    if gap < 0:
-        raise ValueError("score gap must be nonnegative")
-    return int(gap > tau)
 
 
 def bonferroni_level(beta: float, comparisons: int) -> float:

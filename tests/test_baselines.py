@@ -1,30 +1,25 @@
 import numpy as np
 import pytest
 
-from baws.baselines import (
-    SAWSConfig,
-    full_window_forecast,
-    rolling_forecast,
-    saws_threshold,
-)
+from baws.baselines import SAWSConfig, rolling_forecast
 from baws.bootstrap import BootstrapConfig
-from baws.scoring import Mean, VaR
+from baws.scoring import Mean, VaR, fit_target
 from baws.selection import CandidateGridConfig as Grid
 from baws.selection import select_window
 
 
 def test_saws_threshold_derived_values():
     cs = SAWSConfig(alpha_tau=0.1, c_tau=0.3, family="convex_smooth")
-    assert saws_threshold(100, cs) == pytest.approx(0.3 * 100 ** -0.9, rel=1e-12)
-    assert saws_threshold(100, cs) == pytest.approx(0.004754679, abs=1e-7)
+    assert cs.threshold_for(100) == pytest.approx(0.3 * 100 ** -0.9, rel=1e-12)
+    assert cs.threshold_for(100) == pytest.approx(0.004754679, abs=1e-7)
     lp = SAWSConfig(alpha_tau=0.1, c_tau=0.5, family="lipschitz")
-    assert saws_threshold(100, lp) == pytest.approx(0.5 * 100 ** -0.4, rel=1e-12)
-    assert saws_threshold(100, lp) == pytest.approx(0.07924466, abs=1e-7)
+    assert lp.threshold_for(100) == pytest.approx(0.5 * 100 ** -0.4, rel=1e-12)
+    assert lp.threshold_for(100) == pytest.approx(0.07924466, abs=1e-7)
 
 
 def test_saws_threshold_monotone_decreasing():
     for cfg in (SAWSConfig(), SAWSConfig(family="lipschitz", c_tau=0.5)):
-        taus = [saws_threshold(i, cfg) for i in (10, 50, 100, 500, 1000)]
+        taus = [cfg.threshold_for(i) for i in (10, 50, 100, 500, 1000)]
         assert all(a > b for a, b in zip(taus, taus[1:]))
 
 
@@ -49,18 +44,18 @@ def test_rolling_forecast_windowing():
 
 def test_full_window_forecast():
     x = np.arange(1.0, 101.0)
-    assert full_window_forecast(x, Mean()).theta[0] == pytest.approx(50.5)
-    assert full_window_forecast([7.0], Mean()).theta[0] == 7.0
+    assert fit_target(x, Mean()).theta[0] == pytest.approx(50.5)
+    assert fit_target([7.0], Mean()).theta[0] == 7.0
     big = rolling_forecast(x, 1000, VaR(0.9))
-    assert big.theta[0] == full_window_forecast(x, VaR(0.9)).theta[0]
+    assert big.theta[0] == fit_target(x, VaR(0.9)).theta[0]
     with pytest.raises(ValueError):
-        full_window_forecast([], Mean())
+        fit_target([], Mean())
 
 
 def test_constant_history_matches_full_window():
     x = np.full(60, 1.25)
     assert rolling_forecast(x, 10, Mean()).theta[0] == \
-        full_window_forecast(x, Mean()).theta[0]
+        fit_target(x, Mean()).theta[0]
 
 
 def test_saws_select_threshold_extremes():

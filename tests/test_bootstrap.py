@@ -7,24 +7,28 @@ from baws.bootstrap import (
     block_length,
     block_resample,
     bootstrap_gaps,
-    bootstrap_threshold,
     derive_rng,
     empirical_quantile,
     iid_resample,
     oversized_block,
 )
-from baws.estimators import fit_mean, fit_target, fit_var_es
 from baws.scoring import (
     Mean,
     VaR,
     VaRES,
     empirical_score,
+    fit_target,
     joint_score_at,
     order_index,
     window_stats,
 )
 
 from conftest import brute_force_var_es, direct_pinball
+
+
+def threshold(window, target, cfg, time_index=0):
+    gaps, _ = bootstrap_gaps(window, target, cfg, time_index=time_index)
+    return empirical_quantile(gaps, cfg.beta)
 
 
 def test_iid_resample_basics():
@@ -142,10 +146,10 @@ def test_empirical_quantile_monotone_in_beta():
 @pytest.mark.parametrize("target", [Mean(), VaR(0.95), VaRES(0.95)])
 def test_constant_window_threshold_is_exactly_zero(mode, target):
     cfg = BootstrapConfig(beta=0.9, replications=200, mode=mode, rng_seed=11)
-    tv = bootstrap_threshold([3.3] * 40, target, cfg)
-    assert tv.tau == 0.0
-    assert tv.window_length == 40
-    assert tv.replications == 200
+    gaps, fit = bootstrap_gaps([3.3] * 40, target, cfg)
+    assert empirical_quantile(gaps, cfg.beta) == 0.0
+    assert fit.window_length == 40
+    assert gaps.shape == (200,)
 
 
 @pytest.mark.parametrize("mode", ["iid", "block"])
@@ -154,14 +158,14 @@ def test_threshold_bit_identical_across_runs(mode):
     w = rng.normal(size=150)
     cfg = BootstrapConfig(beta=0.9, replications=300, mode=mode, rng_seed=99)
     for target in (Mean(), VaR(0.9), VaRES(0.9)):
-        a = bootstrap_threshold(w, target, cfg, time_index=5)
-        b = bootstrap_threshold(w, target, cfg, time_index=5)
-        assert a.tau == b.tau
+        a = threshold(w, target, cfg, time_index=5)
+        b = threshold(w, target, cfg, time_index=5)
+        assert a == b
     # distinct stream per time index (Mean gaps are continuous, so ties
     # across streams have probability zero)
-    a = bootstrap_threshold(w, Mean(), cfg, time_index=5)
-    c = bootstrap_threshold(w, Mean(), cfg, time_index=6)
-    assert c.tau != a.tau
+    a = threshold(w, Mean(), cfg, time_index=5)
+    c = threshold(w, Mean(), cfg, time_index=6)
+    assert c != a
 
 
 def test_gaps_nonnegative_and_quantile_consistent():
@@ -173,8 +177,7 @@ def test_gaps_nonnegative_and_quantile_consistent():
             gaps, fit = bootstrap_gaps(w, target, cfg)
             assert gaps.shape == (250,)
             assert gaps.min() >= 0.0
-            tv = bootstrap_threshold(w, target, cfg)
-            assert tv.tau == empirical_quantile(gaps, 0.8)
+            assert threshold(w, target, cfg) == empirical_quantile(gaps, 0.8)
 
 
 def test_threshold_shrinks_with_window_length():
@@ -182,11 +185,9 @@ def test_threshold_shrinks_with_window_length():
     wins = 0
     for trial in range(100):
         rng = np.random.default_rng(1000 + trial)
-        big = bootstrap_threshold(rng.standard_normal(1000), Mean(), cfg,
-                                  time_index=trial)
-        small = bootstrap_threshold(rng.standard_normal(100), Mean(), cfg,
-                                    time_index=trial)
-        wins += big.tau < small.tau
+        big = threshold(rng.standard_normal(1000), Mean(), cfg, time_index=trial)
+        small = threshold(rng.standard_normal(100), Mean(), cfg, time_index=trial)
+        wins += big < small
     assert wins >= 95
 
 
@@ -242,7 +243,7 @@ def test_vares_gaps_match_naive_loop():
     naive = np.empty(1500)
     for b in range(1500):
         res = iid_resample(w, naive_rng)
-        theta = fit_var_es(res, 0.9).theta
+        theta = fit_target(res, VaRES(0.9)).theta
         naive[b] = empirical_score(w, theta, VaRES(0.9)) - fit.score
     assert naive.min() >= -1e-12
     assert ks_2samp(fast, naive).statistic < 0.06
@@ -259,7 +260,7 @@ def test_vares_resample_gaps_match_row_fits(L, alpha):
     target = VaRES(alpha)
     fit = target.fit(stats)
     gaps = target.resample_gaps(stats, rows.copy(), fit)
-    row_fits = [fit_var_es(row, alpha) for row in rows]
+    row_fits = [fit_target(row, target) for row in rows]
     expected = [joint_score_at(stats, *f.theta, alpha) - fit.score for f in row_fits]
     np.testing.assert_allclose(gaps, expected, rtol=0, atol=1e-12)
     if L <= 12:
@@ -278,9 +279,9 @@ def test_null_exceedance_rate_small_reference():
     for trial in range(trials):
         rng = np.random.default_rng(5000 + trial)
         x = rng.standard_normal(k)
-        stat = (empirical_score(x[-i:], fit_mean(x).theta, Mean())
-                - fit_mean(x[-i:]).score)
-        tau = bootstrap_threshold(x[-i:], Mean(), cfg, time_index=trial).tau
+        stat = (empirical_score(x[-i:], fit_target(x, Mean()).theta, Mean())
+                - fit_target(x[-i:], Mean()).score)
+        tau = threshold(x[-i:], Mean(), cfg, time_index=trial)
         exceed += stat > tau
     rate = exceed / trials
     assert 0.5 * (1 - beta) <= rate <= 2.0 * (1 - beta)

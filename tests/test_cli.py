@@ -118,6 +118,15 @@ def test_invalid_configs_exit_1_before_running(tmp_path, capsys):
     assert "fwer" in capsys.readouterr().err
     assert run(base + ["--block-c", "10", "--k0", "20"]) == 1
     assert "block length 30 exceeds window length 20" in capsys.readouterr().err
+    for bad in (["--B", "0"], ["--beta", "1.5"], ["--alpha", "1.5"], ["--k0", "1"],
+                ["--block-c", "-1"], ["--k0", "20", "--max-window", "10"]):
+        assert run(base + bad) == 1, bad
+    assert run(["simulate", "--scenario", "A1", "--T", "0", "--out", out]) == 1
+    for scenario in ("A1", "GARCH"):
+        assert run(["simulate", "--scenario", scenario, "--alpha", "2", "--out", out]) == 1
+    assert run(["experiment", "--scenario", "A1", "--methods", "full", "--n", "1", "--T", "60",
+                "--t0", "41", "--k0", "10", "--B", "0", "--out", out]) == 1
+    assert "runtime failure" not in capsys.readouterr().err
     assert not out.exists()
 
 

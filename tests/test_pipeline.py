@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,6 @@ from baws.pipeline import (
     ConfigError,
     DataError,
     LossSeries,
-    default_saws_config,
     emit_results,
     load_price_csv,
     parse_method,
@@ -243,10 +243,12 @@ def test_experiment_fwer_applies_to_baws_only():
 
 
 def test_default_saws_config_per_target():
-    assert default_saws_config(Mean()).family == "convex_smooth"
-    assert default_saws_config(Mean()).c_tau == 0.3
-    assert default_saws_config(VaR(0.95)).family == "lipschitz"
-    assert default_saws_config(VaR(0.95)).c_tau == 0.5
+    mean = BacktestConfig(method="saws", target=Mean()).saws
+    assert mean.family == "convex_smooth"
+    assert mean.c_tau == 0.3
+    var = BacktestConfig(method="saws", target=VaR(0.95)).saws
+    assert var.family == "lipschitz"
+    assert var.c_tau == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +311,18 @@ def test_experiment_vares_perfect_forecaster_has_zero_error(monkeypatch):
                             grid=Grid(k_min=10), workers=1)
     for metric in ("MAB", "MSE", "MAB_es", "Var_es", "MSE_es"):
         assert report.value("full", metric) == 0.0
-    no_es = ScenarioPath("const", 0, np.zeros(5), np.zeros(5), np.ones(5), np.ones(5), 0.9)
-    with pytest.raises(ValueError, match="true_es"):
-        VaRES(0.9).truth(no_es)
+    # a path without the target's truth fails before any backtest runs
+    no_es = ScenarioPath("const", 0, np.zeros(60), np.zeros(60), np.ones(60), np.ones(60), 0.9)
+    no_var = replace(no_es, true_var=None)
+
+    def unreachable(losses, cfg):
+        raise AssertionError("backtest ran before the truth check")
+
+    monkeypatch.setattr(pipeline, "run_backtest", unreachable)
+    for target, path, field in ((VaRES(0.9), no_es, "true_es"), (VaR(0.9), no_var, "true_var")):
+        with pytest.raises(ValueError, match=field):
+            run_experiment(lambda seed: path, ["full"], target, n=2, T=60, t0=41,
+                           grid=Grid(k_min=10), workers=1)
 
 
 # ---------------------------------------------------------------------------

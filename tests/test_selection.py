@@ -1,20 +1,23 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from baws.bootstrap import BootstrapConfig, bootstrap_gaps, empirical_quantile
-from baws.estimators import fit_mean
-from baws.scoring import Mean, VaR, empirical_score, order_index
+from baws.scoring import Mean, VaR, empirical_score, fit_target, order_index
 from baws.selection import (
-    CallableThreshold,
     CandidateGridConfig,
     CandidateGridConfig as Grid,
-    FixedThreshold,
     bonferroni_level,
     candidate_windows,
-    pairwise_test,
     rejection_probability_gaussian,
     select_window,
 )
+
+
+def fixed(tau):
+    """A threshold policy: any object with ``threshold_for``."""
+    return SimpleNamespace(threshold_for=lambda i: tau)
 
 
 def test_candidate_grid_no_anchor():
@@ -52,14 +55,6 @@ def test_candidate_grid_respects_max_window():
 def test_candidate_grid_insufficient_history():
     with pytest.raises(ValueError, match="insufficient history"):
         candidate_windows(19, None, Grid(k_min=20))
-
-
-def test_pairwise_test_boundaries():
-    assert pairwise_test(0.0, 0.0) == 0
-    assert pairwise_test(0.5, 0.3) == 1
-    assert pairwise_test(0.3, 0.3) == 0  # equality accepts
-    with pytest.raises(ValueError):
-        pairwise_test(-0.1, 0.3)
 
 
 def test_bonferroni_level_examples():
@@ -104,7 +99,7 @@ def test_rejection_probability_against_simulation():
 def test_select_window_iid_accepts_largest():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(500)
-    policy = FixedThreshold(1e9)  # everything passes
+    policy = fixed(1e9)  # everything passes
     trace = select_window(x, Mean(), policy, Grid(k_min=20))
     assert trace.k_hat == 500
     assert trace.candidates[0] == 20
@@ -160,9 +155,9 @@ def test_trace_consistency_invariants():
 def test_squared_loss_gap_identity():
     rng = np.random.default_rng(7)
     x = rng.normal(size=500)
-    trace = select_window(x, Mean(), FixedThreshold(0.0), Grid(k_min=250, bands=((0, 250),)))
-    mu_500 = fit_mean(x).theta[0]
-    mu_250 = fit_mean(x[250:]).theta[0]
+    trace = select_window(x, Mean(), fixed(0.0), Grid(k_min=250, bands=((0, 250),)))
+    mu_500 = fit_target(x, Mean()).theta[0]
+    mu_250 = fit_target(x[250:], Mean()).theta[0]
     pair = [p for p in trace.pair_records() if p.reference == 250 and p.candidate == 500]
     assert len(pair) == 1
     assert pair[0].gap == pytest.approx((mu_500 - mu_250) ** 2, abs=1e-10)
@@ -172,13 +167,13 @@ def test_squared_loss_gap_identity():
 
 
 def test_threshold_agnostic_core():
-    from baws.baselines import SAWSConfig, saws_threshold
+    from baws.baselines import SAWSConfig
 
     rng = np.random.default_rng(3)
     x = rng.standard_normal(300)
     cfg = SAWSConfig(alpha_tau=0.1, c_tau=0.5, family="lipschitz")
     a = select_window(x, VaR(0.9), cfg, Grid(k_min=20))
-    b = select_window(x, VaR(0.9), CallableThreshold(lambda i: saws_threshold(i, cfg)),
+    b = select_window(x, VaR(0.9), SimpleNamespace(threshold_for=cfg.threshold_for),
                       Grid(k_min=20))
     assert a.k_hat == b.k_hat
     assert np.array_equal(a.pair_gap, b.pair_gap)
@@ -203,13 +198,13 @@ def test_fwer_mode_tightens_thresholds():
         level = bonferroni_level(0.9, comparisons)
         assert fwer.pair_threshold[pos] == empirical_quantile(gaps, level)
     with pytest.raises(ValueError):
-        select_window(x, Mean(), FixedThreshold(0.1), Grid(k_min=20),
+        select_window(x, Mean(), fixed(0.1), Grid(k_min=20),
                       error_control="fwer")
 
 
 def test_select_window_insufficient_history():
     with pytest.raises(ValueError):
-        select_window(np.zeros(10), Mean(), FixedThreshold(0.0), Grid(k_min=20))
+        select_window(np.zeros(10), Mean(), fixed(0.0), Grid(k_min=20))
 
 
 def test_grid_config_validation():
