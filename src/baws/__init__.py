@@ -44,8 +44,6 @@ from .pipeline import (
 from .scenarios import (
     ScenarioPath,
     gen_garch,
-    gen_setting_a,
-    gen_setting_b,
     generate,
     skewed_t_cdf,
     skewed_t_partial_expectation,

@@ -12,9 +12,10 @@ property of theta_hat.  This module draws the resamples; the target's
 ``resample_gaps`` (or its ``iid_gaps`` shortcut) turns them into gaps.
 
 Resampling is vectorized across replications.  Streams derive from
-(seed, time_index, window_length) through ``numpy.random.SeedSequence``,
-so thresholds are reproducible bit-for-bit and independent of evaluation
-order across time steps and reference windows.
+(seed, time_index, window_length) through ``numpy.random.SeedSequence``;
+the seed and time index are arguments of ``bootstrap_gaps``, not policy
+fields, so thresholds are reproducible bit-for-bit and independent of
+evaluation order across time steps and reference windows.
 """
 
 from __future__ import annotations
@@ -43,14 +44,15 @@ class BootstrapConfig:
     replications  number of bootstrap resamples per window
     mode          "iid" (classic) or "block" (moving block, dependent data)
     block_c       block length constant: l = round(block_c * ceil(i^(1/3)))
-    rng_seed      base seed; streams are derived per (seed, t, i)
+
+    The stream seed is not part of the policy: ``bootstrap_gaps`` takes it
+    as a call argument beside the time index.
     """
 
     beta: float = 0.9
     replications: int = 500
     mode: str = "iid"
     block_c: float = 1.0
-    rng_seed: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
@@ -61,15 +63,6 @@ class BootstrapConfig:
             raise ConfigError(f"mode must be 'iid' or 'block', got {self.mode!r}")
         if self.block_c <= 0:
             raise ConfigError("block_c must be positive")
-        if self.rng_seed is not None and self.rng_seed < 0:
-            raise ConfigError("rng_seed must be nonnegative")
-
-
-def derive_rng(seed: int, *key: int) -> np.random.Generator:
-    """Deterministic generator for a (seed, *key) context."""
-    if seed is None:
-        raise ValueError("bootstrap requires rng_seed to be set")
-    return np.random.default_rng(np.random.SeedSequence((seed, *key)))
 
 
 def iid_resample(window, rng: np.random.Generator) -> np.ndarray:
@@ -166,15 +159,17 @@ def guarded_gaps(raw: np.ndarray, scale: float, kind: str) -> np.ndarray:
 
 
 def bootstrap_gaps(window, target: ForecastTarget, cfg: BootstrapConfig, *,
-                   time_index: int = 0,
+                   time_index: int = 0, seed: int = 0,
                    stats: WindowStats | None = None) -> tuple[np.ndarray, FitResult]:
     """Score gaps of B resample fits against the window fit, plus that fit.
 
-    All gaps are evaluated under the original window's empirical score.
+    The resamples come from the stream keyed by (seed, time_index, window
+    length).  All gaps are evaluated under the original window's empirical
+    score.
     """
     if stats is None:
         stats = window_stats(window)
-    rng = derive_rng(cfg.rng_seed, time_index, stats.n)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, time_index, stats.n)))
     shortcut = target.iid_gaps(stats, cfg.replications, rng) if cfg.mode == "iid" else None
     if shortcut is None:
         fit = fit_from_stats(stats, target)

@@ -171,7 +171,7 @@ def _cmd_backtest(args) -> None:
     kind, fixed_k = parse_method(args.method)
     mode = args.bootstrap_mode or "block"  # real data is serially dependent
     boot = BootstrapConfig(beta=args.beta, replications=args.boot_b, mode=mode,
-                           block_c=args.block_c, rng_seed=args.seed)
+                           block_c=args.block_c)
     cfg = BacktestConfig(method=kind, target=target, t0=args.t0, grid=_grid(args),
                          bootstrap=boot, saws=_saws_override(args, target),
                          fixed_k=fixed_k, seed=args.seed,
@@ -186,7 +186,7 @@ def _cmd_experiment(args) -> None:
     methods = [m for m in args.methods.split(",") if m.strip()]
     report = run_experiment(
         scenario, methods, target,
-        n=args.n, T=args.horizon, t0=args.t0, seed=args.seed, alpha=args.alpha,
+        n=args.n, T=args.horizon, t0=args.t0, seed=args.seed,
         beta=args.beta, replications=args.boot_b, mode=args.bootstrap_mode,
         block_c=args.block_c, grid=_grid(args), error_control=args.error_control,
     )

@@ -79,6 +79,8 @@ class BacktestConfig:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.t0 < 2:
             raise ConfigError("t0 must be >= 2")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.method in ("baws", "saws") and self.t0 <= self.grid.k_min:
             raise ConfigError("t0 must exceed the minimum window k_min")
         if self.method == "fixed" and (self.fixed_k is None or self.fixed_k < 1):
@@ -113,18 +115,17 @@ class ForecastRecord:
     date: str | None = None
 
 
-def run_backtest(series, cfg: BacktestConfig, *, dates=None,
-                 start_t: int | None = None,
+def run_backtest(series, cfg: BacktestConfig, *, start_t: int | None = None,
                  initial_prev_k: int | None = None) -> list[ForecastRecord]:
     """Apply one method online from t0 (or start_t when resuming).
 
     The forecast at t uses x_1..x_{t-1} only; ``initial_prev_k`` seeds the
-    candidate grid when resuming an adaptive run from a checkpoint.
+    candidate grid when resuming an adaptive run from a checkpoint.  Records
+    carry dates only when ``series`` is a ``LossSeries`` with dates.
     """
+    dates = None
     if isinstance(series, LossSeries):
-        if dates is None:
-            dates = series.dates
-        series = series.values
+        series, dates = series.values, series.dates
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
         raise DataError("loss series must be 1-dimensional")
@@ -140,8 +141,6 @@ def run_backtest(series, cfg: BacktestConfig, *, dates=None,
     # adaptive methods select with a threshold policy; the others fit the
     # last min(t - 1, span) observations
     policy = {"baws": cfg.bootstrap, "saws": cfg.saws}.get(cfg.method)
-    if cfg.method == "baws" and policy.rng_seed is None:
-        policy = replace(policy, rng_seed=cfg.seed)
     span = n if cfg.grid.max_window is None else cfg.grid.max_window
     if cfg.method == "fixed":
         span = min(span, cfg.fixed_k)
@@ -152,7 +151,8 @@ def run_backtest(series, cfg: BacktestConfig, *, dates=None,
         history = x[: t - 1]
         if policy is not None:
             trace = select_window(history, cfg.target, policy, cfg.grid, prev_k,
-                                  time_index=t, error_control=cfg.error_control)
+                                  time_index=t, seed=cfg.seed,
+                                  error_control=cfg.error_control)
             k_hat, fit = trace.k_hat, trace.fit
             prev_k = k_hat
         else:
@@ -221,7 +221,6 @@ class _ExperimentSpec:
 
     scenario: object  # scenario name, or a callable seed -> ScenarioPath
     T: int
-    alpha: float | None
     seed: int
     target: ForecastTarget
     methods: tuple[tuple[str, BacktestConfig], ...]  # (spec, config template)
@@ -232,7 +231,8 @@ def _replication(spec: _ExperimentSpec, rep: int) -> dict:
     if callable(spec.scenario):
         path = spec.scenario(path_seed)
     else:
-        path = generate(spec.scenario, T=spec.T, seed=path_seed, alpha=spec.alpha)
+        path = generate(spec.scenario, T=spec.T, seed=path_seed,
+                        alpha=getattr(spec.target, "alpha", None))
     # a path without the target's truth fails here, before its backtests run
     out = {"path": path, "truth": spec.target.truth(path), "methods": {}}
     for idx, (name, cfg) in enumerate(spec.methods):
@@ -246,7 +246,6 @@ def _replication(spec: _ExperimentSpec, rep: int) -> dict:
 
 def run_experiment(scenario, methods, target: ForecastTarget, *,
                    n: int, T: int = 2000, t0: int = 501, seed: int = 0,
-                   alpha: float | None = None,
                    beta: float = 0.9, replications: int = 500,
                    mode: str | None = None, block_c: float = 1.0,
                    grid: CandidateGridConfig = CandidateGridConfig(),
@@ -263,8 +262,6 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
-    if alpha is None:
-        alpha = getattr(target, "alpha", None)
     if mode is None:
         mode = "block" if isinstance(scenario, str) and scenario.upper() == "GARCH" else "iid"
     scenario_label = scenario if isinstance(scenario, str) else getattr(
@@ -280,7 +277,7 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
             method=kind, target=target, t0=t0, grid=grid,
             bootstrap=boot if is_baws else None, fixed_k=fixed_k,
             error_control=error_control if is_baws else "pcer")))
-    spec = _ExperimentSpec(scenario, T, alpha, seed, target, tuple(configs))
+    spec = _ExperimentSpec(scenario, T, seed, target, tuple(configs))
     workers = _experiment_workers() if workers is None else workers
     if workers > 1 and n > 1:
         with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
@@ -399,19 +396,8 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def write_forecasts_csv(records, path, target: ForecastTarget) -> None:
-    """Backtest records as wide CSV: t, date?, k_hat, estimates, realized, score."""
-    records = list(records)
-    dated = any(r.date is not None for r in records)
-    header = ["t", *(["date"] if dated else []), "k_hat", *target.columns,
-              "realized_loss", "realized_score"]
-    _write_csv(path, header, (
-        [str(r.t), *([r.date or ""] if dated else []), str(r.k_hat),
-         *map(_fmt, r.theta), _fmt(r.realized), _fmt(r.score)] for r in records))
-
-
 def read_forecasts_csv(path) -> list[ForecastRecord]:
-    """Parse a forecasts CSV back into records (inverse of write_forecasts_csv)."""
+    """Parse a forecasts CSV back into records (inverse of emit_results)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         rows = list(reader)
@@ -434,45 +420,36 @@ def read_forecasts_csv(path) -> list[ForecastRecord]:
     return records
 
 
-def write_long_csv(records, path, target: ForecastTarget) -> None:
-    """Backtest records as long plot-ready CSV: series, t, value."""
-    def rows():
-        for r in records:
-            t = str(r.t)
-            yield ["k_hat", t, str(r.k_hat)]
-            yield from ([name, t, _fmt(v)] for name, v in zip(target.columns, r.theta))
-            yield ["realized_loss", t, _fmt(r.realized)]
-            yield ["realized_score", t, _fmt(r.score)]
-
-    _write_csv(path, ["series", "t", "value"], rows())
-
-
-def write_metrics_csv(report: MetricsReport, path) -> None:
-    _write_csv(path, ["method", "scenario", "metric", "value"],
-               ([*row[:3], _fmt(row[3])] for row in report.rows))
-
-
-def write_scenario_csv(path_obj: ScenarioPath, path) -> None:
-    var = path_obj.true_var
-    _write_csv(path, ["t", "loss", "true_mean", "true_sigma", "true_var"], (
-        [str(i + 1), _fmt(path_obj.losses[i]), _fmt(path_obj.true_mean[i]),
-         _fmt(path_obj.true_sigma[i]), _fmt(var[i]) if var is not None else ""]
-        for i in range(path_obj.losses.size)))
-
-
 def emit_results(obj, path, fmt: str = "wide",
                  target: ForecastTarget | None = None) -> None:
-    """Write records, a metrics report, or a scenario path to CSV."""
+    """Write records, a metrics report, or a scenario path to CSV.
+
+    Records are written wide (t, date?, k_hat, estimates, realized_loss,
+    realized_score; one row per step) or long (series, t, value; one row
+    per wide cell after t, without dates).
+    """
     if isinstance(obj, MetricsReport):
-        write_metrics_csv(obj, path)
-    elif isinstance(obj, ScenarioPath):
-        write_scenario_csv(obj, path)
+        _write_csv(path, ["method", "scenario", "metric", "value"],
+                   ([*row[:3], _fmt(row[3])] for row in obj.rows))
+        return
+    if isinstance(obj, ScenarioPath):
+        var = obj.true_var
+        _write_csv(path, ["t", "loss", "true_mean", "true_sigma", "true_var"], (
+            [str(i + 1), _fmt(obj.losses[i]), _fmt(obj.true_mean[i]),
+             _fmt(obj.true_sigma[i]), _fmt(var[i]) if var is not None else ""]
+            for i in range(obj.losses.size)))
+        return
+    if target is None:
+        raise ConfigError("emitting forecast records requires the target")
+    if fmt not in ("wide", "long"):
+        raise ConfigError(f"unknown format {fmt!r}")
+    records = list(obj)
+    dated = fmt == "wide" and any(r.date is not None for r in records)
+    names = ["k_hat", *target.columns, "realized_loss", "realized_score"]
+    rows = ([str(r.t), *([r.date or ""] if dated else []), str(r.k_hat),
+             *map(_fmt, r.theta), _fmt(r.realized), _fmt(r.score)] for r in records)
+    if fmt == "wide":
+        _write_csv(path, ["t", *(["date"] if dated else []), *names], rows)
     else:
-        if target is None:
-            raise ConfigError("emitting forecast records requires the target")
-        if fmt == "long":
-            write_long_csv(obj, path, target)
-        elif fmt == "wide":
-            write_forecasts_csv(obj, path, target)
-        else:
-            raise ConfigError(f"unknown format {fmt!r}")
+        _write_csv(path, ["series", "t", "value"],
+                   ([name, row[0], value] for row in rows for name, value in zip(names, row[1:])))

@@ -12,6 +12,10 @@ Each path carries its true mean/volatility sequences and, when a tail
 level is supplied, the true VaR and ES paths (mu + sigma * z_alpha and
 mu + sigma * phi(z_alpha) / (1 - alpha) for Gaussians; sigma times the
 flipped innovation's quantile and ES for the GARCH process).
+
+``generate`` is the one entry point, by a name in ``SCENARIOS``.
+``gen_garch`` is public too, because it alone takes the innovation law
+(``nu``, ``skew``).
 """
 
 from __future__ import annotations
@@ -71,49 +75,6 @@ def _piecewise(t: np.ndarray, breaks: list[int], values: list[float]) -> np.ndar
     for b, v in zip(reversed(breaks), reversed(values[:-1])):
         out[t <= b] = v
     return out
-
-
-def gen_setting_a(variant: str, T: int = 2000, seed: int = 0,
-                  alpha: float | None = None) -> ScenarioPath:
-    """Independent N(mu_t, sigma_t^2) draws with abrupt regime breaks."""
-    if T < 1:
-        raise ConfigError("T must be >= 1")
-    rng = np.random.default_rng(seed)
-    t = np.arange(1, T + 1)
-    if variant == "A1":
-        mu = np.where(t <= T // 2, 1.0, 2.0)
-        sigma = np.full(T, 0.5)
-    elif variant == "A2":
-        mu = _piecewise(t, [800, 1400], [1.0, 0.0, 2.0])
-        sigma = np.full(T, 0.5)
-    elif variant == "A3":
-        mu = _piecewise(t, [800, 1400], [1.0, 0.0, 2.0])
-        sigma = np.sqrt(_piecewise(t, [800, 1400], [0.25, 1.0, 0.49]))
-    else:
-        raise ValueError(f"unknown variant {variant!r}, expected A1, A2 or A3")
-    return _gaussian_path(variant, seed, mu, sigma, alpha, rng)
-
-
-def gen_setting_b(variant: str, T: int = 2000, seed: int = 0,
-                  alpha: float | None = None) -> ScenarioPath:
-    """Independent Gaussians around a smoothly drifting mean path."""
-    if T < 1:
-        raise ConfigError("T must be >= 1")
-    rng = np.random.default_rng(seed)
-    t = np.arange(1, T + 1)
-    sigma = np.full(T, 0.5)
-    if variant == "B1":
-        mu = np.sin(2.0 * np.pi * t / T)
-    elif variant == "B2":
-        # random walk from mu_0 = 0 with N(0, 1/T) increments
-        mu = np.cumsum(rng.normal(0.0, np.sqrt(1.0 / T), size=T))
-    elif variant == "B3":
-        # geometric path mu_0 * exp((drift - s^2/2) t/T + s W_t), drift 0.5, s^2 0.25
-        w = np.cumsum(rng.normal(0.0, np.sqrt(1.0 / T), size=T))
-        mu = np.exp((0.5 - 0.125) * t / T + 0.5 * w)
-    else:
-        raise ValueError(f"unknown variant {variant!r}, expected B1, B2 or B3")
-    return _gaussian_path(variant, seed, mu, sigma, alpha, rng)
 
 
 def _t_abs_moment(nu: float) -> float:
@@ -255,14 +216,35 @@ def gen_garch(T: int = 2000, seed: int = 0, alpha: float | None = 0.95,
 
 def generate(name: str, T: int = 2000, seed: int = 0,
              alpha: float | None = None) -> ScenarioPath:
-    """Generate a scenario path by name (A1-A3, B1-B3, GARCH)."""
+    """Generate the scenario path ``name`` (one of ``SCENARIOS``).
+
+    GARCH is ``gen_garch`` at the default innovation law and at tail
+    level 0.95 when ``alpha`` is None.
+    """
     if alpha is not None:
         _check_level(alpha)
     key = name.upper()
-    if key in ("A1", "A2", "A3"):
-        return gen_setting_a(key, T, seed, alpha)
-    if key in ("B1", "B2", "B3"):
-        return gen_setting_b(key, T, seed, alpha)
+    if key not in SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}, expected one of {SCENARIOS}")
     if key == "GARCH":
         return gen_garch(T, seed, alpha if alpha is not None else 0.95)
-    raise ValueError(f"unknown scenario {name!r}")
+    if T < 1:
+        raise ConfigError("T must be >= 1")
+    rng = np.random.default_rng(seed)
+    t = np.arange(1, T + 1)
+    sigma = np.full(T, 0.5)
+    if key == "A1":
+        mu = np.where(t <= T // 2, 1.0, 2.0)
+    elif key in ("A2", "A3"):
+        mu = _piecewise(t, [800, 1400], [1.0, 0.0, 2.0])
+        if key == "A3":
+            sigma = np.sqrt(_piecewise(t, [800, 1400], [0.25, 1.0, 0.49]))
+    elif key == "B1":
+        mu = np.sin(2.0 * np.pi * t / T)
+    else:
+        # B2: random walk from mu_0 = 0 with N(0, 1/T) increments, drawn
+        # before the losses; B3: geometric path
+        # mu_0 * exp((drift - s^2/2) t/T + s W_t), drift 0.5, s^2 0.25
+        w = np.cumsum(rng.normal(0.0, np.sqrt(1.0 / T), size=T))
+        mu = w if key == "B2" else np.exp((0.5 - 0.125) * t / T + 0.5 * w)
+    return _gaussian_path(key, seed, mu, sigma, alpha, rng)

@@ -243,6 +243,7 @@ class ForecastTarget:
 
     @classmethod
     def from_level(cls, alpha: float) -> ForecastTarget:
+        _check_level(alpha)  # rejected even where the target has no level
         return cls()
 
     def iid_gaps(self, stats: WindowStats, replications: int, rng):

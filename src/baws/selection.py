@@ -171,14 +171,14 @@ def rejection_probability_gaussian(mu1: float, mu2: float, var1: float, var2: fl
 def select_window(history, target: ForecastTarget, policy,
                   grid: CandidateGridConfig = CandidateGridConfig(),
                   prev_k: int | None = None, *,
-                  time_index: int | None = None,
+                  time_index: int | None = None, seed: int = 0,
                   error_control: str = "pcer") -> SelectionTrace:
     """Select the largest admissible window from ``history``.
 
     ``policy`` is a ``BootstrapConfig`` or any object with
-    ``threshold_for(window_length)``.  ``time_index`` keys the bootstrap
-    streams (defaults to len(history) + 1, the forecast time in an online
-    run).  Returns the full decision trace; the smallest candidate has no
+    ``threshold_for(window_length)``.  ``seed`` and ``time_index`` key the
+    bootstrap streams (``time_index`` defaults to len(history) + 1, the
+    forecast time in an online run).  Returns the full decision trace; the smallest candidate has no
     references and is always admissible, so a selection always exists.
     """
     if error_control not in ERROR_CONTROLS:
@@ -206,8 +206,8 @@ def select_window(history, target: ForecastTarget, policy,
     sorted_gaps: dict[int, np.ndarray] = {}
     for i in candidates[:-1]:
         if bootstrap_policy:
-            gaps, fits[i] = bootstrap_gaps(x[n - i:], target, policy,
-                                           time_index=t, stats=stats[i])
+            gaps, fits[i] = bootstrap_gaps(x[n - i:], target, policy, time_index=t,
+                                           seed=seed, stats=stats[i])
             if error_control == "fwer":
                 sorted_gaps[i] = np.sort(gaps)
             else:

@@ -75,6 +75,6 @@ def test_saws_select_shares_candidate_machinery():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(400)
     a = select_window(x, Mean(), SAWSConfig(), Grid(k_min=20), prev_k=120)
-    b = select_window(x, Mean(), BootstrapConfig(rng_seed=0, replications=50),
+    b = select_window(x, Mean(), BootstrapConfig(replications=50),
                       Grid(k_min=20), prev_k=120)
     assert np.array_equal(a.candidates, b.candidates)

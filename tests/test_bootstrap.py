@@ -7,7 +7,6 @@ from baws.bootstrap import (
     block_length,
     block_resample,
     bootstrap_gaps,
-    derive_rng,
     empirical_quantile,
     iid_resample,
     oversized_block,
@@ -26,8 +25,8 @@ from baws.scoring import (
 from conftest import brute_force_var_es, direct_pinball
 
 
-def threshold(window, target, cfg, time_index=0):
-    gaps, _ = bootstrap_gaps(window, target, cfg, time_index=time_index)
+def threshold(window, target, cfg, time_index=0, seed=0):
+    gaps, _ = bootstrap_gaps(window, target, cfg, time_index=time_index, seed=seed)
     return empirical_quantile(gaps, cfg.beta)
 
 
@@ -145,8 +144,8 @@ def test_empirical_quantile_monotone_in_beta():
 @pytest.mark.parametrize("mode", ["iid", "block"])
 @pytest.mark.parametrize("target", [Mean(), VaR(0.95), VaRES(0.95)])
 def test_constant_window_threshold_is_exactly_zero(mode, target):
-    cfg = BootstrapConfig(beta=0.9, replications=200, mode=mode, rng_seed=11)
-    gaps, fit = bootstrap_gaps([3.3] * 40, target, cfg)
+    cfg = BootstrapConfig(beta=0.9, replications=200, mode=mode)
+    gaps, fit = bootstrap_gaps([3.3] * 40, target, cfg, seed=11)
     assert empirical_quantile(gaps, cfg.beta) == 0.0
     assert fit.window_length == 40
     assert gaps.shape == (200,)
@@ -156,16 +155,17 @@ def test_constant_window_threshold_is_exactly_zero(mode, target):
 def test_threshold_bit_identical_across_runs(mode):
     rng = np.random.default_rng(8)
     w = rng.normal(size=150)
-    cfg = BootstrapConfig(beta=0.9, replications=300, mode=mode, rng_seed=99)
+    cfg = BootstrapConfig(beta=0.9, replications=300, mode=mode)
     for target in (Mean(), VaR(0.9), VaRES(0.9)):
-        a = threshold(w, target, cfg, time_index=5)
-        b = threshold(w, target, cfg, time_index=5)
+        a = threshold(w, target, cfg, time_index=5, seed=99)
+        b = threshold(w, target, cfg, time_index=5, seed=99)
         assert a == b
-    # distinct stream per time index (Mean gaps are continuous, so ties
-    # across streams have probability zero)
-    a = threshold(w, Mean(), cfg, time_index=5)
-    c = threshold(w, Mean(), cfg, time_index=6)
-    assert c != a
+    # distinct stream per time index and per seed (Mean gaps are continuous,
+    # so ties across streams have probability zero)
+    a = threshold(w, Mean(), cfg, time_index=5, seed=99)
+    c = threshold(w, Mean(), cfg, time_index=6, seed=99)
+    d = threshold(w, Mean(), cfg, time_index=5, seed=98)
+    assert c != a and d != a
 
 
 def test_gaps_nonnegative_and_quantile_consistent():
@@ -173,15 +173,15 @@ def test_gaps_nonnegative_and_quantile_consistent():
     w = rng.standard_t(5, size=120)
     for mode in ("iid", "block"):
         for target in (Mean(), VaR(0.9), VaRES(0.9)):
-            cfg = BootstrapConfig(beta=0.8, replications=250, mode=mode, rng_seed=3)
-            gaps, fit = bootstrap_gaps(w, target, cfg)
+            cfg = BootstrapConfig(beta=0.8, replications=250, mode=mode)
+            gaps, fit = bootstrap_gaps(w, target, cfg, seed=3)
             assert gaps.shape == (250,)
             assert gaps.min() >= 0.0
-            assert threshold(w, target, cfg) == empirical_quantile(gaps, 0.8)
+            assert threshold(w, target, cfg, seed=3) == empirical_quantile(gaps, 0.8)
 
 
 def test_threshold_shrinks_with_window_length():
-    cfg = BootstrapConfig(beta=0.9, replications=200, mode="iid", rng_seed=0)
+    cfg = BootstrapConfig(beta=0.9, replications=200, mode="iid")
     wins = 0
     for trial in range(100):
         rng = np.random.default_rng(1000 + trial)
@@ -197,8 +197,8 @@ def test_var_iid_fast_path_matches_naive_resampling():
     rng = np.random.default_rng(10)
     w = rng.standard_normal(80)
     alpha = 0.9
-    cfg = BootstrapConfig(beta=0.9, replications=4000, mode="iid", rng_seed=21)
-    fast, fit = bootstrap_gaps(w, VaR(alpha), cfg)
+    cfg = BootstrapConfig(beta=0.9, replications=4000, mode="iid")
+    fast, fit = bootstrap_gaps(w, VaR(alpha), cfg, seed=21)
 
     naive_rng = np.random.default_rng(22)
     j = order_index(alpha, w.size)
@@ -218,9 +218,8 @@ def test_block_var_matches_naive_block_resampling():
     rng = np.random.default_rng(11)
     w = rng.standard_normal(90)
     alpha = 0.9
-    cfg = BootstrapConfig(beta=0.9, replications=3000, mode="block",
-                          block_c=1.0, rng_seed=31)
-    fast, fit = bootstrap_gaps(w, VaR(alpha), cfg)
+    cfg = BootstrapConfig(beta=0.9, replications=3000, mode="block", block_c=1.0)
+    fast, fit = bootstrap_gaps(w, VaR(alpha), cfg, seed=31)
 
     l, m = block_length(w.size, 1.0)
     naive_rng = np.random.default_rng(32)
@@ -236,8 +235,8 @@ def test_block_var_matches_naive_block_resampling():
 def test_vares_gaps_match_naive_loop():
     rng = np.random.default_rng(12)
     w = rng.standard_normal(60)
-    cfg = BootstrapConfig(beta=0.9, replications=1500, mode="iid", rng_seed=41)
-    fast, fit = bootstrap_gaps(w, VaRES(0.9), cfg)
+    cfg = BootstrapConfig(beta=0.9, replications=1500, mode="iid")
+    fast, fit = bootstrap_gaps(w, VaRES(0.9), cfg, seed=41)
 
     naive_rng = np.random.default_rng(42)
     naive = np.empty(1500)
@@ -273,7 +272,7 @@ def test_null_exceedance_rate_small_reference():
     # type-I error under iid data approaches 1 - beta
     beta = 0.9
     k, i = 500, 25
-    cfg = BootstrapConfig(beta=beta, replications=300, mode="iid", rng_seed=7)
+    cfg = BootstrapConfig(beta=beta, replications=300, mode="iid")
     exceed = 0
     trials = 400
     for trial in range(trials):
@@ -281,12 +280,8 @@ def test_null_exceedance_rate_small_reference():
         x = rng.standard_normal(k)
         stat = (empirical_score(x[-i:], fit_target(x, Mean()).theta, Mean())
                 - fit_target(x[-i:], Mean()).score)
-        tau = threshold(x[-i:], Mean(), cfg, time_index=trial)
+        tau = threshold(x[-i:], Mean(), cfg, time_index=trial, seed=7)
         exceed += stat > tau
     rate = exceed / trials
     assert 0.5 * (1 - beta) <= rate <= 2.0 * (1 - beta)
 
-
-def test_derive_rng_requires_seed():
-    with pytest.raises(ValueError):
-        derive_rng(None, 1, 2)

@@ -18,9 +18,8 @@ from baws.pipeline import (
     read_forecasts_csv,
     run_backtest,
     run_experiment,
-    write_forecasts_csv,
 )
-from baws.scenarios import ScenarioPath, gen_setting_a
+from baws.scenarios import ScenarioPath, generate
 from baws.scoring import Mean, VaR, VaRES
 from baws.selection import CandidateGridConfig as Grid
 
@@ -126,7 +125,7 @@ def test_baws_selected_window_grows_on_iid_data():
 
 
 def test_baws_adapts_after_break():
-    path = gen_setting_a("A1", T=1100, seed=3)  # break at t = 550
+    path = generate("A1", T=1100, seed=3)  # break at t = 550
     cfg = BacktestConfig(
         method="baws", target=Mean(), t0=500, grid=Grid(k_min=20),
         bootstrap=BootstrapConfig(beta=0.9, replications=150, mode="iid"),
@@ -171,6 +170,8 @@ def test_backtest_deterministic():
     a = run_backtest(x, cfg)
     b = run_backtest(x, cfg)
     assert a == b
+    # the config seed is the one seed of the bootstrap streams
+    assert run_backtest(x, replace(cfg, seed=22)) != a
 
 
 def test_checkpoint_resume_reproduces_suffix():
@@ -199,6 +200,11 @@ def test_backtest_validation():
         run_backtest(np.zeros(10), cfg)
     with pytest.raises(DataError):
         run_backtest(np.array([np.nan] * 60), cfg)
+
+
+def test_negative_seed_rejected_on_entry():
+    with pytest.raises(ConfigError, match="seed"):
+        BacktestConfig(method="baws", target=Mean(), seed=-1)
 
 
 def test_error_control_checked_at_construction():
@@ -297,7 +303,7 @@ def test_experiment_vares_perfect_forecaster_has_zero_error(monkeypatch):
     paths = {}
 
     def scenario(seed):
-        path = gen_setting_a("A3", T=60, seed=seed, alpha=0.9)
+        path = generate("A3", T=60, seed=seed, alpha=0.9)
         paths[id(path.losses)] = path
         return path
 
@@ -335,7 +341,7 @@ def test_forecast_csv_round_trip(tmp_path):
     cfg = BacktestConfig(method="fixed", target=VaR(0.9), t0=30, fixed_k=10)
     records = run_backtest(x, cfg)
     out = tmp_path / "fc.csv"
-    write_forecasts_csv(records, out, VaR(0.9))
+    emit_results(records, out, target=VaR(0.9))
     parsed = read_forecasts_csv(out)
     assert len(parsed) == len(records)
     for a, b in zip(parsed, records):
@@ -343,7 +349,7 @@ def test_forecast_csv_round_trip(tmp_path):
         assert a.theta[0] == pytest.approx(b.theta[0], rel=1e-11)
     # emitting the parsed records again reproduces the bytes exactly
     out2 = tmp_path / "fc2.csv"
-    write_forecasts_csv(parsed, out2, VaR(0.9))
+    emit_results(parsed, out2, target=VaR(0.9))
     assert out.read_bytes() == out2.read_bytes()
 
 
@@ -367,7 +373,7 @@ def test_forecast_csv_formats(tmp_path):
 
 def test_empty_records_header_only(tmp_path):
     out = tmp_path / "empty.csv"
-    write_forecasts_csv([], out, Mean())
+    emit_results([], out, target=Mean())
     assert out.read_text().strip() == "t,k_hat,mean_hat,realized_loss,realized_score"
 
 
@@ -376,12 +382,12 @@ def test_twelve_significant_digits(tmp_path):
     records = [__import__("baws").ForecastRecord(t=1, k_hat=1, theta=(value,),
                                                  realized=value, score=value)]
     out = tmp_path / "digits.csv"
-    write_forecasts_csv(records, out, Mean())
+    emit_results(records, out, target=Mean())
     assert "0.123456789012" in out.read_text()
 
 
 def test_scenario_csv_loadable_as_losses(tmp_path):
-    path = gen_setting_a("A1", T=50, seed=7, alpha=0.95)
+    path = generate("A1", T=50, seed=7, alpha=0.95)
     out = tmp_path / "sim.csv"
     emit_results(path, out)
     header = out.read_text().splitlines()[0]

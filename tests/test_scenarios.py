@@ -6,8 +6,6 @@ from scipy.stats import norm
 from baws.scenarios import (
     GARCH_BURN_IN,
     gen_garch,
-    gen_setting_a,
-    gen_setting_b,
     generate,
     skewed_t_moments,
     skewed_t_quantile,
@@ -16,7 +14,7 @@ from baws.scenarios import (
 
 
 def test_setting_a1_parameters():
-    path = gen_setting_a("A1", T=2000, seed=0, alpha=0.95)
+    path = generate("A1", T=2000, seed=0, alpha=0.95)
     assert np.all(path.true_mean[:1000] == 1.0)
     assert np.all(path.true_mean[1000:] == 2.0)
     assert np.all(path.true_sigma == 0.5)
@@ -26,20 +24,20 @@ def test_setting_a1_parameters():
 
 
 def test_setting_a2_a3_breaks():
-    a2 = gen_setting_a("A2", T=2000, seed=1)
+    a2 = generate("A2", T=2000, seed=1)
     assert a2.true_mean[799] == 1.0 and a2.true_mean[800] == 0.0
     assert a2.true_mean[1399] == 0.0 and a2.true_mean[1400] == 2.0
-    a3 = gen_setting_a("A3", T=2000, seed=1)
+    a3 = generate("A3", T=2000, seed=1)
     assert np.all(a3.true_mean == a2.true_mean)
     assert a3.true_sigma[799] == 0.5
     assert a3.true_sigma[1000] == 1.0
     assert a3.true_sigma[1500] == pytest.approx(0.7)
     with pytest.raises(ValueError):
-        gen_setting_a("A4")
+        generate("A4")
 
 
 def test_setting_b1_sine_path():
-    path = gen_setting_b("B1", T=2000, seed=2)
+    path = generate("B1", T=2000, seed=2)
     assert path.true_mean[499] == pytest.approx(1.0)  # t = T/4
     assert path.true_mean[-1] == pytest.approx(0.0, abs=1e-12)  # t = T
     assert np.all(path.true_sigma == 0.5)
@@ -47,20 +45,20 @@ def test_setting_b1_sine_path():
 
 def test_setting_b2_random_walk_variance():
     finals = np.array([
-        gen_setting_b("B2", T=200, seed=s).true_mean[-1] for s in range(10_000)
+        generate("B2", T=200, seed=s).true_mean[-1] for s in range(10_000)
     ])
     assert finals.var() == pytest.approx(1.0, abs=0.05)
 
 
 def test_setting_b3_positive_and_reproducible():
-    a = gen_setting_b("B3", T=500, seed=3)
-    b = gen_setting_b("B3", T=500, seed=3)
+    a = generate("B3", T=500, seed=3)
+    b = generate("B3", T=500, seed=3)
     assert np.array_equal(a.losses, b.losses)
     assert np.all(a.true_mean > 0)
 
 
 def test_gaussian_exceedance_rate():
-    path = gen_setting_a("A1", T=100_000, seed=4, alpha=0.95)
+    path = generate("A1", T=100_000, seed=4, alpha=0.95)
     exceed = np.mean(path.losses > path.true_var)
     assert exceed == pytest.approx(0.05, abs=0.01)
 
@@ -158,12 +156,12 @@ def test_garch_true_var_scales_with_sigma():
 
 
 def test_gaussian_true_es_matches_tail_expectation():
-    path = gen_setting_a("A3", T=2000, seed=0, alpha=0.9)
+    path = generate("A3", T=2000, seed=0, alpha=0.9)
     for t in (0, 1000, 1999):
         mu, sigma, v = path.true_mean[t], path.true_sigma[t], path.true_var[t]
         expected = norm.expect(lambda x: x, loc=mu, scale=sigma, lb=v, conditional=True)
         assert path.true_es[t] == pytest.approx(expected, rel=1e-9)
-    assert gen_setting_a("A1", T=10, seed=0).true_es is None
+    assert generate("A1", T=10, seed=0).true_es is None
 
 
 def test_garch_true_es_matches_monte_carlo():

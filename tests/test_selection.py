@@ -108,8 +108,8 @@ def test_select_window_iid_accepts_largest():
 
 def test_select_window_constant_history():
     x = np.full(300, 2.5)
-    cfg = BootstrapConfig(beta=0.9, replications=100, rng_seed=5)
-    trace = select_window(x, Mean(), cfg, Grid(k_min=20))
+    cfg = BootstrapConfig(beta=0.9, replications=100)
+    trace = select_window(x, Mean(), cfg, Grid(k_min=20), seed=5)
     assert trace.k_hat == 300  # all gaps and thresholds zero, equality accepts
     assert np.all(trace.pair_gap == 0.0)
     assert np.all(trace.pair_threshold == 0.0)
@@ -121,8 +121,8 @@ def test_select_window_two_regime_break():
     for rep in range(20):
         rng = np.random.default_rng(100 + rep)
         x = np.concatenate([rng.normal(1.0, 0.5, 250), rng.normal(2.0, 0.5, 250)])
-        cfg = BootstrapConfig(beta=0.9, replications=500, mode="iid", rng_seed=rep)
-        trace = select_window(x, Mean(), cfg, grid, time_index=501)
+        cfg = BootstrapConfig(beta=0.9, replications=500, mode="iid")
+        trace = select_window(x, Mean(), cfg, grid, time_index=501, seed=rep)
         assert list(trace.candidates) == [250, 500]
         hits += trace.k_hat == 250
     assert hits == 20
@@ -131,8 +131,8 @@ def test_select_window_two_regime_break():
 def test_trace_consistency_invariants():
     rng = np.random.default_rng(42)
     x = rng.standard_normal(400) * (1 + (np.arange(400) > 250))
-    cfg = BootstrapConfig(beta=0.8, replications=150, rng_seed=1)
-    trace = select_window(x, VaR(0.9), cfg, Grid(k_min=20))
+    cfg = BootstrapConfig(beta=0.8, replications=150)
+    trace = select_window(x, VaR(0.9), cfg, Grid(k_min=20), seed=1)
     cands = list(trace.candidates)
     assert trace.k_hat in cands
     # every pair threshold for a given reference is identical (single bootstrap)
@@ -184,13 +184,13 @@ def test_threshold_agnostic_core():
 def test_fwer_mode_tightens_thresholds():
     rng = np.random.default_rng(11)
     x = rng.standard_normal(400)
-    cfg = BootstrapConfig(beta=0.9, replications=400, rng_seed=13)
-    pcer = select_window(x, Mean(), cfg, Grid(k_min=20), error_control="pcer")
-    fwer = select_window(x, Mean(), cfg, Grid(k_min=20), error_control="fwer")
+    cfg = BootstrapConfig(beta=0.9, replications=400)
+    pcer = select_window(x, Mean(), cfg, Grid(k_min=20), seed=13, error_control="pcer")
+    fwer = select_window(x, Mean(), cfg, Grid(k_min=20), seed=13, error_control="fwer")
     assert np.all(fwer.pair_threshold >= pcer.pair_threshold)
     assert fwer.k_hat >= pcer.k_hat
     # fwer thresholds must be re-quantiled from the same cached gap sample
-    gaps, _ = bootstrap_gaps(x[-20:], Mean(), cfg, time_index=401)
+    gaps, _ = bootstrap_gaps(x[-20:], Mean(), cfg, time_index=401, seed=13)
     s = np.flatnonzero(fwer.pair_reference == 20)
     for pos in s:
         k = fwer.pair_candidate[pos]
