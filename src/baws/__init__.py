@@ -14,10 +14,8 @@ from .baselines import SAWSConfig, rolling_forecast
 from .bootstrap import (
     BootstrapConfig,
     block_length,
-    block_resample,
     bootstrap_gaps,
     empirical_quantile,
-    iid_resample,
 )
 from .errors import ConfigError, DataError
 from .metrics import (
@@ -55,7 +53,6 @@ from .scoring import (
     Mean,
     VaR,
     VaRES,
-    empirical_score,
     fit_target,
     joint_vares_score,
     pinball_score,

@@ -65,14 +65,6 @@ class BootstrapConfig:
             raise ConfigError("block_c must be positive")
 
 
-def iid_resample(window, rng: np.random.Generator) -> np.ndarray:
-    """Sample len(window) points uniformly with replacement from the window."""
-    w = np.asarray(window, dtype=float)
-    if w.size == 0:
-        raise ValueError("cannot resample an empty window")
-    return w[rng.integers(0, w.size, size=w.size)]
-
-
 def _int_cbrt_ceil(i: int) -> int:
     """Smallest integer q with q**3 >= i (float-noise-proof)."""
     q = round(i ** (1.0 / 3.0))
@@ -106,18 +98,6 @@ def oversized_block(k_min: int, c: float,
             return i, l
         i += 1
     return None
-
-
-def block_resample(window, block_len: int, rng: np.random.Generator) -> np.ndarray:
-    """Concatenate m = floor(i/l) blocks drawn with replacement from the
-    i - l + 1 contiguous length-l blocks, in draw order (length m*l <= i)."""
-    w = np.asarray(window, dtype=float)
-    i = w.size
-    if not 1 <= block_len <= i:
-        raise ValueError(f"block length {block_len} outside [1, {i}]")
-    m = i // block_len
-    starts = rng.integers(0, i - block_len + 1, size=m)
-    return sliding_window_view(w, block_len)[starts].reshape(-1)
 
 
 def empirical_quantile(values, beta: float) -> float:

@@ -201,7 +201,10 @@ def _floats(text: str) -> list[float]:
 
 
 def _ints(text: str) -> list[int]:
-    return [int(v) for v in _floats(text)]
+    values = _floats(text)
+    if not all(v.is_integer() for v in values):
+        raise ConfigError(f"bad integer list {text!r}")
+    return [int(v) for v in values]
 
 
 def _cmd_diagnose(args) -> None:
@@ -209,11 +212,12 @@ def _cmd_diagnose(args) -> None:
         _floats(args.mu1), _floats(args.mu2), _floats(args.var1), _floats(args.var2),
         _ints(args.k), _ints(args.k0_list), _floats(args.tau),
     )
+    # every row, and so every value check, comes before the file is opened
+    rows = [[_fmt(mu1), _fmt(mu2), _fmt(var1), _fmt(var2), str(k), str(k0), _fmt(tau),
+             _fmt(rejection_probability_gaussian(mu1, mu2, var1, var2, k, k0, tau))]
+            for mu1, mu2, var1, var2, k, k0, tau in combos]
     _write_csv(args.out, ["mu1", "mu2", "var1", "var2", "k", "k0", "tau",
-                          "rejection_probability"], (
-        [_fmt(mu1), _fmt(mu2), _fmt(var1), _fmt(var2), str(k), str(k0), _fmt(tau),
-         _fmt(rejection_probability_gaussian(mu1, mu2, var1, var2, k, k0, tau))]
-        for mu1, mu2, var1, var2, k, k0, tau in combos))
+                          "rejection_probability"], rows)
 
 
 COMMANDS = {"simulate": _cmd_simulate, "backtest": _cmd_backtest,

@@ -35,7 +35,7 @@ from .metrics import (  # cumulative_risk_* are called through this module
     mse,
 )
 from .scenarios import ScenarioPath, generate
-from .scoring import TARGETS, ForecastTarget, pointwise_score
+from .scoring import ForecastTarget, pointwise_score
 from .selection import ERROR_CONTROLS, CandidateGridConfig, select_window
 
 WORKERS_ENV = "BAWS_WORKERS"
@@ -254,14 +254,17 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
     """Replicate a scenario n times, run every method, aggregate the metrics.
 
     ``scenario`` is a scenario name (A1-A3, B1-B3, GARCH) or a callable
-    mapping a seed to a ``ScenarioPath``.  The bootstrap mode defaults to
-    moving-block for the serially dependent GARCH scenario and iid
-    otherwise.  ``error_control`` applies to the BAWS methods.  Replications
-    run in parallel across processes when the machine (or the BAWS_WORKERS
-    variable) allows.
+    mapping a seed to a ``ScenarioPath``.  Paths are generated, and the
+    truth is taken, at the target's own tail level (none for the mean).
+    The bootstrap mode defaults to moving-block for the serially dependent
+    GARCH scenario and iid otherwise.  ``error_control`` applies to the BAWS
+    methods.  Replications run in parallel across processes when the
+    machine (or the BAWS_WORKERS variable) allows.
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative")
     if mode is None:
         mode = "block" if isinstance(scenario, str) and scenario.upper() == "GARCH" else "iid"
     scenario_label = scenario if isinstance(scenario, str) else getattr(
@@ -394,30 +397,6 @@ def _write_csv(path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def read_forecasts_csv(path) -> list[ForecastRecord]:
-    """Parse a forecasts CSV back into records (inverse of emit_results)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    header = rows[0]
-    idx = {name: pos for pos, name in enumerate(header)}
-    known = dict.fromkeys(c for cls in TARGETS.values() for c in cls.columns)
-    theta_cols = [c for c in known if c in idx]
-    records = []
-    for row in rows[1:]:
-        records.append(ForecastRecord(
-            t=int(row[idx["t"]]),
-            k_hat=int(row[idx["k_hat"]]),
-            theta=tuple(float(row[idx[c]]) for c in theta_cols),
-            realized=float(row[idx["realized_loss"]]),
-            score=float(row[idx["realized_score"]]),
-            date=row[idx["date"]] or None if "date" in idx else None,
-        ))
-    return records
 
 
 def emit_results(obj, path, fmt: str = "wide",

@@ -223,6 +223,8 @@ def generate(name: str, T: int = 2000, seed: int = 0,
     """
     if alpha is not None:
         _check_level(alpha)
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative")
     key = name.upper()
     if key not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}, expected one of {SCENARIOS}")

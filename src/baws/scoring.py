@@ -7,9 +7,10 @@ Every forecast target is scored by a consistent (elicitable) loss:
     (VaR, ES)   joint quantile/ES loss, built from the pinball term plus
                 a logistic tail weight on the ES component
 
-``empirical_score`` averages the pointwise loss over a look-back window;
-window selection compares these averages across windows.  All scores are
-evaluated in double precision and are overflow-safe for large |e|.
+``score_at`` gives the average pointwise loss over a look-back window from
+its ``WindowStats``; window selection compares these averages across
+windows.  All scores are evaluated in double precision and are
+overflow-safe for large |e|.
 
 Each target is one ``ForecastTarget`` class, the only place where the
 package decides anything per target.  A target class supplies
@@ -410,19 +411,6 @@ TARGETS = {cls.name: cls for cls in (Mean, VaR, VaRES)}
 def pointwise_score(x, theta, target: ForecastTarget):
     """Loss of parameter vector ``theta`` at a single observation ``x``."""
     return target.pointwise(x, np.asarray(theta, dtype=float))
-
-
-def empirical_score(window, theta, target: ForecastTarget) -> float:
-    """Average loss of ``theta`` over a window: (1/k) * sum of pointwise scores."""
-    window = np.asarray(window, dtype=float)
-    if window.size == 0:
-        raise ValueError("empirical_score requires a non-empty window")
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if theta.shape[-1] != target.dim:
-        raise ValueError(
-            f"parameter dimension {theta.shape[-1]} does not match target {target!r}"
-        )
-    return float(np.mean(pointwise_score(window, theta, target)))
 
 
 def score_at(stats: WindowStats, theta: np.ndarray, target: ForecastTarget) -> np.ndarray:

@@ -154,12 +154,12 @@ def rejection_probability_gaussian(mu1: float, mu2: float, var1: float, var2: fl
     and the exceedance probability of its square over tau is the two-sided
     normal tail at +-sqrt(tau).
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not tau > 0:
+        raise ConfigError(f"tau must be positive, got {tau}")
     if not k > k0 >= 1:
-        raise ValueError("need k > k0 >= 1")
-    if var1 <= 0 or var2 <= 0:
-        raise ValueError("variances must be positive")
+        raise ConfigError(f"need k > k0 >= 1, got k={k}, k0={k0}")
+    if not (var1 > 0 and var2 > 0):
+        raise ConfigError(f"variances must be positive, got {var1} and {var2}")
     frac = (k - k0) / k
     m = frac * (mu1 - mu2)
     v = frac * frac * (var1 / (k - k0) + var2 / k0)

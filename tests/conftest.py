@@ -1,4 +1,5 @@
-"""Shared independent oracles: brute-force minimizers and closed forms.
+"""Shared independent oracles: brute-force minimizers, closed forms,
+one-draw-at-a-time resamplers, a direct window score and a CSV reader.
 
 These re-derive expected values from first principles (direct loops,
 exhaustive scans, scalar refinement, textbook formulas) without touching
@@ -7,11 +8,17 @@ the library's fast paths, so implementation and oracle stay independent.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
+
+from baws.errors import DataError
+from baws.pipeline import ForecastRecord
+from baws.scoring import TARGETS, ForecastTarget, pointwise_score
 
 
 def direct_pinball(window, v, alpha):
@@ -87,3 +94,66 @@ def skewt_partial_expectation_quad(a, nu, r):
         val, _ = quad(lambda y: y * pdf(y), lo, hi, epsabs=1e-10, epsrel=1e-10)
         total += val
     return total
+
+
+# resampling oracles for the vectorized draws of baws.bootstrap
+
+def iid_resample(window, rng: np.random.Generator) -> np.ndarray:
+    """Sample len(window) points uniformly with replacement from the window."""
+    w = np.asarray(window, dtype=float)
+    if w.size == 0:
+        raise ValueError("cannot resample an empty window")
+    return w[rng.integers(0, w.size, size=w.size)]
+
+
+def block_resample(window, block_len: int, rng: np.random.Generator) -> np.ndarray:
+    """Concatenate m = floor(i/l) blocks drawn with replacement from the
+    i - l + 1 contiguous length-l blocks, in draw order (length m*l <= i)."""
+    w = np.asarray(window, dtype=float)
+    i = w.size
+    if not 1 <= block_len <= i:
+        raise ValueError(f"block length {block_len} outside [1, {i}]")
+    m = i // block_len
+    starts = rng.integers(0, i - block_len + 1, size=m)
+    return sliding_window_view(w, block_len)[starts].reshape(-1)
+
+
+# score oracle for score_at on WindowStats
+
+def empirical_score(window, theta, target: ForecastTarget) -> float:
+    """Average loss of ``theta`` over a window: (1/k) * sum of pointwise scores."""
+    window = np.asarray(window, dtype=float)
+    if window.size == 0:
+        raise ValueError("empirical_score requires a non-empty window")
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if theta.shape[-1] != target.dim:
+        raise ValueError(
+            f"parameter dimension {theta.shape[-1]} does not match target {target!r}"
+        )
+    return float(np.mean(pointwise_score(window, theta, target)))
+
+
+# reader of the wide forecasts CSV that emit_results writes
+
+def read_forecasts_csv(path) -> list[ForecastRecord]:
+    """Parse a forecasts CSV back into records (inverse of emit_results)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        rows = list(reader)
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    header = rows[0]
+    idx = {name: pos for pos, name in enumerate(header)}
+    known = dict.fromkeys(c for cls in TARGETS.values() for c in cls.columns)
+    theta_cols = [c for c in known if c in idx]
+    records = []
+    for row in rows[1:]:
+        records.append(ForecastRecord(
+            t=int(row[idx["t"]]),
+            k_hat=int(row[idx["k_hat"]]),
+            theta=tuple(float(row[idx[c]]) for c in theta_cols),
+            realized=float(row[idx["realized_loss"]]),
+            score=float(row[idx["realized_score"]]),
+            date=row[idx["date"]] or None if "date" in idx else None,
+        ))
+    return records

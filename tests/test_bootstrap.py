@@ -5,24 +5,22 @@ from scipy.stats import ks_2samp
 from baws.bootstrap import (
     BootstrapConfig,
     block_length,
-    block_resample,
     bootstrap_gaps,
     empirical_quantile,
-    iid_resample,
     oversized_block,
 )
 from baws.scoring import (
     Mean,
     VaR,
     VaRES,
-    empirical_score,
     fit_target,
     joint_score_at,
     order_index,
     window_stats,
 )
 
-from conftest import brute_force_var_es, direct_pinball
+from conftest import (block_resample, brute_force_var_es, direct_pinball, empirical_score,
+                      iid_resample)
 
 
 def threshold(window, target, cfg, time_index=0, seed=0):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from baws.cli import main
-from baws.pipeline import read_forecasts_csv
 from baws.selection import rejection_probability_gaussian
+
+from conftest import read_forecasts_csv
 
 
 def run(args):
@@ -124,8 +125,23 @@ def test_invalid_configs_exit_1_before_running(tmp_path, capsys):
     assert run(["simulate", "--scenario", "A1", "--T", "0", "--out", out]) == 1
     for scenario in ("A1", "GARCH"):
         assert run(["simulate", "--scenario", scenario, "--alpha", "2", "--out", out]) == 1
-    assert run(["experiment", "--scenario", "A1", "--methods", "full", "--n", "1", "--T", "60",
-                "--t0", "41", "--k0", "10", "--B", "0", "--out", out]) == 1
+    experiment = ["experiment", "--scenario", "A1", "--methods", "full", "--n", "1",
+                  "--T", "60", "--t0", "41", "--k0", "10", "--out", out]
+    assert run(experiment + ["--B", "0"]) == 1
+    # a negative seed is rejected by every command
+    assert run(base + ["--seed", "-1"]) == 1
+    assert run(["simulate", "--scenario", "A1", "--T", "50", "--seed", "-1", "--out", out]) == 1
+    assert run(experiment + ["--seed", "-1"]) == 1
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    # diagnose checks every list value before it opens the file
+    diagnose = ["diagnose", "--mu1", "0", "--mu2", "1", "--var1", "1", "--out", out]
+    for bad in (["--var2", "1", "--tau", "0.1,0", "--k", "100", "--k0", "50"],
+                ["--var2", "1", "--tau", "0.1", "--k", "100.7", "--k0", "50"],
+                ["--var2", "1", "--tau", "0.1", "--k", "100", "--k0", "50.5"],
+                ["--var2", "1", "--tau", "0.1", "--k", "100,50", "--k0", "50"],
+                ["--var2", "1", "--tau", "0.1", "--k", "100", "--k0", "0"],
+                ["--var2", "1,0", "--tau", "0.1", "--k", "100", "--k0", "50"]):
+        assert run(diagnose + bad) == 1, bad
     assert "runtime failure" not in capsys.readouterr().err
     assert not out.exists()
 

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from baws.scoring import Mean, VaR, VaRES, empirical_score, es_given_v, fit_target, window_stats
+from baws.scoring import Mean, VaR, VaRES, es_given_v, fit_target, window_stats
 
-from conftest import brute_force_var, brute_force_var_es, direct_joint, direct_pinball
+from conftest import (brute_force_var, brute_force_var_es, direct_joint, direct_pinball,
+                      empirical_score)
 
 
 def test_fit_mean_examples():

@@ -15,13 +15,14 @@ from baws.pipeline import (
     emit_results,
     load_price_csv,
     parse_method,
-    read_forecasts_csv,
     run_backtest,
     run_experiment,
 )
 from baws.scenarios import ScenarioPath, generate
 from baws.scoring import Mean, VaR, VaRES
 from baws.selection import CandidateGridConfig as Grid
+
+from conftest import read_forecasts_csv
 
 
 def constant_scenario(seed):
@@ -205,6 +206,11 @@ def test_backtest_validation():
 def test_negative_seed_rejected_on_entry():
     with pytest.raises(ConfigError, match="seed"):
         BacktestConfig(method="baws", target=Mean(), seed=-1)
+    with pytest.raises(ConfigError, match="seed"):
+        run_experiment("A1", ["full"], Mean(), n=1, T=60, t0=41, seed=-1, workers=1)
+    for name in ("A1", "GARCH"):
+        with pytest.raises(ConfigError, match="seed"):
+            generate(name, T=10, seed=-1)
 
 
 def test_error_control_checked_at_construction():

@@ -8,7 +8,6 @@ from baws.scoring import (
     Mean,
     VaR,
     VaRES,
-    empirical_score,
     joint_vares_score,
     pinball_score,
     pointwise_score,
@@ -19,7 +18,7 @@ from baws.scoring import (
     window_stats,
 )
 
-from conftest import direct_joint, direct_pinball
+from conftest import direct_joint, direct_pinball, empirical_score
 
 
 def test_squared_loss_values():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from baws.bootstrap import BootstrapConfig, bootstrap_gaps, empirical_quantile
-from baws.scoring import Mean, VaR, empirical_score, fit_target, order_index
+from baws.scoring import Mean, VaR, fit_target, order_index
 from baws.selection import (
     CandidateGridConfig,
     CandidateGridConfig as Grid,
@@ -13,6 +13,8 @@ from baws.selection import (
     rejection_probability_gaussian,
     select_window,
 )
+
+from conftest import empirical_score
 
 
 def fixed(tau):
