@@ -244,9 +244,9 @@ def generate(name: str, T: int = 2000, seed: int = 0,
     elif key == "B1":
         mu = np.sin(2.0 * np.pi * t / T)
     else:
-        # B2: random walk from mu_0 = 0 with N(0, 1/T) increments, drawn
-        # before the losses; B3: geometric path
-        # mu_0 * exp((drift - s^2/2) t/T + s W_t), drift 0.5, s^2 0.25
+        # a random walk W with N(0, 1/T) increments, drawn before the losses:
+        # B2 is W itself (mu_0 = 0), B3 the geometric path
+        # exp((drift - s^2/2) t/T + s W_t) with drift 0.5 and s^2 0.25
         w = np.cumsum(rng.normal(0.0, np.sqrt(1.0 / T), size=T))
         mu = w if key == "B2" else np.exp((0.5 - 0.125) * t / T + 0.5 * w)
     return _gaussian_path(key, seed, mu, sigma, alpha, rng)

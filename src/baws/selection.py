@@ -178,8 +178,9 @@ def select_window(history, target: ForecastTarget, policy,
     ``policy`` is a ``BootstrapConfig`` or any object with
     ``threshold_for(window_length)``.  ``seed`` and ``time_index`` key the
     bootstrap streams (``time_index`` defaults to len(history) + 1, the
-    forecast time in an online run).  Returns the full decision trace; the smallest candidate has no
-    references and is always admissible, so a selection always exists.
+    forecast time in an online run).  Returns the full decision trace; the
+    smallest candidate has no references and is always admissible, so a
+    selection always exists.
     """
     if error_control not in ERROR_CONTROLS:
         raise ValueError(f"error_control must be one of {ERROR_CONTROLS}, "

@@ -119,7 +119,8 @@ def test_invalid_configs_exit_1_before_running(tmp_path, capsys):
     assert "fwer" in capsys.readouterr().err
     assert run(base + ["--block-c", "10", "--k0", "20"]) == 1
     assert "block length 30 exceeds window length 20" in capsys.readouterr().err
-    for bad in (["--B", "0"], ["--beta", "1.5"], ["--alpha", "1.5"], ["--k0", "1"],
+    for bad in (["--B", "0"], ["--beta", "1.5"], ["--alpha", "1.5"],
+                ["--target", "mean", "--alpha", "2"], ["--k0", "1"],
                 ["--block-c", "-1"], ["--k0", "20", "--max-window", "10"]):
         assert run(base + bad) == 1, bad
     assert run(["simulate", "--scenario", "A1", "--T", "0", "--out", out]) == 1
