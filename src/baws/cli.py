@@ -64,16 +64,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_method_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target", default="var", help=" | ".join(TARGETS))
     p.add_argument("--alpha", type=float, default=0.95, help="tail level")
-    p.add_argument("--beta", type=float, default=0.9, help="threshold level")
-    p.add_argument("--B", dest="boot_b", type=int, default=500,
+    p.add_argument("--beta", type=float, default=BootstrapConfig.beta, help="threshold level")
+    p.add_argument("--B", dest="boot_b", type=int, default=BootstrapConfig.replications,
                    help="bootstrap replications")
     p.add_argument("--bootstrap-mode", default=None, choices=("iid", "block"))
-    p.add_argument("--block-c", type=float, default=1.0)
-    p.add_argument("--k0", type=int, default=20, help="minimum candidate window")
+    p.add_argument("--block-c", type=float, default=BootstrapConfig.block_c)
+    p.add_argument("--k0", type=int, default=CandidateGridConfig.k_min,
+                   help="minimum candidate window")
     p.add_argument("--max-window", type=int, default=None)
-    p.add_argument("--t0", type=int, default=501, help="first forecast index")
-    p.add_argument("--error-control", default="pcer", choices=ERROR_CONTROLS,
-                   help="baws only")
+    p.add_argument("--t0", type=int, default=BacktestConfig.t0, help="first forecast index")
+    p.add_argument("--error-control", default=BacktestConfig.error_control,
+                   choices=ERROR_CONTROLS, help="baws only")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,13 +134,17 @@ def _apply_config_file(parser, args, argv):
             raise ConfigError(f"bad config file {args.config}: {exc}") from exc
         if not isinstance(defaults, dict):
             raise ConfigError("config file must hold a JSON object")
-        sub = next(a for a in parser._actions
-                   if isinstance(a, argparse._SubParsersAction))
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         command_parser = sub.choices[args.command]
-        known = {a.dest for a in command_parser._actions}
-        unknown = set(defaults) - known
+        actions = {a.dest: a for a in command_parser._actions}
+        unknown = set(defaults) - set(actions)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        # as text, a value meets its flag's `type` (argparse parses string defaults)
+        defaults = {key: str(value) for key, value in defaults.items()}
+        for key, text in defaults.items():
+            if actions[key].choices is not None and text not in actions[key].choices:
+                raise ConfigError(f"config key {key!r}: invalid choice {text!r}")
         command_parser.set_defaults(**defaults)
         args = parser.parse_args(argv)  # explicit flags win over file defaults
     return args

@@ -12,8 +12,9 @@ with the usual definitions when the truth is common across replications.
     Var   mean over time of the (n-1)-divisor variance across replications
     MSE   mean over time and replications of squared error
     CR    cumulative expected excess risk of the forecasts (population
-          risk of the estimate minus that of the true parameter); for the
-          mean target this equals MSE times the horizon
+          risk of the estimate minus that of the true parameter): MSE
+          times the horizon for the mean; for VaR, closed forms on the
+          kernels ``scipy.special.ndtr``/``ndtri``, ``norm_pdf``, ``skewed_t_*``
     CL    cumulative realized forecast loss
 """
 
@@ -25,13 +26,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .scoring import ForecastTarget, pointwise_score
-from .scenarios import skewed_t_cdf, skewed_t_partial_expectation, skewed_t_quantile
-
-_NORM_PDF_C = 1.0 / np.sqrt(2.0 * np.pi)
-
-
-def _phi(z):
-    return _NORM_PDF_C * np.exp(-0.5 * z * z)
+from .scenarios import norm_pdf, skewed_t_cdf, skewed_t_partial_expectation, skewed_t_quantile
 
 
 @dataclass(frozen=True)
@@ -130,8 +125,8 @@ def cumulative_risk_var(tensor: ExperimentTensor, truth, alpha: float) -> float:
         sigma = np.broadcast_to(np.asarray(truth.sigma, dtype=float), (n, horizon))
         z = (v - mu) / sigma
         z_alpha = ndtri(alpha)
-        part_v = mu * ndtr(z) - sigma * _phi(z)
-        part_true = mu * alpha - sigma * _phi(z_alpha)
+        part_v = mu * ndtr(z) - sigma * norm_pdf(z)
+        part_true = mu * alpha - sigma * norm_pdf(z_alpha)
         risk = -alpha * v - part_v + part_true + v * ndtr(z)
     elif isinstance(truth, SkewedTTruth):
         sigma = np.broadcast_to(np.asarray(truth.sigma, dtype=float), (n, horizon))

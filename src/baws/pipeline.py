@@ -245,12 +245,12 @@ def _replication(spec: _ExperimentSpec, rep: int) -> dict:
 
 
 def run_experiment(scenario, methods, target: ForecastTarget, *,
-                   n: int, T: int = 2000, t0: int = 501, seed: int = 0,
-                   beta: float = 0.9, replications: int = 500,
-                   mode: str | None = None, block_c: float = 1.0,
-                   grid: CandidateGridConfig = CandidateGridConfig(),
-                   error_control: str = "pcer",
-                   workers: int | None = None) -> MetricsReport:
+                   n: int, T: int = 2000, t0: int = BacktestConfig.t0, seed: int = 0,
+                   beta: float = BootstrapConfig.beta,
+                   replications: int = BootstrapConfig.replications,
+                   mode: str | None = None, block_c: float = BootstrapConfig.block_c,
+                   grid: CandidateGridConfig = CandidateGridConfig(), workers: int | None = None,
+                   error_control: str = BacktestConfig.error_control) -> MetricsReport:
     """Replicate a scenario n times, run every method, aggregate the metrics.
 
     ``scenario`` is a scenario name (A1-A3, B1-B3, GARCH) or a callable
@@ -258,8 +258,9 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
     truth is taken, at the target's own tail level (none for the mean).
     The bootstrap mode defaults to moving-block for the serially dependent
     GARCH scenario and iid otherwise.  ``error_control`` applies to the BAWS
-    methods.  Replications run in parallel across processes when the
-    machine (or the BAWS_WORKERS variable) allows.
+    methods.  Each method is named once (``full`` and ``FULL`` are one), and
+    labels its rows by its stripped spec.  Replications run in parallel
+    across processes when the machine (or the BAWS_WORKERS variable) allows.
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
@@ -272,14 +273,16 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
 
     boot = BootstrapConfig(beta=beta, replications=replications, mode=mode,
                            block_c=block_c)
+    parsed = [(name.strip(), parse_method(name)) for name in methods]
+    if not parsed or len({method for _, method in parsed}) < len(parsed):
+        raise ConfigError(f"method list {methods} is empty or repeats a method")
     configs = []
-    for name in methods:
-        kind, fixed_k = parse_method(name)
+    for name, (kind, fixed_k) in parsed:
         is_baws = kind == "baws"
         configs.append((name, BacktestConfig(
             method=kind, target=target, t0=t0, grid=grid,
             bootstrap=boot if is_baws else None, fixed_k=fixed_k,
-            error_control=error_control if is_baws else "pcer")))
+            error_control=error_control if is_baws else BacktestConfig.error_control)))
     spec = _ExperimentSpec(scenario, T, seed, target, tuple(configs))
     workers = _experiment_workers() if workers is None else workers
     if workers > 1 and n > 1:
@@ -301,7 +304,7 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
     metrics = sys.modules[__name__]
 
     rows: list[tuple[str, str, str, float]] = []
-    for name in methods:
+    for name, _ in configs:
         est = np.stack([res["methods"][name] for res in results])
         tensor = ExperimentTensor(est, truths, realized)
         values = [("MAB", mab(tensor))]

@@ -11,11 +11,12 @@ Three families, all seeded and bit-reproducible:
 Each path carries its true mean/volatility sequences and, when a tail
 level is supplied, the true VaR and ES paths (mu + sigma * z_alpha and
 mu + sigma * phi(z_alpha) / (1 - alpha) for Gaussians; sigma times the
-flipped innovation's quantile and ES for the GARCH process).
+flipped innovation's quantile and ES for the GARCH process).  Kernels:
+``Generator.standard_t`` draws t variates, ``scipy.special.stdtr``/``stdtrit``
+give the t CDF and quantile, and ``norm_pdf`` is the one normal density.
 
-``generate`` is the one entry point, by a name in ``SCENARIOS``.
-``gen_garch`` is public too, because it alone takes the innovation law
-(``nu``, ``skew``).
+``generate`` is the one entry point, by a name in ``SCENARIOS``;
+``gen_garch`` alone takes the innovation law (``nu``, ``skew``).
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ndtri, stdtr
-from scipy.stats import norm
-from scipy.stats import t as student_t
+from scipy.special import gammaln, ndtri, stdtr, stdtrit
 
 from .errors import ConfigError
 from .scoring import _check_level
@@ -59,6 +58,11 @@ class ScenarioPath:
     true_es: np.ndarray | None = None
 
 
+def norm_pdf(z):
+    """Standard normal density, in the form ``scipy.stats.norm.pdf`` evaluates."""
+    return np.exp(-z**2 / 2.0) / np.sqrt(2.0 * np.pi)
+
+
 def _gaussian_path(name, seed, mu, sigma, alpha, rng) -> ScenarioPath:
     losses = mu + sigma * rng.standard_normal(mu.size)
     sigma = np.broadcast_to(sigma, mu.shape).copy()
@@ -66,7 +70,7 @@ def _gaussian_path(name, seed, mu, sigma, alpha, rng) -> ScenarioPath:
     if alpha is not None:
         z = ndtri(alpha)
         true_var = mu + sigma * z
-        true_es = mu + sigma * (norm.pdf(z) / (1.0 - alpha))
+        true_es = mu + sigma * (norm_pdf(z) / (1.0 - alpha))
     return ScenarioPath(name, seed, losses, mu, sigma, true_var, alpha, true_es=true_es)
 
 
@@ -112,7 +116,7 @@ def skewed_t_sample(nu: float, r: float, rng: np.random.Generator, size=None):
     m, s = skewed_t_moments(nu, r)
     scalar = size is None
     n = 1 if scalar else size
-    t_abs = np.abs(student_t.rvs(nu, size=n, random_state=rng))
+    t_abs = np.abs(rng.standard_t(nu, size=n))
     positive = rng.random(n) < r * r / (1.0 + r * r)
     x = np.where(positive, r * t_abs, -t_abs / r)
     z = (x - m) / s
@@ -131,8 +135,8 @@ def skewed_t_quantile(p, nu: float, r: float):
     if np.any((p <= 0.0) | (p >= 1.0)):
         raise ValueError("quantile level must lie strictly in (0, 1)")
     split = 1.0 / (1.0 + r * r)
-    lower = student_t.ppf(p * (1.0 + r * r) / 2.0, nu) / r
-    upper = r * student_t.ppf(1.0 - (1.0 - p) * (1.0 + r * r) / (2.0 * r * r), nu)
+    lower = stdtrit(nu, p * (1.0 + r * r) / 2.0) / r
+    upper = r * stdtrit(nu, 1.0 - (1.0 - p) * (1.0 + r * r) / (2.0 * r * r))
     x = np.where(p < split, lower, upper)
     out = (x - m) / s
     return float(out) if out.ndim == 0 else out

@@ -89,7 +89,7 @@ def test_config_file_defaults_flags_win(tmp_path):
     assert len(out2.read_text().strip().splitlines()) == 51
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     out = tmp_path / "x.csv"
     # usage error: unknown flag
     assert run(["simulate", "--scenario", "A1", "--bogus", "1", "--out", out]) == 1
@@ -100,6 +100,20 @@ def test_exit_codes(tmp_path):
     cfgfile.write_text('{"nope": 1}')
     assert run(["simulate", "--scenario", "A1", "--config", cfgfile,
                 "--out", out]) == 1
+    # config error: a file value must pass the check its flag's text would
+    experiment = ["experiment", "--scenario", "A1", "--methods", "full", "--T", "60",
+                  "--k0", "10", "--config", cfgfile, "--out", out]
+    for values in ({"t0": 41.5}, {"boot_b": 20.5}, {"n": 1.5}, {"seed": True}):
+        cfgfile.write_text(json.dumps(values))
+        assert run(experiment) == 1, values
+        assert "invalid int value" in capsys.readouterr().err
+    cfgfile.write_text('{"seed": true}')
+    assert run(["simulate", "--scenario", "A1", "--T", "50", "--config", cfgfile,
+                "--out", out]) == 1
+    cfgfile.write_text('{"error_control": "bogus"}')
+    assert run(experiment) == 1
+    assert "invalid choice 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
     # data error: missing input file
     assert run(["backtest", "--input", tmp_path / "none.csv", "--out", out]) == 2
     # data error: corrupt number
@@ -129,6 +143,10 @@ def test_invalid_configs_exit_1_before_running(tmp_path, capsys):
     experiment = ["experiment", "--scenario", "A1", "--methods", "full", "--n", "1",
                   "--T", "60", "--t0", "41", "--k0", "10", "--out", out]
     assert run(experiment + ["--B", "0"]) == 1
+    # a method list must be nonempty and name each method once
+    for methods in (",", "full,full", "full, FULL", "fixed:30,fixed30"):
+        assert run(experiment + ["--methods", methods]) == 1, methods
+    assert "repeats a method" in capsys.readouterr().err
     # a negative seed is rejected by every command
     assert run(base + ["--seed", "-1"]) == 1
     assert run(["simulate", "--scenario", "A1", "--T", "50", "--seed", "-1", "--out", out]) == 1

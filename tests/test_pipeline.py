@@ -275,6 +275,19 @@ def test_experiment_constant_data_zero_risk_and_loss():
     assert report.value("fixed:5", "MAB") == 0.0
 
 
+def test_experiment_method_list_checked_before_replications():
+    def no_path(seed):
+        raise AssertionError("a replication ran")
+
+    for methods in ([], ["full", "full"], ["full", " FULL"], ["fixed:30", "fixed30"],
+                    ["baws", "fixed:5", "BAWS "]):
+        with pytest.raises(ConfigError, match="empty or repeats a method"):
+            run_experiment(no_path, methods, Mean(), n=2, t0=10, workers=1)
+    report = run_experiment(constant_scenario, [" full", "fixed:5 ", "FIXED:6"], Mean(),
+                            n=1, t0=10, workers=1)
+    assert list(dict.fromkeys(row[0] for row in report.rows)) == ["full", "fixed:5", "FIXED:6"]
+
+
 def test_experiment_deterministic_and_complete():
     kwargs = dict(n=2, T=120, t0=40, seed=3, beta=0.9, replications=60,
                   grid=Grid(k_min=10), workers=1)

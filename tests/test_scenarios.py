@@ -1,12 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
 from scipy.stats import norm
+from scipy.stats import t as student_t
 
 from baws.scenarios import (
     GARCH_BURN_IN,
     gen_garch,
     generate,
+    norm_pdf,
     skewed_t_moments,
     skewed_t_quantile,
     skewed_t_sample,
@@ -196,3 +203,54 @@ def test_moments_match_monte_carlo():
     raw = np.where(pos, 0.95 * t_abs, -t_abs / 0.95)
     assert raw.mean() == pytest.approx(m, abs=0.01)
     assert raw.std() == pytest.approx(s, abs=0.01)
+
+
+# ---------------------------------------------------------------------------
+# the kernels are the ones behind scipy.stats, called directly
+# ---------------------------------------------------------------------------
+
+KERNEL_LAWS = [(5.0, 0.95), (3.0, 1.0), (2.5, 0.5), (10.0, 1.5), (30.0, 2.0)]
+
+
+@pytest.mark.parametrize("nu,r", KERNEL_LAWS)
+def test_skewed_t_sample_matches_scipy_stats_construction(nu, r):
+    m, s = skewed_t_moments(nu, r)
+    for seed in (0, 7, 123):
+        rng = np.random.default_rng(seed)
+        t_abs = np.abs(student_t.rvs(nu, size=5000, random_state=rng))
+        positive = rng.random(5000) < r * r / (1.0 + r * r)
+        expected = (np.where(positive, r * t_abs, -t_abs / r) - m) / s
+        got = skewed_t_sample(nu, r, np.random.default_rng(seed), size=5000)
+        assert np.array_equal(got, expected)
+    rng = np.random.default_rng(5)
+    t_abs = abs(student_t.rvs(nu, size=1, random_state=rng)[0])
+    x = r * t_abs if rng.random(1)[0] < r * r / (1.0 + r * r) else -t_abs / r
+    assert skewed_t_sample(nu, r, np.random.default_rng(5)) == (x - m) / s
+
+
+@pytest.mark.parametrize("nu,r", KERNEL_LAWS)
+def test_skewed_t_quantile_matches_t_ppf_form(nu, r):
+    p = np.concatenate([np.logspace(-300, np.log10(0.5), 2000),
+                        1.0 - np.logspace(-16, np.log10(0.5), 2000)])
+    m, s = skewed_t_moments(nu, r)
+    lower = student_t.ppf(p * (1.0 + r * r) / 2.0, nu) / r
+    upper = r * student_t.ppf(1.0 - (1.0 - p) * (1.0 + r * r) / (2.0 * r * r), nu)
+    expected = (np.where(p < 1.0 / (1.0 + r * r), lower, upper) - m) / s
+    assert np.array_equal(skewed_t_quantile(p, nu, r), expected)
+    assert skewed_t_quantile(p[10], nu, r) == expected[10]
+    assert skewed_t_quantile(p[-10], nu, r) == expected[-10]
+
+
+def test_norm_pdf_matches_scipy_stats():
+    z = np.concatenate([np.linspace(-40.0, 40.0, 20001), ndtri([0.5, 0.9, 0.95, 0.99])])
+    assert np.array_equal(norm_pdf(z), norm.pdf(z))
+    assert norm_pdf(ndtri(0.95)) == norm.pdf(ndtri(0.95))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, baws; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
