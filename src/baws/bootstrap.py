@@ -9,18 +9,28 @@ where theta_b is fitted on the b-th resample (iid, or moving-block for
 dependent data) and theta_hat on the window itself.  Both estimators are
 scored on the original window, so every gap is >= 0 by the minimizer
 property of theta_hat.  This module draws the resamples; the target's
-``resample_gaps`` (or its ``iid_gaps`` shortcut) turns them into gaps.
+``row_fits`` reduces them to fits and its ``fit_gaps`` scores those (or
+its ``iid_gaps`` shortcut draws the gaps without resample rows).
 
-Resampling is vectorized across replications.  Streams derive from
-(seed, time_index, window_length) through ``numpy.random.SeedSequence``;
-the seed and time index are arguments of ``bootstrap_gaps``, not policy
-fields, so thresholds are reproducible bit-for-bit and independent of
-evaluation order across time steps and reference windows.
+Resamples are filled in blocks of rows, of at most 2**16 values each, in
+a scratch buffer that each thread keeps across calls; every block is
+reduced to its row fits before the next is drawn, and the B fits are
+scored once.  Memory per call is therefore bounded whatever B is.  Block
+indices are drawn as int32, which gives the same integers from the same
+stream as int64 draws, and consecutive blocks continue one stream, so the
+resamples equal those of a single (B, L) draw.
+
+Streams derive from (seed, time_index, window_length) through
+``numpy.random.SeedSequence``; the seed and time index are arguments of
+``bootstrap_gaps``, not policy fields, so thresholds are reproducible
+bit-for-bit and independent of evaluation order, or concurrency, across
+time steps and reference windows.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +44,8 @@ from .scoring import (FitResult, ForecastTarget, WindowStats, fit_from_stats, or
 from .scoring import joint_score_at, pinball_score_at  # noqa: F401
 
 _GAP_SLACK = 1e-9  # tolerated negative rounding noise, relative to score scale
+_BLOCK_VALUES = 1 << 16  # values per row block: 256 KB of int32 indices, 512 KB gathered
+_scratch = threading.local()
 
 
 @dataclass(frozen=True)
@@ -111,22 +123,57 @@ def empirical_quantile(values, beta: float) -> float:
     return float(np.partition(v, j - 1)[j - 1])
 
 
-def _resample_rows(window, stats: WindowStats, cfg: BootstrapConfig,
-                   rng: np.random.Generator) -> np.ndarray:
-    """(B, L) matrix of resampled values; L = i (iid) or m*l (block)."""
-    B = cfg.replications
+def _scratch_values(name: str, size: int) -> np.ndarray:
+    """``size`` float64 values of this thread's buffer ``name``, which grows
+    but is never freed: fresh blocks above the allocator's mmap threshold
+    would each fault their pages in anew."""
+    buf = getattr(_scratch, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size)
+        setattr(_scratch, name, buf)
+    return buf[:size]
+
+
+def builds_resamples(target: ForecastTarget, cfg: BootstrapConfig) -> bool:
+    """Whether calibrating ``target`` under ``cfg`` fills resample rows,
+    rather than taking the target's iid shortcut, which draws none."""
+    return cfg.mode == "block" or target.iid_gaps is None
+
+
+def _row_fits(window, stats: WindowStats, target: ForecastTarget,
+              cfg: BootstrapConfig, rng: np.random.Generator) -> np.ndarray:
+    """(B, dim) fits of B resample rows, filled and reduced block by block.
+
+    A row is i draws of single values (iid) or m draws of length-l blocks
+    (block), concatenated in draw order: L = i or m * l values.
+    """
     n = stats.n
     if cfg.mode == "iid":
         # iid resampling is exchangeable, so drawing from the sorted window
         # makes thresholds invariant to permutations of the input
-        idx = rng.integers(0, n, size=(B, n))
-        return stats.values_sorted[idx]
-    l, m = block_length(n, cfg.block_c)
-    if m < 1:
-        raise ValueError(f"block length {l} exceeds window length {n}")
-    w = np.ascontiguousarray(np.asarray(window, dtype=float))
-    starts = rng.integers(0, n - l + 1, size=(B, m))
-    return sliding_window_view(w, l)[starts].reshape(B, m * l)
+        source, draws, width = stats.values_sorted, n, 1
+    else:
+        l, m = block_length(n, cfg.block_c)
+        if m < 1:
+            raise ValueError(f"block length {l} exceeds window length {n}")
+        # np.take copies a strided source on every call; copy it once here
+        source = _scratch_values("blocks", (n - l + 1) * l).reshape(n - l + 1, l)
+        source[...] = sliding_window_view(np.asarray(window, dtype=float), l)
+        draws, width = m, l
+    B = cfg.replications
+    L = draws * width
+    step = max(1, _BLOCK_VALUES // L)
+    fits = np.empty((B, target.dim))
+    for r0 in range(0, B, step):
+        b = min(step, B - r0)
+        idx = rng.integers(0, source.shape[0], size=(b, draws), dtype=np.int32)
+        rows = _scratch_values("rows", b * L).reshape(b, L)
+        # indices are in range, so "wrap" changes none; "raise" would gather
+        # into a temporary and copy it to ``out``
+        np.take(source, idx, axis=0, out=rows.reshape((b, draws) + source.shape[1:]),
+                mode="wrap")
+        fits[r0:r0 + b] = target.row_fits(stats, rows)
+    return fits
 
 
 def guarded_gaps(raw: np.ndarray, scale: float, kind: str) -> np.ndarray:
@@ -150,10 +197,9 @@ def bootstrap_gaps(window, target: ForecastTarget, cfg: BootstrapConfig, *,
     if stats is None:
         stats = window_stats(window)
     rng = np.random.default_rng(np.random.SeedSequence((seed, time_index, stats.n)))
-    shortcut = target.iid_gaps(stats, cfg.replications, rng) if cfg.mode == "iid" else None
-    if shortcut is None:
+    if builds_resamples(target, cfg):
         fit = fit_from_stats(stats, target)
-        raw = target.resample_gaps(stats, _resample_rows(window, stats, cfg, rng), fit)
+        raw = target.fit_gaps(stats, _row_fits(window, stats, target, cfg, rng), fit)
     else:
-        raw, fit = shortcut
+        raw, fit = target.iid_gaps(stats, cfg.replications, rng)
     return guarded_gaps(raw, fit.score, "bootstrap"), fit

@@ -36,7 +36,7 @@ from .metrics import (  # cumulative_risk_* are called through this module
 )
 from .scenarios import ScenarioPath, generate
 from .scoring import ForecastTarget, pointwise_score
-from .selection import ERROR_CONTROLS, CandidateGridConfig, select_window
+from .selection import ERROR_CONTROLS, CandidateGridConfig, _calibrate_serially, select_window
 
 WORKERS_ENV = "BAWS_WORKERS"
 
@@ -260,10 +260,16 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
     GARCH scenario and iid otherwise.  ``error_control`` applies to the BAWS
     methods.  Each method is named once (``full`` and ``FULL`` are one), and
     labels its rows by its stripped spec.  Replications run in parallel
-    across processes when the machine (or the BAWS_WORKERS variable) allows.
+    across ``workers`` processes (default: the BAWS_WORKERS variable, else
+    the CPU count); those workers calibrate each step's reference windows
+    serially, since the processes already occupy the CPUs.  With one
+    worker, replications run in this process, and its calibrations use
+    every CPU as ``select_window`` does.
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
+    if workers is not None and workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     if seed < 0:
         raise ConfigError("seed must be nonnegative")
     if mode is None:
@@ -286,7 +292,8 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
     spec = _ExperimentSpec(scenario, T, seed, target, tuple(configs))
     workers = _experiment_workers() if workers is None else workers
     if workers > 1 and n > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, n),
+                                 initializer=_calibrate_serially) as pool:
             results = list(pool.map(partial(_replication, spec), range(n)))
     else:
         results = [_replication(spec, rep) for rep in range(n)]

@@ -21,10 +21,15 @@ package decides anything per target.  A target class supplies
     pointwise(x, theta)     loss at single observations
     score_at(stats, theta)  empirical score on a window's WindowStats
     fit(stats)              exact empirical-score minimizer, a FitResult
-    resample_gaps(stats, rows, fit)
-                            raw bootstrap score gaps of (B, L) resamples
+    row_fits(stats, rows)   (b, dim) fits of a (b, L) block of resample
+                            rows, which it may overwrite; Mean's are
+                            relative to stats.center
+    fit_gaps(stats, fits, fit)
+                            raw bootstrap score gaps of all B row fits
+                            against the window fit
     iid_gaps(stats, B, rng) (raw gaps, fit) for B iid resamples drawn
-                            without materializing them, or None
+                            without materializing them; None (the default)
+                            when the target has no such shortcut
     truth(path)             true parameter path of a scenario, shape (T,)
                             or (T, dim) with one column per component
     metric_rows(tensor, population, metrics)
@@ -247,8 +252,10 @@ class ForecastTarget:
         _check_level(alpha)  # rejected even where the target has no level
         return cls()
 
-    def iid_gaps(self, stats: WindowStats, replications: int, rng):
-        return None
+    iid_gaps = None
+
+    def fit_gaps(self, stats: WindowStats, fits: np.ndarray, fit: FitResult) -> np.ndarray:
+        return self.score_at(stats, fits) - fit.score
 
     def _path_truth(self, path, field: str):
         value = getattr(path, field)
@@ -276,10 +283,14 @@ class Mean(ForecastTarget):
         return FitResult(np.array([stats.mean]), float(mean_score_at(stats, stats.mean)),
                          stats.n)
 
-    def resample_gaps(self, stats: WindowStats, rows: np.ndarray, fit: FitResult):
-        # squared-loss score: gap reduces exactly to (mean_b - mean)^2;
-        # centered means keep constant windows at exactly zero
-        d = (rows - stats.center).mean(axis=1) - (stats.mean - stats.center)
+    def row_fits(self, stats: WindowStats, rows: np.ndarray) -> np.ndarray:
+        # centered means keep constant windows at exactly zero gap
+        np.subtract(rows, stats.center, out=rows)
+        return (np.add.reduce(rows, axis=1) / rows.shape[1])[:, None]
+
+    def fit_gaps(self, stats: WindowStats, fits: np.ndarray, fit: FitResult) -> np.ndarray:
+        # squared-loss score: the gap reduces exactly to (mean_b - mean)^2
+        d = fits[:, 0] - (stats.mean - stats.center)
         return d * d
 
     def truth(self, path):
@@ -334,10 +345,10 @@ class VaR(_TailTarget):
         v = float(stats.values_sorted[self.quantile_index(stats.n) - 1])
         return FitResult(np.array([v]), float(pinball_score_at(stats, v, self.alpha)), stats.n)
 
-    def resample_gaps(self, stats: WindowStats, rows: np.ndarray, fit: FitResult):
+    def row_fits(self, stats: WindowStats, rows: np.ndarray) -> np.ndarray:
         j = self.quantile_index(rows.shape[1])
         rows.partition(j - 1, axis=1)
-        return pinball_score_at(stats, rows[:, j - 1], self.alpha) - fit.score
+        return rows[:, j - 1:j]
 
     def iid_gaps(self, stats: WindowStats, replications: int, rng):
         # The fitted VaR of an iid resample is its j-th order statistic,
@@ -387,13 +398,13 @@ class VaRES(_TailTarget):
         score = float(joint_score_at(stats, theta[0], theta[1], self.alpha))
         return FitResult(theta, score, stats.n)
 
-    def resample_gaps(self, stats: WindowStats, rows: np.ndarray, fit: FitResult):
+    def row_fits(self, stats: WindowStats, rows: np.ndarray) -> np.ndarray:
         j = self.quantile_index(rows.shape[1])
         rows.partition(j - 1, axis=1)
         v = rows[:, j - 1]
         # e(v) of each row: after the partition its values >= v sit past j
         e = v + (rows[:, j:] - v[:, None]).sum(axis=1) / (rows.shape[1] * (1.0 - self.alpha))
-        return joint_score_at(stats, v, e, self.alpha) - fit.score
+        return np.column_stack((v, e))
 
     def truth(self, path):
         return np.stack([super().truth(path), self._path_truth(path, "true_es")], axis=-1)

@@ -13,10 +13,23 @@ such as the deterministic SAWS families of ``baselines``.  With the
 default error control each comparison runs at level 1 - beta; the "fwer"
 mode tightens pairwise levels by a Bonferroni split across the comparisons
 of each candidate, re-quantiling the cached bootstrap gap samples.
+
+The bootstrap calibrations, one per reference window, are independent:
+each draws from its own (seed, t, i) stream.  When they fill resample rows
+they run concurrently on a thread pool sized to the CPUs this process may
+use, largest window first; results are collected by window, so a trace is
+bit-identical to a serial run whatever order the calibrations finish in.
+The pool is created on first use, once per process (a forked child makes
+its own).  The iid VaR shortcut, whose work per reference is a fraction
+of a millisecond of Python, stays on the calling thread, as does all work
+in a process with one usable CPU.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -26,6 +39,7 @@ from scipy.special import ndtr
 from .bootstrap import (
     BootstrapConfig,
     bootstrap_gaps,
+    builds_resamples,
     empirical_quantile,
     guarded_gaps,
     order_index,
@@ -34,6 +48,38 @@ from .errors import ConfigError
 from .scoring import FitResult, ForecastTarget, fit_from_stats, score_at, window_stats
 
 ERROR_CONTROLS = ("pcer", "fwer")
+
+# (pid, pool) of the calibration pool; the pid tells a forked child that
+# the pool, whose threads did not survive the fork, is its parent's
+_pool: tuple[int, ThreadPoolExecutor | None] | None = None
+_pool_lock = threading.Lock()
+if hasattr(os, "register_at_fork"):
+    # no fork copies the lock while another thread holds it
+    os.register_at_fork(before=_pool_lock.acquire, after_in_parent=_pool_lock.release,
+                        after_in_child=_pool_lock.release)
+
+
+def _calibration_pool() -> ThreadPoolExecutor | None:
+    """This process's calibration thread pool, created on first use; None
+    when only one CPU is usable."""
+    global _pool
+    pid = os.getpid()
+    with _pool_lock:
+        if _pool is None or _pool[0] != pid:
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            pool = (ThreadPoolExecutor(max_workers=cpus, thread_name_prefix="baws-calibration")
+                    if cpus > 1 else None)
+            _pool = (pid, pool)
+        return _pool[1]
+
+
+def _calibrate_serially() -> None:
+    """Run this process's calibrations on the calling thread.  Process-pool
+    workers start with it: their siblings already occupy the CPUs."""
+    global _pool
+    with _pool_lock:
+        _pool = (os.getpid(), None)
 
 
 @dataclass(frozen=True)
@@ -168,6 +214,30 @@ def rejection_probability_gaussian(mu1: float, mu2: float, var1: float, var2: fl
     return float(1.0 - ndtr((root - m) / sd) + ndtr((-root - m) / sd))
 
 
+def _calibrations(x: np.ndarray, references: list[int], target: ForecastTarget,
+                  policy: BootstrapConfig, stats: dict, t: int, seed: int,
+                  error_control: str) -> dict:
+    """(fit, calibration) of each reference window length: the threshold
+    (pcer) or the sorted gap sample (fwer).  Each gap sample is reduced as
+    soon as it is drawn, so the samples of a step are never all held."""
+    n = x.size
+
+    def calibrate(i):
+        gaps, fit = bootstrap_gaps(x[n - i:], target, policy, time_index=t, seed=seed,
+                                   stats=stats[i])
+        if error_control == "fwer":
+            return fit, np.sort(gaps)
+        return fit, empirical_quantile(gaps, policy.beta)
+
+    pool = (_calibration_pool() if len(references) > 1 and builds_resamples(target, policy)
+            else None)
+    if pool is None:
+        return {i: calibrate(i) for i in references}
+    # the longest calibrations start first, so none is left to run alone at the end
+    futures = {i: pool.submit(calibrate, i) for i in reversed(references)}
+    return {i: futures[i].result() for i in references}
+
+
 def select_window(history, target: ForecastTarget, policy,
                   grid: CandidateGridConfig = CandidateGridConfig(),
                   prev_k: int | None = None, *,
@@ -202,26 +272,20 @@ def select_window(history, target: ForecastTarget, policy,
 
     # one threshold calibration per reference window, shared by all pairs;
     # the bootstrap already fits the reference window, so reuse that fit
-    fits: dict[int, FitResult] = {}
-    taus: dict[int, float] = {}
-    sorted_gaps: dict[int, np.ndarray] = {}
-    for i in candidates[:-1]:
-        if bootstrap_policy:
-            gaps, fits[i] = bootstrap_gaps(x[n - i:], target, policy, time_index=t,
-                                           seed=seed, stats=stats[i])
-            if error_control == "fwer":
-                sorted_gaps[i] = np.sort(gaps)
-            else:
-                taus[i] = empirical_quantile(gaps, policy.beta)
-        else:
-            fits[i] = fit_from_stats(stats[i], target)
-            taus[i] = float(policy.threshold_for(i))
+    references = candidates[:-1]
+    if bootstrap_policy:
+        calibrated = _calibrations(x, references, target, policy, stats, t, seed,
+                                   error_control)
+    else:
+        calibrated = {i: (fit_from_stats(stats[i], target), float(policy.threshold_for(i)))
+                      for i in references}
+    fits = {i: fit for i, (fit, _) in calibrated.items()}
     top = candidates[-1]
     fits[top] = fit_from_stats(stats[top], target)
 
     refs, cands, gap_col, tau_col = [], [], [], []
     theta_rows = np.vstack([fits[k].theta for k in candidates])
-    for pos, i in enumerate(candidates[:-1]):
+    for pos, i in enumerate(references):
         larger = candidates[pos + 1:]
         raw = score_at(stats[i], theta_rows[pos + 1:], target) - fits[i].score
         gaps_i = guarded_gaps(raw, fits[i].score, "pairwise")
@@ -229,10 +293,10 @@ def select_window(history, target: ForecastTarget, policy,
         cands.extend(larger)
         gap_col.append(gaps_i)
         if error_control == "pcer":
-            tau_col.append(np.full(len(larger), taus[i]))
+            tau_col.append(np.full(len(larger), calibrated[i][1]))
         else:
             # candidate k at position s has s references below it
-            g = sorted_gaps[i]
+            g = calibrated[i][1]
             tau_col.append(np.array([
                 float(g[order_index(bonferroni_level(policy.beta, s), g.size) - 1])
                 for s in range(pos + 1, len(candidates))]))

@@ -1,9 +1,13 @@
 """Shared independent oracles: brute-force minimizers, closed forms,
-one-draw-at-a-time resamplers, a direct window score and a CSV reader.
+one-draw-at-a-time and one-shot resamplers, a direct window score and a
+CSV reader.
 
 These re-derive expected values from first principles (direct loops,
 exhaustive scans, scalar refinement, textbook formulas) without touching
 the library's fast paths, so implementation and oracle stay independent.
+The one-shot resampler is the exception: it keeps the library's former
+single-matrix algorithm, and reuses its fits, so that the row blocks can be
+checked against it bit for bit.
 """
 
 from __future__ import annotations
@@ -16,9 +20,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
+from baws.bootstrap import BootstrapConfig, block_length, guarded_gaps
 from baws.errors import DataError
 from baws.pipeline import ForecastRecord
-from baws.scoring import TARGETS, ForecastTarget, pointwise_score
+from baws.scoring import (TARGETS, ForecastTarget, Mean, VaR, joint_score_at, order_index,
+                          pinball_score_at, pointwise_score, window_stats)
 
 
 def direct_pinball(window, v, alpha):
@@ -116,6 +122,52 @@ def block_resample(window, block_len: int, rng: np.random.Generator) -> np.ndarr
     m = i // block_len
     starts = rng.integers(0, i - block_len + 1, size=m)
     return sliding_window_view(w, block_len)[starts].reshape(-1)
+
+
+# one-shot oracle for the row-block resampling of baws.bootstrap: every
+# index in one (B, draws) int64 draw, every value in one (B, L) matrix, and
+# each target's gap formula applied to the whole matrix
+
+def oneshot_resample_rows(window, stats, cfg: BootstrapConfig,
+                          rng: np.random.Generator) -> np.ndarray:
+    """(B, L) matrix of resampled values; L = i (iid) or m*l (block)."""
+    B, n = cfg.replications, stats.n
+    if cfg.mode == "iid":
+        return stats.values_sorted[rng.integers(0, n, size=(B, n))]
+    l, m = block_length(n, cfg.block_c)
+    w = np.ascontiguousarray(np.asarray(window, dtype=float))
+    starts = rng.integers(0, n - l + 1, size=(B, m))
+    return sliding_window_view(w, l)[starts].reshape(B, m * l)
+
+
+def oneshot_gaps(stats, rows: np.ndarray, fit, target: ForecastTarget) -> np.ndarray:
+    """Raw score gaps of every row of ``rows`` (reordered in place)."""
+    if isinstance(target, Mean):
+        # the gap of squared loss is (mean_b - mean)^2, on centered values
+        d = (rows - stats.center).mean(axis=1) - (stats.mean - stats.center)
+        return d * d
+    j = order_index(target.alpha, rows.shape[1])
+    rows.partition(j - 1, axis=1)
+    v = rows[:, j - 1]
+    if isinstance(target, VaR):
+        return pinball_score_at(stats, v, target.alpha) - fit.score
+    e = v + (rows[:, j:] - v[:, None]).sum(axis=1) / (rows.shape[1] * (1.0 - target.alpha))
+    return joint_score_at(stats, v, e, target.alpha) - fit.score
+
+
+def oneshot_bootstrap_gaps(window, target: ForecastTarget, cfg: BootstrapConfig, *,
+                           time_index: int = 0, seed: int = 0, stats=None):
+    """``bootstrap_gaps`` from one-shot resample matrices (the iid VaR
+    order-statistic shortcut builds none, so it is called as it is)."""
+    if stats is None:
+        stats = window_stats(window)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, time_index, stats.n)))
+    if cfg.mode == "iid" and isinstance(target, VaR):
+        raw, fit = target.iid_gaps(stats, cfg.replications, rng)
+    else:
+        fit = target.fit(stats)
+        raw = oneshot_gaps(stats, oneshot_resample_rows(window, stats, cfg, rng), fit, target)
+    return guarded_gaps(raw, fit.score, "bootstrap"), fit
 
 
 # score oracle for score_at on WindowStats

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from baws import bootstrap
 from baws.bootstrap import (
     BootstrapConfig,
     block_length,
@@ -20,7 +21,7 @@ from baws.scoring import (
 )
 
 from conftest import (block_resample, brute_force_var_es, direct_pinball, empirical_score,
-                      iid_resample)
+                      iid_resample, oneshot_bootstrap_gaps)
 
 
 def threshold(window, target, cfg, time_index=0, seed=0):
@@ -256,13 +257,31 @@ def test_vares_resample_gaps_match_row_fits(L, alpha):
     rows = stats.values_sorted[rng.integers(0, L, size=(60, L))]
     target = VaRES(alpha)
     fit = target.fit(stats)
-    gaps = target.resample_gaps(stats, rows.copy(), fit)
+    gaps = target.fit_gaps(stats, target.row_fits(stats, rows.copy()), fit)
     row_fits = [fit_target(row, target) for row in rows]
     expected = [joint_score_at(stats, *f.theta, alpha) - fit.score for f in row_fits]
     np.testing.assert_allclose(gaps, expected, rtol=0, atol=1e-12)
     if L <= 12:
         for row, f in zip(rows[:15], row_fits):
             assert f.score == pytest.approx(brute_force_var_es(row, alpha)[2], abs=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["iid", "block"])
+@pytest.mark.parametrize("target", [Mean(), VaR(0.95), VaRES(0.95)], ids=str)
+@pytest.mark.parametrize("n", [1, 20, 999, 1000, 2500])
+@pytest.mark.parametrize("B", [1, 200])
+def test_row_blocks_match_oneshot_oracle(mode, target, n, B):
+    cfg = BootstrapConfig(replications=B, mode=mode)
+    if B > 1 and n >= 999:
+        l, m = block_length(n, cfg.block_c) if mode == "block" else (1, n)
+        rows_per_block = bootstrap._BLOCK_VALUES // (m * l)
+        # several blocks, the last one short
+        assert B > rows_per_block and B % rows_per_block
+    w = np.random.default_rng(n).standard_t(4, size=n)
+    gaps, fit = bootstrap_gaps(w, target, cfg, time_index=7, seed=3)
+    want, want_fit = oneshot_bootstrap_gaps(w, target, cfg, time_index=7, seed=3)
+    assert np.array_equal(gaps, want)
+    assert np.array_equal(fit.theta, want_fit.theta) and fit.score == want_fit.score
 
 
 def test_null_exceedance_rate_small_reference():

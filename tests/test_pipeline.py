@@ -1,10 +1,16 @@
+import os
+import signal
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+import baws
 from baws import pipeline
 from baws.bootstrap import BootstrapConfig
 from baws.pipeline import (
@@ -286,6 +292,58 @@ def test_experiment_method_list_checked_before_replications():
     report = run_experiment(constant_scenario, [" full", "fixed:5 ", "FIXED:6"], Mean(),
                             n=1, t0=10, workers=1)
     assert list(dict.fromkeys(row[0] for row in report.rows)) == ["full", "fixed:5", "FIXED:6"]
+
+
+def test_experiment_worker_count_checked_on_entry():
+    def no_path(seed):
+        raise AssertionError("a replication ran")
+
+    for workers in (0, -1):
+        with pytest.raises(ConfigError, match="workers"):
+            run_experiment(no_path, ["full"], Mean(), n=2, t0=10, workers=workers)
+
+
+# Run in a fresh interpreter so that a deadlock in a forked child shows as a
+# timeout.  The calibration pool and its threads exist before each fork.
+FORK_SCRIPT = """
+import os
+import numpy as np
+from baws import BootstrapConfig, VaR, run_experiment, selection
+
+x = np.random.default_rng(0).standard_normal(400)
+cfg = BootstrapConfig(replications=50, mode="block")
+trace = selection.select_window(x, VaR(0.95), cfg)
+assert (selection._calibration_pool() is not None) == (len(os.sched_getaffinity(0)) > 1)
+
+pid = os.fork()
+if pid == 0:
+    again = selection.select_window(x, VaR(0.95), cfg)
+    os._exit(0 if np.array_equal(again.pair_threshold, trace.pair_threshold) else 1)
+assert os.waitpid(pid, 0)[1] == 0
+
+kwargs = dict(n=2, T=160, t0=121, seed=5, replications=50,
+              grid=selection.CandidateGridConfig(k_min=20))
+forked = run_experiment("GARCH", ["baws"], VaR(0.95), workers=2, **kwargs)
+in_process = run_experiment("GARCH", ["baws"], VaR(0.95), workers=1, **kwargs)
+assert forked.rows == in_process.rows
+print("ok")
+"""
+
+
+def test_forked_workers_match_in_process_run_after_threaded_calibration():
+    src = str(Path(baws.__file__).resolve().parents[1])
+    # a session of its own, so that a timeout also ends the forked children
+    proc = subprocess.Popen([sys.executable, "-c", FORK_SCRIPT], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True,
+                            env=dict(os.environ, PYTHONPATH=src))
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("a forked process deadlocked")
+    assert proc.returncode == 0, err
+    assert out.strip() == "ok"
 
 
 def test_experiment_deterministic_and_complete():

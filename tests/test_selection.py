@@ -1,10 +1,12 @@
+import os
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from baws import selection
 from baws.bootstrap import BootstrapConfig, bootstrap_gaps, empirical_quantile
-from baws.scoring import Mean, VaR, fit_target, order_index
+from baws.scoring import Mean, VaR, VaRES, fit_target, order_index
 from baws.selection import (
     CandidateGridConfig,
     CandidateGridConfig as Grid,
@@ -14,7 +16,7 @@ from baws.selection import (
     select_window,
 )
 
-from conftest import empirical_score
+from conftest import empirical_score, oneshot_bootstrap_gaps
 
 
 def fixed(tau):
@@ -216,3 +218,28 @@ def test_grid_config_validation():
         CandidateGridConfig(k_min=20, max_window=10)
     with pytest.raises(ValueError):
         CandidateGridConfig(bands=((0, 5), (0, 10)))
+
+
+@pytest.mark.parametrize("target,mode,error_control", [
+    (Mean(), "iid", "pcer"),
+    (VaR(0.95), "block", "pcer"),
+    (VaRES(0.95), "block", "fwer"),
+])
+def test_concurrent_trace_matches_serial_oneshot_oracle(target, mode, error_control,
+                                                        monkeypatch):
+    if len(os.sched_getaffinity(0)) > 1:
+        assert selection._calibration_pool() is not None
+    x = np.random.default_rng(17).standard_t(4, size=1300)
+    cfg = BootstrapConfig(replications=150, mode=mode)
+    kwargs = dict(prev_k=400, time_index=1301, seed=9, error_control=error_control)
+    got = select_window(x, target, cfg, **kwargs)
+    # the oracle calibrates one reference after another, from one-shot matrices
+    monkeypatch.setattr(selection, "_calibration_pool", lambda: None)
+    monkeypatch.setattr(selection, "bootstrap_gaps", oneshot_bootstrap_gaps)
+    want = select_window(x, target, cfg, **kwargs)
+    assert got.candidates.size > 10
+    for field in ("candidates", "pair_reference", "pair_candidate", "pair_gap",
+                  "pair_threshold", "pair_reject", "admissible"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert got.k_hat == want.k_hat
+    assert np.array_equal(got.fit.theta, want.fit.theta)
