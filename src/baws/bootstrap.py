@@ -12,13 +12,22 @@ property of theta_hat.  This module draws the resamples; the target's
 ``row_fits`` reduces them to fits and its ``fit_gaps`` scores those (or
 its ``iid_gaps`` shortcut draws the gaps without resample rows).
 
-Resamples are filled in blocks of rows, of at most 2**16 values each, in
-a scratch buffer that each thread keeps across calls; every block is
+What a row holds per drawn observation is the target's ``row_source``:
+for Mean, its value centered on the window's smallest value; for the
+tail targets, its int32 rank in the sorted window.  iid draws are ranks
+already, and block rows are blocks of the ranks of a stable argsort.  A
+tail fit partitions the ranks and reads its order statistic from the
+sorted window; VaR/ES sums its tail in rank order, not in the order the
+partition leaves it, which depends on the SIMD code numpy dispatches to.
+Thresholds are therefore bit-identical across CPUs and dispatch targets.
+
+Resamples are filled in blocks of rows, of at most 512 KB each, in a
+scratch buffer that each thread keeps across calls; every block is
 reduced to its row fits before the next is drawn, and the B fits are
-scored once.  Memory per call is therefore bounded whatever B is.  Block
-indices are drawn as int32, which gives the same integers from the same
-stream as int64 draws, and consecutive blocks continue one stream, so the
-resamples equal those of a single (B, L) draw.
+scored once.  Memory per call is therefore bounded whatever B is.  Indices
+are drawn as int32, which gives the same integers from the same stream as
+int64 draws, and consecutive blocks continue one stream, so the resamples
+equal those of a single (B, L) draw.
 
 Streams derive from (seed, time_index, window_length) through
 ``numpy.random.SeedSequence``; the seed and time index are arguments of
@@ -44,8 +53,8 @@ from .scoring import (FitResult, ForecastTarget, WindowStats, fit_from_stats, or
 from .scoring import joint_score_at, pinball_score_at  # noqa: F401
 
 _GAP_SLACK = 1e-9  # tolerated negative rounding noise, relative to score scale
-_BLOCK_VALUES = 1 << 16  # values per row block: 256 KB of int32 indices, 512 KB gathered
-_scratch = threading.local()
+_BLOCK_BYTES = 1 << 19  # bytes of resample rows per row block
+_buffers = threading.local()
 
 
 @dataclass(frozen=True)
@@ -123,15 +132,17 @@ def empirical_quantile(values, beta: float) -> float:
     return float(np.partition(v, j - 1)[j - 1])
 
 
-def _scratch_values(name: str, size: int) -> np.ndarray:
-    """``size`` float64 values of this thread's buffer ``name``, which grows
-    but is never freed: fresh blocks above the allocator's mmap threshold
-    would each fault their pages in anew."""
-    buf = getattr(_scratch, name, None)
+def _scratch(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An array of ``shape`` and ``dtype`` on this thread's byte buffer
+    ``name``, which grows but is never freed: fresh blocks above the
+    allocator's mmap threshold would each fault their pages in anew."""
+    dtype = np.dtype(dtype)
+    size = math.prod(shape) * dtype.itemsize
+    buf = getattr(_buffers, name, None)
     if buf is None or buf.size < size:
-        buf = np.empty(size)
-        setattr(_scratch, name, buf)
-    return buf[:size]
+        buf = np.empty(size, dtype=np.uint8)
+        setattr(_buffers, name, buf)
+    return buf[:size].view(dtype).reshape(shape)
 
 
 def builds_resamples(target: ForecastTarget, cfg: BootstrapConfig) -> bool:
@@ -144,34 +155,39 @@ def _row_fits(window, stats: WindowStats, target: ForecastTarget,
               cfg: BootstrapConfig, rng: np.random.Generator) -> np.ndarray:
     """(B, dim) fits of B resample rows, filled and reduced block by block.
 
-    A row is i draws of single values (iid) or m draws of length-l blocks
-    (block), concatenated in draw order: L = i or m * l values.
+    A row is i draws of single observations (iid) or m draws of length-l
+    blocks (block), concatenated in draw order: L = i or m * l entries,
+    each the target's ``row_source`` entry of the observation drawn.
     """
     n = stats.n
     if cfg.mode == "iid":
         # iid resampling is exchangeable, so drawing from the sorted window
-        # makes thresholds invariant to permutations of the input
-        source, draws, width = stats.values_sorted, n, 1
+        # makes thresholds invariant to permutations of the input; a None
+        # source means the drawn ranks are the rows
+        source, draws, width, choices = target.row_source(stats, None), n, 1, n
     else:
         l, m = block_length(n, cfg.block_c)
         if m < 1:
             raise ValueError(f"block length {l} exceeds window length {n}")
+        per_obs = target.row_source(stats, np.asarray(window, dtype=float))
         # np.take copies a strided source on every call; copy it once here
-        source = _scratch_values("blocks", (n - l + 1) * l).reshape(n - l + 1, l)
-        source[...] = sliding_window_view(np.asarray(window, dtype=float), l)
-        draws, width = m, l
+        source = _scratch("blocks", (n - l + 1, l), per_obs.dtype)
+        source[...] = sliding_window_view(per_obs, l)
+        draws, width, choices = m, l, n - l + 1
     B = cfg.replications
     L = draws * width
-    step = max(1, _BLOCK_VALUES // L)
+    dtype = np.dtype(np.int32) if source is None else source.dtype
+    step = max(1, _BLOCK_BYTES // (L * dtype.itemsize))
     fits = np.empty((B, target.dim))
     for r0 in range(0, B, step):
         b = min(step, B - r0)
-        idx = rng.integers(0, source.shape[0], size=(b, draws), dtype=np.int32)
-        rows = _scratch_values("rows", b * L).reshape(b, L)
-        # indices are in range, so "wrap" changes none; "raise" would gather
-        # into a temporary and copy it to ``out``
-        np.take(source, idx, axis=0, out=rows.reshape((b, draws) + source.shape[1:]),
-                mode="wrap")
+        rows = idx = rng.integers(0, choices, size=(b, draws), dtype=np.int32)
+        if source is not None:
+            rows = _scratch("rows", (b, L), dtype)
+            # indices are in range, so "wrap" changes none; "raise" would
+            # gather into a temporary and copy it to ``out``
+            np.take(source, idx, axis=0, out=rows.reshape((b, draws) + source.shape[1:]),
+                    mode="wrap")
         fits[r0:r0 + b] = target.row_fits(stats, rows)
     return fits
 

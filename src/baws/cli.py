@@ -157,6 +157,12 @@ def _saws_override(args, target) -> SAWSConfig | None:
     return SAWSConfig(**{**target.saws_defaults, **given}) if given else None
 
 
+def _check_bootstrap_mode(args, methods) -> None:
+    """Only BAWS resamples, so an explicit mode must reach a BAWS method."""
+    if args.bootstrap_mode is not None and all(parse_method(m)[0] != "baws" for m in methods):
+        raise ConfigError("--bootstrap-mode applies to method 'baws' only")
+
+
 def _check_scenario(name: str) -> str:
     if name.upper() not in SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}; expected one of {SCENARIOS}")
@@ -170,10 +176,9 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_backtest(args) -> None:
-    series = load_price_csv(args.input, price_col=args.price_col,
-                            loss_col=args.loss_col, date_col=args.date_col)
     target = _target(args.target, args.alpha)
     kind, fixed_k = parse_method(args.method)
+    _check_bootstrap_mode(args, [args.method])
     mode = args.bootstrap_mode or "block"  # real data is serially dependent
     boot = BootstrapConfig(beta=args.beta, replications=args.boot_b, mode=mode,
                            block_c=args.block_c)
@@ -181,6 +186,8 @@ def _cmd_backtest(args) -> None:
                          bootstrap=boot, saws=_saws_override(args, target),
                          fixed_k=fixed_k, seed=args.seed,
                          error_control=args.error_control)
+    series = load_price_csv(args.input, price_col=args.price_col,
+                            loss_col=args.loss_col, date_col=args.date_col)
     records = run_backtest(series, cfg)
     emit_results(records, args.out, fmt=args.format, target=target)
 
@@ -189,6 +196,7 @@ def _cmd_experiment(args) -> None:
     target = _target(args.target, args.alpha)
     scenario = _check_scenario(args.scenario)
     methods = [m for m in args.methods.split(",") if m.strip()]
+    _check_bootstrap_mode(args, methods)
     report = run_experiment(
         scenario, methods, target,
         n=args.n, T=args.horizon, t0=args.t0, seed=args.seed,

@@ -90,6 +90,8 @@ class BacktestConfig:
                               f"got {self.error_control!r}")
         if self.error_control == "fwer" and self.method != "baws":
             raise ConfigError("error_control 'fwer' requires method 'baws'")
+        if self.saws is not None and self.method != "saws":
+            raise ConfigError(f"a saws policy requires method 'saws', got {self.method!r}")
         if self.method == "baws" and self.bootstrap is None:
             object.__setattr__(self, "bootstrap", BootstrapConfig())
         if self.method == "saws" and self.saws is None:

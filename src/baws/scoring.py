@@ -21,9 +21,18 @@ package decides anything per target.  A target class supplies
     pointwise(x, theta)     loss at single observations
     score_at(stats, theta)  empirical score on a window's WindowStats
     fit(stats)              exact empirical-score minimizer, a FitResult
+    row_source(stats, window)
+                            what resample rows hold per observation of
+                            ``window``, in its order (block rows), or of
+                            the sorted window if it is None (iid rows):
+                            int32 ranks into stats.values_sorted for the
+                            tail targets (None for the sorted window, as
+                            the iid draws are its ranks); for Mean, values
+                            minus stats.center
     row_fits(stats, rows)   (b, dim) fits of a (b, L) block of resample
-                            rows, which it may overwrite; Mean's are
-                            relative to stats.center
+                            rows of row_source entries, which it may
+                            overwrite: tail targets receive ranks; Mean's
+                            fits are relative to stats.center
     fit_gaps(stats, fits, fit)
                             raw bootstrap score gaps of all B row fits
                             against the window fit
@@ -283,9 +292,11 @@ class Mean(ForecastTarget):
         return FitResult(np.array([stats.mean]), float(mean_score_at(stats, stats.mean)),
                          stats.n)
 
-    def row_fits(self, stats: WindowStats, rows: np.ndarray) -> np.ndarray:
+    def row_source(self, stats: WindowStats, window):
         # centered means keep constant windows at exactly zero gap
-        np.subtract(rows, stats.center, out=rows)
+        return (stats.values_sorted if window is None else window) - stats.center
+
+    def row_fits(self, stats: WindowStats, rows: np.ndarray) -> np.ndarray:
         return (np.add.reduce(rows, axis=1) / rows.shape[1])[:, None]
 
     def fit_gaps(self, stats: WindowStats, fits: np.ndarray, fit: FitResult) -> np.ndarray:
@@ -320,6 +331,23 @@ class _TailTarget(ForecastTarget):
         position j - 1 of a sorted window or of a row partitioned at j - 1."""
         return order_index(self.alpha, n)
 
+    def row_source(self, stats: WindowStats, window):
+        if window is None:
+            return None
+        # a stable sort ranks tied observations by position, so the ranks,
+        # and every fit read from them, are one function of the window
+        ranks = np.empty(stats.n, dtype=np.int32)
+        ranks[np.argsort(window, kind="stable")] = np.arange(stats.n, dtype=np.int32)
+        return ranks
+
+    def row_quantile(self, stats: WindowStats, rows: np.ndarray) -> tuple[int, np.ndarray]:
+        """Partition rank rows at j - 1 and read each row's fitted VaR:
+        values_sorted is nondecreasing, so the row's j-th smallest rank
+        indexes its j-th smallest value."""
+        j = self.quantile_index(rows.shape[1])
+        rows.partition(j - 1, axis=1)
+        return j, stats.values_sorted[rows[:, j - 1]]
+
     def truth(self, path):
         return self._path_truth(path, "true_var")
 
@@ -346,9 +374,7 @@ class VaR(_TailTarget):
         return FitResult(np.array([v]), float(pinball_score_at(stats, v, self.alpha)), stats.n)
 
     def row_fits(self, stats: WindowStats, rows: np.ndarray) -> np.ndarray:
-        j = self.quantile_index(rows.shape[1])
-        rows.partition(j - 1, axis=1)
-        return rows[:, j - 1:j]
+        return self.row_quantile(stats, rows)[1][:, None]
 
     def iid_gaps(self, stats: WindowStats, replications: int, rng):
         # The fitted VaR of an iid resample is its j-th order statistic,
@@ -399,11 +425,12 @@ class VaRES(_TailTarget):
         return FitResult(theta, score, stats.n)
 
     def row_fits(self, stats: WindowStats, rows: np.ndarray) -> np.ndarray:
-        j = self.quantile_index(rows.shape[1])
-        rows.partition(j - 1, axis=1)
-        v = rows[:, j - 1]
-        # e(v) of each row: after the partition its values >= v sit past j
-        e = v + (rows[:, j:] - v[:, None]).sum(axis=1) / (rows.shape[1] * (1.0 - self.alpha))
+        j, v = self.row_quantile(stats, rows)
+        # e(v) of each row: after the partition its values >= v sit past j,
+        # summed in rank order, not in the CPU-dependent order the partition
+        # leaves them
+        tail = stats.values_sorted[np.sort(rows[:, j:], axis=1)]
+        e = v + (tail - v[:, None]).sum(axis=1) / (rows.shape[1] * (1.0 - self.alpha))
         return np.column_stack((v, e))
 
     def truth(self, path):

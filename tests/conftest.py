@@ -6,8 +6,9 @@ These re-derive expected values from first principles (direct loops,
 exhaustive scans, scalar refinement, textbook formulas) without touching
 the library's fast paths, so implementation and oracle stay independent.
 The one-shot resampler is the exception: it keeps the library's former
-single-matrix algorithm, and reuses its fits, so that the row blocks can be
-checked against it bit for bit.
+single-matrix algorithm on float64 values, where the library's tail rows
+now hold ranks, and reuses its fits, so that the row blocks can be checked
+against it bit for bit.
 """
 
 from __future__ import annotations
@@ -151,7 +152,9 @@ def oneshot_gaps(stats, rows: np.ndarray, fit, target: ForecastTarget) -> np.nda
     v = rows[:, j - 1]
     if isinstance(target, VaR):
         return pinball_score_at(stats, v, target.alpha) - fit.score
-    e = v + (rows[:, j:] - v[:, None]).sum(axis=1) / (rows.shape[1] * (1.0 - target.alpha))
+    # the tail summed in sorted order, the rank order of the library's rows
+    tail = np.sort(rows[:, j:], axis=1)
+    e = v + (tail - v[:, None]).sum(axis=1) / (rows.shape[1] * (1.0 - target.alpha))
     return joint_score_at(stats, v, e, target.alpha) - fit.score
 
 

@@ -1,7 +1,15 @@
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+import baws
 from baws import bootstrap
 from baws.bootstrap import (
     BootstrapConfig,
@@ -254,10 +262,11 @@ def test_vares_resample_gaps_match_row_fits(L, alpha):
     # coarse values force ties, and alpha * L is integral for L in {10, 20, 40}
     rng = np.random.default_rng(L)
     stats = window_stats(np.round(rng.standard_t(4, size=L), 1))
-    rows = stats.values_sorted[rng.integers(0, L, size=(60, L))]
+    ranks = rng.integers(0, L, size=(60, L)).astype(np.int32)
+    rows = stats.values_sorted[ranks]
     target = VaRES(alpha)
     fit = target.fit(stats)
-    gaps = target.fit_gaps(stats, target.row_fits(stats, rows.copy()), fit)
+    gaps = target.fit_gaps(stats, target.row_fits(stats, ranks), fit)
     row_fits = [fit_target(row, target) for row in rows]
     expected = [joint_score_at(stats, *f.theta, alpha) - fit.score for f in row_fits]
     np.testing.assert_allclose(gaps, expected, rtol=0, atol=1e-12)
@@ -274,14 +283,18 @@ def test_row_blocks_match_oneshot_oracle(mode, target, n, B):
     cfg = BootstrapConfig(replications=B, mode=mode)
     if B > 1 and n >= 999:
         l, m = block_length(n, cfg.block_c) if mode == "block" else (1, n)
-        rows_per_block = bootstrap._BLOCK_VALUES // (m * l)
+        # Mean rows hold float64 values, the tail targets' int32 ranks
+        itemsize = 8 if isinstance(target, Mean) else 4
+        rows_per_block = bootstrap._BLOCK_BYTES // (m * l * itemsize)
         # several blocks, the last one short
         assert B > rows_per_block and B % rows_per_block
     w = np.random.default_rng(n).standard_t(4, size=n)
-    gaps, fit = bootstrap_gaps(w, target, cfg, time_index=7, seed=3)
-    want, want_fit = oneshot_bootstrap_gaps(w, target, cfg, time_index=7, seed=3)
-    assert np.array_equal(gaps, want)
-    assert np.array_equal(fit.theta, want_fit.theta) and fit.score == want_fit.score
+    # block rows rank tied values by window position; rounding forces ties
+    for window in (w, np.round(w, 1)) if mode == "block" else (w,):
+        gaps, fit = bootstrap_gaps(window, target, cfg, time_index=7, seed=3)
+        want, want_fit = oneshot_bootstrap_gaps(window, target, cfg, time_index=7, seed=3)
+        assert np.array_equal(gaps, want)
+        assert np.array_equal(fit.theta, want_fit.theta) and fit.score == want_fit.score
 
 
 def test_null_exceedance_rate_small_reference():
@@ -302,3 +315,48 @@ def test_null_exceedance_rate_small_reference():
     rate = exceed / trials
     assert 0.5 * (1 - beta) <= rate <= 2.0 * (1 - beta)
 
+
+def dispatch_features() -> list[str]:
+    """The non-baseline CPU features numpy dispatches to in this process."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    features = getattr(umath, "__cpu_features__", {})
+    return [f for f in getattr(umath, "__cpu_dispatch__", ()) if features.get(f)]
+
+
+def gap_digests() -> dict[str, str]:
+    """sha256 of the gaps and window fit of bootstrap_gaps, per target,
+    mode and window length."""
+    digests = {}
+    for target in (Mean(), VaR(0.95), VaRES(0.95)):
+        for mode in ("iid", "block"):
+            for n in (57, 400, 1199):
+                w = np.random.default_rng(n).standard_t(4, size=n)
+                gaps, fit = bootstrap_gaps(w, target, BootstrapConfig(mode=mode),
+                                           time_index=3, seed=5)
+                digests[f"{target.name}-{mode}-{n}"] = hashlib.sha256(
+                    gaps.tobytes() + fit.theta.tobytes()).hexdigest()
+    return digests
+
+
+def test_gaps_do_not_depend_on_simd_dispatch():
+    features = dispatch_features()
+    if not features:
+        pytest.skip("numpy dispatches to no non-baseline CPU feature here")
+    env = {k: v for k, v in os.environ.items() if k != "NPY_ENABLE_CPU_FEATURES"}
+    env["NPY_DISABLE_CPU_FEATURES"] = " ".join(
+        [*env.get("NPY_DISABLE_CPU_FEATURES", "").split(), *features])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(baws.__file__).parents[1]), str(Path(__file__).parent),
+         *filter(None, [env.get("PYTHONPATH")])])
+    code = ("import json, test_bootstrap as t; "
+            "print(json.dumps([t.dispatch_features(), t.gap_digests()]))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    reduced_features, reduced = json.loads(proc.stdout.splitlines()[-1])
+    assert not set(reduced_features) & set(features)
+    here = gap_digests()
+    assert [k for k in here if here[k] != reduced[k]] == []

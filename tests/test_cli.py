@@ -179,6 +179,35 @@ def test_experiment_rejects_saws_options(tmp_path):
     assert run(base) == 0
 
 
+def test_options_the_method_ignores_exit_1(tmp_path, capsys):
+    sim = tmp_path / "sim.csv"
+    run(["simulate", "--scenario", "GARCH", "--T", "80", "--seed", "3", "--out", sim])
+    out = tmp_path / "o.csv"
+    base = ["backtest", "--input", sim, "--loss-col", "loss", "--t0", "50", "--k0", "10",
+            "--B", "20", "--out", out]
+    for method, flag, value in (("baws", "--saws-c-tau", "1e-5"),
+                                ("fixed:50", "--saws-family", "lipschitz"),
+                                ("full", "--saws-alpha-tau", "0.2"),
+                                ("full", "--bootstrap-mode", "iid"),
+                                ("saws", "--bootstrap-mode", "block")):
+        assert run(base + ["--method", method, flag, value]) == 1, (method, flag)
+    assert "saws policy requires method 'saws'" in capsys.readouterr().err
+    # a config file value counts as given
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"bootstrap_mode": "iid"}))
+    assert run(base + ["--method", "fixed:20", "--config", cfgfile]) == 1
+    # config errors come before the input is read
+    missing = base + ["--input", tmp_path / "none.csv"]
+    assert run(missing + ["--method", "full", "--bootstrap-mode", "iid"]) == 1
+    experiment = ["experiment", "--scenario", "A1", "--n", "1", "--T", "60", "--t0", "41",
+                  "--k0", "10", "--B", "20", "--bootstrap-mode", "block", "--out", out]
+    assert run(experiment + ["--methods", "saws,fixed:20,full"]) == 1
+    assert "--bootstrap-mode applies to method 'baws' only" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(experiment + ["--methods", "baws,full"]) == 0
+    assert run(base + ["--method", "baws", "--bootstrap-mode", "iid"]) == 0
+
+
 def test_unknown_scenario_message(tmp_path, capsys):
     assert run(["simulate", "--scenario", "QQ", "--out", tmp_path / "o.csv"]) == 1
     assert "error" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from scipy.stats import spearmanr
 
 import baws
 from baws import pipeline
+from baws.baselines import SAWSConfig
 from baws.bootstrap import BootstrapConfig
 from baws.pipeline import (
     BacktestConfig,
@@ -258,6 +259,14 @@ def test_experiment_fwer_applies_to_baws_only():
     assert fwer.value("saws", "MSE") == pcer.value("saws", "MSE")
     with pytest.raises(ConfigError, match="error_control"):
         run_experiment("A1", ["baws"], VaR(0.9), error_control="bogus", **kwargs)
+
+
+def test_saws_policy_requires_saws_method():
+    policy = SAWSConfig(**VaR(0.95).saws_defaults)
+    for method, fixed_k in (("baws", None), ("fixed", 5), ("full", None)):
+        with pytest.raises(ConfigError, match="saws policy"):
+            BacktestConfig(method=method, target=VaR(0.95), fixed_k=fixed_k, saws=policy)
+    assert BacktestConfig(method="saws", target=VaR(0.95), saws=policy).saws is policy
 
 
 def test_default_saws_config_per_target():
