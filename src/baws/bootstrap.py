@@ -145,12 +145,6 @@ def _scratch(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
     return buf[:size].view(dtype).reshape(shape)
 
 
-def builds_resamples(target: ForecastTarget, cfg: BootstrapConfig) -> bool:
-    """Whether calibrating ``target`` under ``cfg`` fills resample rows,
-    rather than taking the target's iid shortcut, which draws none."""
-    return cfg.mode == "block" or target.iid_gaps is None
-
-
 def _row_fits(window, stats: WindowStats, target: ForecastTarget,
               cfg: BootstrapConfig, rng: np.random.Generator) -> np.ndarray:
     """(B, dim) fits of B resample rows, filled and reduced block by block.
@@ -213,7 +207,7 @@ def bootstrap_gaps(window, target: ForecastTarget, cfg: BootstrapConfig, *,
     if stats is None:
         stats = window_stats(window)
     rng = np.random.default_rng(np.random.SeedSequence((seed, time_index, stats.n)))
-    if builds_resamples(target, cfg):
+    if cfg.mode == "block" or target.iid_gaps is None:  # no shortcut: fill rows
         fit = fit_from_stats(stats, target)
         raw = target.fit_gaps(stats, _row_fits(window, stats, target, cfg, rng), fit)
     else:

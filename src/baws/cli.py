@@ -64,11 +64,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_method_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target", default="var", help=" | ".join(TARGETS))
     p.add_argument("--alpha", type=float, default=0.95, help="tail level")
-    p.add_argument("--beta", type=float, default=BootstrapConfig.beta, help="threshold level")
-    p.add_argument("--B", dest="boot_b", type=int, default=BootstrapConfig.replications,
-                   help="bootstrap replications")
+    # the bootstrap options default to None, so that one given to a run that
+    # cannot use it is rejected; BootstrapConfig holds their defaults
+    p.add_argument("--beta", type=float, default=None,
+                   help=f"threshold level, baws only (default {BootstrapConfig.beta})")
+    p.add_argument("--B", dest="boot_b", type=int, default=None,
+                   help=f"bootstrap replications, baws only "
+                        f"(default {BootstrapConfig.replications})")
     p.add_argument("--bootstrap-mode", default=None, choices=("iid", "block"))
-    p.add_argument("--block-c", type=float, default=BootstrapConfig.block_c)
+    p.add_argument("--block-c", type=float, default=None,
+                   help=f"block length constant, block mode only "
+                        f"(default {BootstrapConfig.block_c})")
     p.add_argument("--k0", type=int, default=CandidateGridConfig.k_min,
                    help="minimum candidate window")
     p.add_argument("--max-window", type=int, default=None)
@@ -157,10 +163,19 @@ def _saws_override(args, target) -> SAWSConfig | None:
     return SAWSConfig(**{**target.saws_defaults, **given}) if given else None
 
 
-def _check_bootstrap_mode(args, methods) -> None:
-    """Only BAWS resamples, so an explicit mode must reach a BAWS method."""
-    if args.bootstrap_mode is not None and all(parse_method(m)[0] != "baws" for m in methods):
-        raise ConfigError("--bootstrap-mode applies to method 'baws' only")
+def _bootstrap_options(args, methods, mode: str | None) -> dict:
+    """The bootstrap options given, as ``BootstrapConfig`` fields.  Only BAWS
+    resamples, so each must reach a BAWS method, and ``--block-c`` a run in
+    block mode (``mode`` None: not known here)."""
+    flags = {"--bootstrap-mode": args.bootstrap_mode, "--beta": args.beta,
+             "--B": args.boot_b, "--block-c": args.block_c}
+    given = [flag for flag, value in flags.items() if value is not None]
+    if given and all(parse_method(m)[0] != "baws" for m in methods):
+        raise ConfigError(f"{given[0]} applies to method 'baws' only")
+    if args.block_c is not None and mode == "iid":
+        raise ConfigError("--block-c applies to --bootstrap-mode block only")
+    fields = {"beta": args.beta, "replications": args.boot_b, "block_c": args.block_c}
+    return {key: value for key, value in fields.items() if value is not None}
 
 
 def _check_scenario(name: str) -> str:
@@ -178,10 +193,9 @@ def _cmd_simulate(args) -> None:
 def _cmd_backtest(args) -> None:
     target = _target(args.target, args.alpha)
     kind, fixed_k = parse_method(args.method)
-    _check_bootstrap_mode(args, [args.method])
     mode = args.bootstrap_mode or "block"  # real data is serially dependent
-    boot = BootstrapConfig(beta=args.beta, replications=args.boot_b, mode=mode,
-                           block_c=args.block_c)
+    given = _bootstrap_options(args, [args.method], mode)
+    boot = BootstrapConfig(mode=mode, **given) if kind == "baws" else None
     cfg = BacktestConfig(method=kind, target=target, t0=args.t0, grid=_grid(args),
                          bootstrap=boot, saws=_saws_override(args, target),
                          fixed_k=fixed_k, seed=args.seed,
@@ -196,12 +210,11 @@ def _cmd_experiment(args) -> None:
     target = _target(args.target, args.alpha)
     scenario = _check_scenario(args.scenario)
     methods = [m for m in args.methods.split(",") if m.strip()]
-    _check_bootstrap_mode(args, methods)
+    given = _bootstrap_options(args, methods, args.bootstrap_mode)
     report = run_experiment(
         scenario, methods, target,
-        n=args.n, T=args.horizon, t0=args.t0, seed=args.seed,
-        beta=args.beta, replications=args.boot_b, mode=args.bootstrap_mode,
-        block_c=args.block_c, grid=_grid(args), error_control=args.error_control,
+        n=args.n, T=args.horizon, t0=args.t0, seed=args.seed, mode=args.bootstrap_mode,
+        grid=_grid(args), error_control=args.error_control, **given,
     )
     emit_results(report, args.out)
 

@@ -36,7 +36,7 @@ from .metrics import (  # cumulative_risk_* are called through this module
 )
 from .scenarios import ScenarioPath, generate
 from .scoring import ForecastTarget, pointwise_score
-from .selection import ERROR_CONTROLS, CandidateGridConfig, _calibrate_serially, select_window
+from .selection import ERROR_CONTROLS, CandidateGridConfig, select_window
 
 WORKERS_ENV = "BAWS_WORKERS"
 
@@ -92,6 +92,8 @@ class BacktestConfig:
             raise ConfigError("error_control 'fwer' requires method 'baws'")
         if self.saws is not None and self.method != "saws":
             raise ConfigError(f"a saws policy requires method 'saws', got {self.method!r}")
+        if self.bootstrap is not None and self.method != "baws":
+            raise ConfigError(f"a bootstrap policy requires method 'baws', got {self.method!r}")
         if self.method == "baws" and self.bootstrap is None:
             object.__setattr__(self, "bootstrap", BootstrapConfig())
         if self.method == "saws" and self.saws is None:
@@ -263,10 +265,7 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
     methods.  Each method is named once (``full`` and ``FULL`` are one), and
     labels its rows by its stripped spec.  Replications run in parallel
     across ``workers`` processes (default: the BAWS_WORKERS variable, else
-    the CPU count); those workers calibrate each step's reference windows
-    serially, since the processes already occupy the CPUs.  With one
-    worker, replications run in this process, and its calibrations use
-    every CPU as ``select_window`` does.
+    the CPU count); with one worker they run in this process.
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
@@ -294,8 +293,7 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
     spec = _ExperimentSpec(scenario, T, seed, target, tuple(configs))
     workers = _experiment_workers() if workers is None else workers
     if workers > 1 and n > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, n),
-                                 initializer=_calibrate_serially) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
             results = list(pool.map(partial(_replication, spec), range(n)))
     else:
         results = [_replication(spec, rep) for rep in range(n)]

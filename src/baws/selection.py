@@ -12,24 +12,25 @@ from the data), or any object exposing ``threshold_for(window_length)``,
 such as the deterministic SAWS families of ``baselines``.  With the
 default error control each comparison runs at level 1 - beta; the "fwer"
 mode tightens pairwise levels by a Bonferroni split across the comparisons
-of each candidate, re-quantiling the cached bootstrap gap samples.
+of each candidate, re-quantiling the sorted bootstrap gap sample.
 
-The bootstrap calibrations, one per reference window, are independent:
-each draws from its own (seed, t, i) stream.  When they fill resample rows
-they run concurrently on a thread pool sized to the CPUs this process may
-use, largest window first; results are collected by window, so a trace is
-bit-identical to a serial run whatever order the calibrations finish in.
-The pool is created on first use, once per process (a forked child makes
-its own).  The iid VaR shortcut, whose work per reference is a fraction
-of a millisecond of Python, stays on the calling thread, as does all work
-in a process with one usable CPU.
+Every pair is scored, so the minimizer guard on the gaps covers every fit.
+Thresholds are the costly part (a bootstrap calibration of reference i
+costs B * i), and only references below the selected window can decide
+it: reference i compares i with larger candidates only.  So the
+references are scanned in ascending order, each calibrated and its
+rejections marked in turn, and the scan stops at the first reference that
+is not below the largest candidate still admissible.  That candidate is
+the selection: no remaining reference can reject it, and every reference
+below it has been calibrated, so the admissible set and the selection are
+those of a scan over every reference.  A step right after a structural
+change, where short references reject the long candidates, calibrates
+only the short references.  Each calibration draws from its own
+(seed, t, i) stream, so the scan's order and its stop change no threshold.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -39,7 +40,6 @@ from scipy.special import ndtr
 from .bootstrap import (
     BootstrapConfig,
     bootstrap_gaps,
-    builds_resamples,
     empirical_quantile,
     guarded_gaps,
     order_index,
@@ -48,38 +48,6 @@ from .errors import ConfigError
 from .scoring import FitResult, ForecastTarget, fit_from_stats, score_at, window_stats
 
 ERROR_CONTROLS = ("pcer", "fwer")
-
-# (pid, pool) of the calibration pool; the pid tells a forked child that
-# the pool, whose threads did not survive the fork, is its parent's
-_pool: tuple[int, ThreadPoolExecutor | None] | None = None
-_pool_lock = threading.Lock()
-if hasattr(os, "register_at_fork"):
-    # no fork copies the lock while another thread holds it
-    os.register_at_fork(before=_pool_lock.acquire, after_in_parent=_pool_lock.release,
-                        after_in_child=_pool_lock.release)
-
-
-def _calibration_pool() -> ThreadPoolExecutor | None:
-    """This process's calibration thread pool, created on first use; None
-    when only one CPU is usable."""
-    global _pool
-    pid = os.getpid()
-    with _pool_lock:
-        if _pool is None or _pool[0] != pid:
-            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count() or 1)
-            pool = (ThreadPoolExecutor(max_workers=cpus, thread_name_prefix="baws-calibration")
-                    if cpus > 1 else None)
-            _pool = (pid, pool)
-        return _pool[1]
-
-
-def _calibrate_serially() -> None:
-    """Run this process's calibrations on the calling thread.  Process-pool
-    workers start with it: their siblings already occupy the CPUs."""
-    global _pool
-    with _pool_lock:
-        _pool = (os.getpid(), None)
 
 
 @dataclass(frozen=True)
@@ -121,7 +89,14 @@ class PairDecision(NamedTuple):
 
 @dataclass(frozen=True)
 class SelectionTrace:
-    """Full record of one selection step (pairs stored as parallel arrays)."""
+    """Record of one selection step.
+
+    Every candidate appears with its admissibility.  The pairs, stored as
+    parallel arrays ordered by candidate and then reference, are all pairs
+    (i, k) with i a scanned reference: every candidate below the point
+    where the scan stopped (see the module docstring).  References above
+    it were not calibrated, and their pairs are not recorded.
+    """
 
     time_index: int
     candidates: np.ndarray
@@ -214,30 +189,6 @@ def rejection_probability_gaussian(mu1: float, mu2: float, var1: float, var2: fl
     return float(1.0 - ndtr((root - m) / sd) + ndtr((-root - m) / sd))
 
 
-def _calibrations(x: np.ndarray, references: list[int], target: ForecastTarget,
-                  policy: BootstrapConfig, stats: dict, t: int, seed: int,
-                  error_control: str) -> dict:
-    """(fit, calibration) of each reference window length: the threshold
-    (pcer) or the sorted gap sample (fwer).  Each gap sample is reduced as
-    soon as it is drawn, so the samples of a step are never all held."""
-    n = x.size
-
-    def calibrate(i):
-        gaps, fit = bootstrap_gaps(x[n - i:], target, policy, time_index=t, seed=seed,
-                                   stats=stats[i])
-        if error_control == "fwer":
-            return fit, np.sort(gaps)
-        return fit, empirical_quantile(gaps, policy.beta)
-
-    pool = (_calibration_pool() if len(references) > 1 and builds_resamples(target, policy)
-            else None)
-    if pool is None:
-        return {i: calibrate(i) for i in references}
-    # the longest calibrations start first, so none is left to run alone at the end
-    futures = {i: pool.submit(calibrate, i) for i in reversed(references)}
-    return {i: futures[i].result() for i in references}
-
-
 def select_window(history, target: ForecastTarget, policy,
                   grid: CandidateGridConfig = CandidateGridConfig(),
                   prev_k: int | None = None, *,
@@ -248,9 +199,9 @@ def select_window(history, target: ForecastTarget, policy,
     ``policy`` is a ``BootstrapConfig`` or any object with
     ``threshold_for(window_length)``.  ``seed`` and ``time_index`` key the
     bootstrap streams (``time_index`` defaults to len(history) + 1, the
-    forecast time in an online run).  Returns the full decision trace; the
-    smallest candidate has no references and is always admissible, so a
-    selection always exists.
+    forecast time in an online run).  Returns the decision trace of the
+    scanned references; the smallest candidate has no references and is
+    always admissible, so a selection always exists.
     """
     if error_control not in ERROR_CONTROLS:
         raise ValueError(f"error_control must be one of {ERROR_CONTROLS}, "
@@ -269,50 +220,47 @@ def select_window(history, target: ForecastTarget, policy,
         raise TypeError(f"unsupported threshold policy {policy!r}")
 
     stats = {k: window_stats(x[n - k:]) for k in candidates}
-
-    # one threshold calibration per reference window, shared by all pairs;
-    # the bootstrap already fits the reference window, so reuse that fit
-    references = candidates[:-1]
-    if bootstrap_policy:
-        calibrated = _calibrations(x, references, target, policy, stats, t, seed,
-                                   error_control)
-    else:
-        calibrated = {i: (fit_from_stats(stats[i], target), float(policy.threshold_for(i)))
-                      for i in references}
-    fits = {i: fit for i, (fit, _) in calibrated.items()}
-    top = candidates[-1]
-    fits[top] = fit_from_stats(stats[top], target)
-
-    refs, cands, gap_col, tau_col = [], [], [], []
+    fits = {k: fit_from_stats(stats[k], target) for k in candidates}
     theta_rows = np.vstack([fits[k].theta for k in candidates])
-    for pos, i in enumerate(references):
-        larger = candidates[pos + 1:]
-        raw = score_at(stats[i], theta_rows[pos + 1:], target) - fits[i].score
-        gaps_i = guarded_gaps(raw, fits[i].score, "pairwise")
-        refs.extend([i] * len(larger))
-        cands.extend(larger)
-        gap_col.append(gaps_i)
+    # gaps[pos]: the pairs of reference candidates[pos] with every larger candidate
+    gaps = [guarded_gaps(score_at(stats[i], theta_rows[pos + 1:], target) - fits[i].score,
+                         fits[i].score, "pairwise")
+            for pos, i in enumerate(candidates[:-1])]
+
+    def thresholds(pos: int, i: int) -> np.ndarray:
+        """tau of the pairs (i, k), k in candidates[pos + 1:]."""
+        count = len(candidates) - pos - 1
+        if not bootstrap_policy:
+            return np.full(count, float(policy.threshold_for(i)))
+        sample, _ = bootstrap_gaps(x[n - i:], target, policy, time_index=t, seed=seed,
+                                   stats=stats[i])
         if error_control == "pcer":
-            tau_col.append(np.full(len(larger), calibrated[i][1]))
-        else:
-            # candidate k at position s has s references below it
-            g = calibrated[i][1]
-            tau_col.append(np.array([
-                float(g[order_index(bonferroni_level(policy.beta, s), g.size) - 1])
-                for s in range(pos + 1, len(candidates))]))
+            return np.full(count, empirical_quantile(sample, policy.beta))
+        # candidate k at position s has s references below it
+        g = np.sort(sample)
+        return np.array([float(g[order_index(bonferroni_level(policy.beta, s), g.size) - 1])
+                         for s in range(pos + 1, len(candidates))])
+
+    cand_arr = np.asarray(candidates, dtype=np.int64)
+    admissible = np.ones(cand_arr.size, dtype=bool)
+    k_hat = candidates[-1]
+    refs, cands, gap_col, tau_col = [], [], [], []
+    for pos, i in enumerate(candidates):
+        if i >= k_hat:  # later references test only candidates above k_hat: all rejected
+            break
+        tau_i = thresholds(pos, i)
+        admissible[pos + 1:] &= ~(gaps[pos] > tau_i)
+        k_hat = int(cand_arr[np.flatnonzero(admissible)[-1]])
+        refs.extend([i] * tau_i.size)
+        cands.extend(candidates[pos + 1:])
+        gap_col.append(gaps[pos])
+        tau_col.append(tau_i)
 
     pair_reference = np.asarray(refs, dtype=np.int64)
     pair_candidate = np.asarray(cands, dtype=np.int64)
     pair_gap = np.concatenate(gap_col) if gap_col else np.empty(0)
     pair_threshold = np.concatenate(tau_col) if tau_col else np.empty(0)
     pair_reject = pair_gap > pair_threshold
-
-    cand_arr = np.asarray(candidates, dtype=np.int64)
-    admissible = np.ones(cand_arr.size, dtype=bool)
-    if pair_reject.any():
-        rejected = np.unique(pair_candidate[pair_reject])
-        admissible[np.isin(cand_arr, rejected)] = False
-    k_hat = int(cand_arr[admissible][-1])
 
     # pairs ordered by ascending candidate, then reference
     order = np.lexsort((pair_reference, pair_candidate))

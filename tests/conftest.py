@@ -1,6 +1,6 @@
 """Shared independent oracles: brute-force minimizers, closed forms,
-one-draw-at-a-time and one-shot resamplers, a direct window score and a
-CSV reader.
+one-draw-at-a-time and one-shot resamplers, an exhaustive window
+selection, a direct window score and a CSV reader.
 
 These re-derive expected values from first principles (direct loops,
 exhaustive scans, scalar refinement, textbook formulas) without touching
@@ -8,7 +8,10 @@ the library's fast paths, so implementation and oracle stay independent.
 The one-shot resampler is the exception: it keeps the library's former
 single-matrix algorithm on float64 values, where the library's tail rows
 now hold ranks, and reuses its fits, so that the row blocks can be checked
-against it bit for bit.
+against it bit for bit.  So is the exhaustive selection: it calibrates
+every reference with the library's ``bootstrap_gaps`` and reads the
+selection off all pairs at once, so that the scan that stops early can be
+checked against it bit for bit.
 """
 
 from __future__ import annotations
@@ -21,11 +24,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from baws.bootstrap import BootstrapConfig, block_length, guarded_gaps
+from baws.bootstrap import (BootstrapConfig, block_length, bootstrap_gaps, empirical_quantile,
+                            guarded_gaps)
 from baws.errors import DataError
 from baws.pipeline import ForecastRecord
-from baws.scoring import (TARGETS, ForecastTarget, Mean, VaR, joint_score_at, order_index,
-                          pinball_score_at, pointwise_score, window_stats)
+from baws.scoring import (TARGETS, ForecastTarget, Mean, VaR, fit_from_stats, joint_score_at,
+                          order_index, pinball_score_at, pointwise_score, score_at,
+                          window_stats)
+from baws.selection import (CandidateGridConfig, SelectionTrace, bonferroni_level,
+                            candidate_windows)
 
 
 def direct_pinball(window, v, alpha):
@@ -171,6 +178,67 @@ def oneshot_bootstrap_gaps(window, target: ForecastTarget, cfg: BootstrapConfig,
         fit = target.fit(stats)
         raw = oneshot_gaps(stats, oneshot_resample_rows(window, stats, cfg, rng), fit, target)
     return guarded_gaps(raw, fit.score, "bootstrap"), fit
+
+
+# exhaustive oracle for the scan of baws.selection, which stops at the
+# selected window: every reference calibrated, every pair recorded
+
+def exhaustive_select_window(history, target: ForecastTarget, policy,
+                             grid: CandidateGridConfig = CandidateGridConfig(),
+                             prev_k=None, *, time_index=None, seed: int = 0,
+                             error_control: str = "pcer") -> SelectionTrace:
+    """``select_window`` with a threshold for every reference window and
+    every pair (i, k), i < k, scored and tested; a candidate is admissible
+    when none of its pairs rejects.  Reference fits come from their
+    calibrations."""
+    x = np.asarray(history, dtype=float)
+    n = x.size
+    t = time_index if time_index is not None else n + 1
+    candidates = candidate_windows(n, prev_k, grid)
+    stats = {k: window_stats(x[n - k:]) for k in candidates}
+    references = candidates[:-1]
+    calibrated = {}
+    for i in references:
+        if isinstance(policy, BootstrapConfig):
+            gaps, fit = bootstrap_gaps(x[n - i:], target, policy, time_index=t, seed=seed,
+                                       stats=stats[i])
+            calibrated[i] = (fit, np.sort(gaps) if error_control == "fwer"
+                             else empirical_quantile(gaps, policy.beta))
+        else:
+            calibrated[i] = (fit_from_stats(stats[i], target), float(policy.threshold_for(i)))
+    fits = {i: fit for i, (fit, _) in calibrated.items()}
+    fits[candidates[-1]] = fit_from_stats(stats[candidates[-1]], target)
+
+    refs, cands, gap_col, tau_col = [], [], [], []
+    theta_rows = np.vstack([fits[k].theta for k in candidates])
+    for pos, i in enumerate(references):
+        larger = candidates[pos + 1:]
+        raw = score_at(stats[i], theta_rows[pos + 1:], target) - fits[i].score
+        refs.extend([i] * len(larger))
+        cands.extend(larger)
+        gap_col.append(guarded_gaps(raw, fits[i].score, "pairwise"))
+        if error_control == "pcer":
+            tau_col.append(np.full(len(larger), calibrated[i][1]))
+        else:
+            g = calibrated[i][1]
+            tau_col.append(np.array([
+                float(g[order_index(bonferroni_level(policy.beta, s), g.size) - 1])
+                for s in range(pos + 1, len(candidates))]))
+
+    pair_reference = np.asarray(refs, dtype=np.int64)
+    pair_candidate = np.asarray(cands, dtype=np.int64)
+    pair_gap = np.concatenate(gap_col) if gap_col else np.empty(0)
+    pair_threshold = np.concatenate(tau_col) if tau_col else np.empty(0)
+    pair_reject = pair_gap > pair_threshold
+    cand_arr = np.asarray(candidates, dtype=np.int64)
+    admissible = ~np.isin(cand_arr, pair_candidate[pair_reject])
+    k_hat = int(cand_arr[admissible][-1])
+    order = np.lexsort((pair_reference, pair_candidate))
+    return SelectionTrace(
+        time_index=t, candidates=cand_arr, pair_reference=pair_reference[order],
+        pair_candidate=pair_candidate[order], pair_gap=pair_gap[order],
+        pair_threshold=pair_threshold[order], pair_reject=pair_reject[order],
+        admissible=admissible, k_hat=k_hat, fit=fits[k_hat])
 
 
 # score oracle for score_at on WindowStats

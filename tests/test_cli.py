@@ -127,8 +127,7 @@ def test_invalid_configs_exit_1_before_running(tmp_path, capsys):
     sim = tmp_path / "sim.csv"
     run(["simulate", "--scenario", "GARCH", "--T", "80", "--seed", "3", "--out", sim])
     out = tmp_path / "o.csv"
-    base = ["backtest", "--input", sim, "--loss-col", "loss", "--t0", "50",
-            "--B", "20", "--out", out]
+    base = ["backtest", "--input", sim, "--loss-col", "loss", "--t0", "50", "--out", out]
     assert run(base + ["--method", "saws", "--error-control", "fwer"]) == 1
     assert "fwer" in capsys.readouterr().err
     assert run(base + ["--block-c", "10", "--k0", "20"]) == 1
@@ -142,7 +141,8 @@ def test_invalid_configs_exit_1_before_running(tmp_path, capsys):
         assert run(["simulate", "--scenario", scenario, "--alpha", "2", "--out", out]) == 1
     experiment = ["experiment", "--scenario", "A1", "--methods", "full", "--n", "1",
                   "--T", "60", "--t0", "41", "--k0", "10", "--out", out]
-    assert run(experiment + ["--B", "0"]) == 1
+    assert run(experiment + ["--methods", "baws", "--B", "0"]) == 1
+    assert "replications must be >= 1" in capsys.readouterr().err
     # a method list must be nonempty and name each method once
     for methods in (",", "full,full", "full, FULL", "fixed:30,fixed30"):
         assert run(experiment + ["--methods", methods]) == 1, methods
@@ -184,7 +184,7 @@ def test_options_the_method_ignores_exit_1(tmp_path, capsys):
     run(["simulate", "--scenario", "GARCH", "--T", "80", "--seed", "3", "--out", sim])
     out = tmp_path / "o.csv"
     base = ["backtest", "--input", sim, "--loss-col", "loss", "--t0", "50", "--k0", "10",
-            "--B", "20", "--out", out]
+            "--out", out]
     for method, flag, value in (("baws", "--saws-c-tau", "1e-5"),
                                 ("fixed:50", "--saws-family", "lipschitz"),
                                 ("full", "--saws-alpha-tau", "0.2"),
@@ -192,6 +192,19 @@ def test_options_the_method_ignores_exit_1(tmp_path, capsys):
                                 ("saws", "--bootstrap-mode", "block")):
         assert run(base + ["--method", method, flag, value]) == 1, (method, flag)
     assert "saws policy requires method 'saws'" in capsys.readouterr().err
+    # the bootstrap options reach baws only, and --block-c block mode only
+    for method, options in (("full", ["--beta", "0.5", "--B", "7"]),
+                            ("full", ["--B", "7"]),
+                            ("fixed:50", ["--beta", "0.5"]),
+                            ("saws", ["--block-c", "2"]),
+                            ("baws", ["--bootstrap-mode", "iid", "--block-c", "3"])):
+        assert run(base + ["--method", method, *options]) == 1, (method, options)
+    err = capsys.readouterr().err
+    assert "--beta applies to method 'baws' only" in err
+    assert "--block-c applies to --bootstrap-mode block only" in err
+    for options in (["--method", "full"], ["--method", "baws", "--B", "20", "--block-c", "2"]):
+        assert run(base + options) == 0, options
+        out.unlink()
     # a config file value counts as given
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"bootstrap_mode": "iid"}))
@@ -203,9 +216,11 @@ def test_options_the_method_ignores_exit_1(tmp_path, capsys):
                   "--k0", "10", "--B", "20", "--bootstrap-mode", "block", "--out", out]
     assert run(experiment + ["--methods", "saws,fixed:20,full"]) == 1
     assert "--bootstrap-mode applies to method 'baws' only" in capsys.readouterr().err
+    assert run(experiment + ["--methods", "baws", "--bootstrap-mode", "iid",
+                             "--block-c", "2"]) == 1
     assert not out.exists()
     assert run(experiment + ["--methods", "baws,full"]) == 0
-    assert run(base + ["--method", "baws", "--bootstrap-mode", "iid"]) == 0
+    assert run(base + ["--method", "baws", "--B", "20", "--bootstrap-mode", "iid"]) == 0
 
 
 def test_unknown_scenario_message(tmp_path, capsys):

@@ -16,7 +16,8 @@ import pytest
 
 from baws.cli import main
 
-BACKTEST = ["--t0", "271", "--B", "50", "--seed", "7"]
+BACKTEST = ["--t0", "271", "--seed", "7"]
+BAWS_BACKTEST = [*BACKTEST, "--B", "50"]  # --B is rejected for the other methods
 EXPERIMENT = ["--methods", "baws,saws,fixed:50,full", "--n", "2", "--k0", "20",
               "--B", "50", "--seed", "3"]
 
@@ -24,14 +25,14 @@ CASES = {
     **{
         f"backtest-baws-{target}-{mode}-{fmt}": [
             "backtest", "--method", "baws", "--target", target,
-            "--bootstrap-mode", mode, "--format", fmt, *BACKTEST]
+            "--bootstrap-mode", mode, "--format", fmt, *BAWS_BACKTEST]
         for target in ("mean", "var", "vares")
         for mode in ("iid", "block")
         for fmt in ("wide", "long")
     },
     "backtest-baws-var-fwer": ["backtest", "--method", "baws", "--target", "var",
                                "--bootstrap-mode", "block", "--error-control", "fwer",
-                               "--beta", "0.5", *BACKTEST],
+                               "--beta", "0.5", *BAWS_BACKTEST],
     **{
         f"backtest-saws-{target}": ["backtest", "--method", "saws", "--target", target,
                                     "--saws-c-tau", "1e-5", *BACKTEST]

@@ -244,11 +244,9 @@ def test_block_length_checked_at_construction():
     config(8, 27, max_window=27)
     config(8, 32)
     config(1.0, 20)
-    # the iid bootstrap and the other methods draw no blocks
+    # the iid bootstrap draws no blocks
     BacktestConfig(method="baws", target=VaR(0.95), grid=Grid(k_min=20),
                    bootstrap=BootstrapConfig(mode="iid", block_c=10))
-    BacktestConfig(method="saws", target=VaR(0.95), grid=Grid(k_min=20),
-                   bootstrap=BootstrapConfig(mode="block", block_c=10))
 
 
 def test_experiment_fwer_applies_to_baws_only():
@@ -267,6 +265,15 @@ def test_saws_policy_requires_saws_method():
         with pytest.raises(ConfigError, match="saws policy"):
             BacktestConfig(method=method, target=VaR(0.95), fixed_k=fixed_k, saws=policy)
     assert BacktestConfig(method="saws", target=VaR(0.95), saws=policy).saws is policy
+
+
+def test_bootstrap_policy_requires_baws_method():
+    policy = BootstrapConfig(mode="block", block_c=10)
+    for method, fixed_k in (("saws", None), ("fixed", 5), ("full", None)):
+        with pytest.raises(ConfigError, match="bootstrap policy"):
+            BacktestConfig(method=method, target=VaR(0.95), grid=Grid(k_min=20),
+                           fixed_k=fixed_k, bootstrap=policy)
+    assert BacktestConfig(method="full", target=VaR(0.95)).bootstrap is None
 
 
 def test_default_saws_config_per_target():
@@ -312,37 +319,24 @@ def test_experiment_worker_count_checked_on_entry():
             run_experiment(no_path, ["full"], Mean(), n=2, t0=10, workers=workers)
 
 
-# Run in a fresh interpreter so that a deadlock in a forked child shows as a
-# timeout.  The calibration pool and its threads exist before each fork.
-FORK_SCRIPT = """
-import os
-import numpy as np
-from baws import BootstrapConfig, VaR, run_experiment, selection
-
-x = np.random.default_rng(0).standard_normal(400)
-cfg = BootstrapConfig(replications=50, mode="block")
-trace = selection.select_window(x, VaR(0.95), cfg)
-assert (selection._calibration_pool() is not None) == (len(os.sched_getaffinity(0)) > 1)
-
-pid = os.fork()
-if pid == 0:
-    again = selection.select_window(x, VaR(0.95), cfg)
-    os._exit(0 if np.array_equal(again.pair_threshold, trace.pair_threshold) else 1)
-assert os.waitpid(pid, 0)[1] == 0
+# Run in a fresh interpreter so that a deadlock in a worker process shows as
+# a timeout.
+WORKERS_SCRIPT = """
+from baws import VaR, run_experiment, selection
 
 kwargs = dict(n=2, T=160, t0=121, seed=5, replications=50,
               grid=selection.CandidateGridConfig(k_min=20))
-forked = run_experiment("GARCH", ["baws"], VaR(0.95), workers=2, **kwargs)
+in_workers = run_experiment("GARCH", ["baws"], VaR(0.95), workers=2, **kwargs)
 in_process = run_experiment("GARCH", ["baws"], VaR(0.95), workers=1, **kwargs)
-assert forked.rows == in_process.rows
+assert in_workers.rows == in_process.rows
 print("ok")
 """
 
 
-def test_forked_workers_match_in_process_run_after_threaded_calibration():
+def test_worker_processes_match_in_process_run():
     src = str(Path(baws.__file__).resolve().parents[1])
-    # a session of its own, so that a timeout also ends the forked children
-    proc = subprocess.Popen([sys.executable, "-c", FORK_SCRIPT], stdout=subprocess.PIPE,
+    # a session of its own, so that a timeout also ends the worker processes
+    proc = subprocess.Popen([sys.executable, "-c", WORKERS_SCRIPT], stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True, start_new_session=True,
                             env=dict(os.environ, PYTHONPATH=src))
     try:
@@ -350,7 +344,7 @@ def test_forked_workers_match_in_process_run_after_threaded_calibration():
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
-        pytest.fail("a forked process deadlocked")
+        pytest.fail("a worker process deadlocked")
     assert proc.returncode == 0, err
     assert out.strip() == "ok"
 

@@ -1,4 +1,3 @@
-import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +15,7 @@ from baws.selection import (
     select_window,
 )
 
-from conftest import empirical_score, oneshot_bootstrap_gaps
+from conftest import empirical_score, exhaustive_select_window, oneshot_bootstrap_gaps
 
 
 def fixed(tau):
@@ -152,8 +151,12 @@ def test_trace_consistency_invariants():
     # re-derive each reject decision from gap vs threshold
     assert np.array_equal(trace.pair_reject, trace.pair_gap > trace.pair_threshold)
     assert np.all(trace.pair_gap >= 0.0)
-    # pairs cover exactly all (i, k) with i < k in the candidate set
-    assert len(trace.pair_gap) == len(cands) * (len(cands) - 1) // 2
+    # pairs are all (i, k), i < k, with i a scanned reference: the candidates
+    # below the first one that is not below k_hat
+    scanned = sorted(set(trace.pair_reference.tolist()))
+    assert scanned == cands[:len(scanned)] and cands[len(scanned)] >= trace.k_hat
+    assert sorted(zip(trace.pair_reference.tolist(), trace.pair_candidate.tolist())) == [
+        (i, k) for i in scanned for k in cands if k > i]
 
 
 def test_squared_loss_gap_identity():
@@ -191,7 +194,12 @@ def test_fwer_mode_tightens_thresholds():
     cfg = BootstrapConfig(beta=0.9, replications=400)
     pcer = select_window(x, Mean(), cfg, Grid(k_min=20), seed=13, error_control="pcer")
     fwer = select_window(x, Mean(), cfg, Grid(k_min=20), seed=13, error_control="fwer")
-    assert np.all(fwer.pair_threshold >= pcer.pair_threshold)
+    # on the pairs both traces hold
+    held = {(i, k): tau for i, k, tau in zip(pcer.pair_reference, pcer.pair_candidate,
+                                              pcer.pair_threshold)}
+    common = [(held[i, k], tau) for i, k, tau in zip(fwer.pair_reference, fwer.pair_candidate,
+                                                     fwer.pair_threshold) if (i, k) in held]
+    assert common and all(tau >= pcer_tau for pcer_tau, tau in common)
     assert fwer.k_hat >= pcer.k_hat
     # fwer thresholds must be re-quantiled from the same cached gap sample
     gaps, _ = bootstrap_gaps(x[-20:], Mean(), cfg, time_index=401, seed=13)
@@ -227,14 +235,11 @@ def test_grid_config_validation():
 ])
 def test_concurrent_trace_matches_serial_oneshot_oracle(target, mode, error_control,
                                                         monkeypatch):
-    if len(os.sched_getaffinity(0)) > 1:
-        assert selection._calibration_pool() is not None
     x = np.random.default_rng(17).standard_t(4, size=1300)
     cfg = BootstrapConfig(replications=150, mode=mode)
     kwargs = dict(prev_k=400, time_index=1301, seed=9, error_control=error_control)
     got = select_window(x, target, cfg, **kwargs)
-    # the oracle calibrates one reference after another, from one-shot matrices
-    monkeypatch.setattr(selection, "_calibration_pool", lambda: None)
+    # the oracle calibrates from one-shot resample matrices
     monkeypatch.setattr(selection, "bootstrap_gaps", oneshot_bootstrap_gaps)
     want = select_window(x, target, cfg, **kwargs)
     assert got.candidates.size > 10
@@ -243,3 +248,39 @@ def test_concurrent_trace_matches_serial_oneshot_oracle(target, mode, error_cont
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
     assert got.k_hat == want.k_hat
     assert np.array_equal(got.fit.theta, want.fit.theta)
+
+
+@pytest.mark.parametrize("history", ["break", "stable"])
+@pytest.mark.parametrize("error_control", ["pcer", "fwer"])
+@pytest.mark.parametrize("mode", ["iid", "block"])
+@pytest.mark.parametrize("target", [Mean(), VaR(0.95), VaRES(0.95)], ids=["mean", "var", "vares"])
+def test_scan_matches_exhaustive_oracle(target, mode, error_control, history):
+    x = np.random.default_rng(23).standard_normal(600)
+    if history == "break":
+        x[-60:] = 3.0 + 3.0 * x[-60:]
+    cfg = BootstrapConfig(beta=0.9, replications=100, mode=mode)
+    kwargs = dict(time_index=601, seed=4, error_control=error_control)
+    got = select_window(x, target, cfg, **kwargs)
+    want = exhaustive_select_window(x, target, cfg, **kwargs)
+    assert np.array_equal(got.candidates, want.candidates)
+    assert np.array_equal(got.admissible, want.admissible)
+    assert got.k_hat == want.k_hat
+    assert np.array_equal(got.fit.theta, want.fit.theta)
+    # every recorded pair is the oracle's pair, bit for bit
+    oracle = {(p.reference, p.candidate): p for p in want.pair_records()}
+    for p in got.pair_records():
+        assert p == oracle[p.reference, p.candidate]
+    # the scanned references are the candidates below the stop: the first
+    # reference not below the largest candidate its predecessors leave admissible
+    cands = want.candidates.tolist()
+    admissible = np.ones(len(cands), dtype=bool)
+    stop = 0
+    while cands[stop] < cands[np.flatnonzero(admissible)[-1]]:
+        admissible &= [not (k > cands[stop] and oracle[cands[stop], k].reject)
+                       for k in cands]
+        stop += 1
+    scanned = cands[:stop]
+    assert sorted(zip(got.pair_reference.tolist(), got.pair_candidate.tolist())) == [
+        (i, k) for i in scanned for k in cands if k > i]
+    if history == "break":
+        assert got.k_hat < 300 and 2 * len(scanned) <= len(cands)
