@@ -12,17 +12,16 @@ property of theta_hat.  This module draws the resamples; the target's
 ``row_fits`` reduces them to fits and its ``fit_gaps`` scores those (or
 its ``iid_gaps`` shortcut draws the gaps without resample rows).
 
-What a row holds per drawn observation is the target's ``row_source``:
-for Mean, its value centered on the window's smallest value; for the
-tail targets, its int32 rank in the sorted window.  iid draws are ranks
-already, and block rows are blocks of the ranks of a stable argsort.  A
-tail fit partitions the ranks and reads its order statistic from the
-sorted window; VaR/ES sums its tail in rank order, not in the order the
-partition leaves it, which depends on the SIMD code numpy dispatches to.
-Thresholds are therefore bit-identical across CPUs and dispatch targets.
+Every row holds int32 ranks into the sorted window, whatever the target:
+iid rows are the rank draws themselves, and block rows are blocks of the
+ranks of a stable argsort of the window.  A target's ``row_fits`` reads
+its fits from the sorted window at those ranks.  A tail fit partitions the
+ranks; VaR/ES sums its tail in rank order, not in the order the partition
+leaves it, which depends on the SIMD code numpy dispatches to.  Thresholds
+are therefore bit-identical across CPUs and dispatch targets.
 
-Resamples are filled in blocks of rows, of at most 512 KB each, in a
-scratch buffer that each thread keeps across calls; every block is
+Resamples are filled in blocks of rows, of at most 512 KB each (block
+rows in a scratch buffer that each thread keeps across calls); every block is
 reduced to its row fits before the next is drawn, and the B fits are
 scored once.  Memory per call is therefore bounded whatever B is.  Indices
 are drawn as int32, which gives the same integers from the same stream as
@@ -132,17 +131,26 @@ def empirical_quantile(values, beta: float) -> float:
     return float(np.partition(v, j - 1)[j - 1])
 
 
-def _scratch(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """An array of ``shape`` and ``dtype`` on this thread's byte buffer
-    ``name``, which grows but is never freed: fresh blocks above the
-    allocator's mmap threshold would each fault their pages in anew."""
-    dtype = np.dtype(dtype)
-    size = math.prod(shape) * dtype.itemsize
+def _scratch(name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """An int32 array of ``shape`` on this thread's buffer ``name``, which
+    grows but is never freed: fresh blocks above the allocator's mmap
+    threshold would each fault their pages in anew."""
+    size = math.prod(shape)
     buf = getattr(_buffers, name, None)
     if buf is None or buf.size < size:
-        buf = np.empty(size, dtype=np.uint8)
+        buf = np.empty(size, dtype=np.int32)
         setattr(_buffers, name, buf)
-    return buf[:size].view(dtype).reshape(shape)
+    return buf[:size].reshape(shape)
+
+
+def _ranks(window) -> np.ndarray:
+    """int32 rank of each observation of ``window`` in its sorted order.  A
+    stable sort ranks tied observations by position, so the ranks, and every
+    fit read from them, are one function of the window."""
+    w = np.asarray(window, dtype=float)
+    ranks = np.empty(w.size, dtype=np.int32)
+    ranks[np.argsort(w, kind="stable")] = np.arange(w.size, dtype=np.int32)
+    return ranks
 
 
 def _row_fits(window, stats: WindowStats, target: ForecastTarget,
@@ -150,38 +158,33 @@ def _row_fits(window, stats: WindowStats, target: ForecastTarget,
     """(B, dim) fits of B resample rows, filled and reduced block by block.
 
     A row is i draws of single observations (iid) or m draws of length-l
-    blocks (block), concatenated in draw order: L = i or m * l entries,
-    each the target's ``row_source`` entry of the observation drawn.
+    blocks (block), concatenated in draw order: L = i or m * l ranks.
     """
     n = stats.n
     if cfg.mode == "iid":
-        # iid resampling is exchangeable, so drawing from the sorted window
-        # makes thresholds invariant to permutations of the input; a None
-        # source means the drawn ranks are the rows
-        source, draws, width, choices = target.row_source(stats, None), n, 1, n
+        # iid resampling is exchangeable, so drawing ranks into the sorted
+        # window makes thresholds invariant to permutations of the input
+        draws, width, choices = n, 1, n
     else:
         l, m = block_length(n, cfg.block_c)
         if m < 1:
             raise ValueError(f"block length {l} exceeds window length {n}")
-        per_obs = target.row_source(stats, np.asarray(window, dtype=float))
         # np.take copies a strided source on every call; copy it once here
-        source = _scratch("blocks", (n - l + 1, l), per_obs.dtype)
-        source[...] = sliding_window_view(per_obs, l)
+        blocks = _scratch("blocks", (n - l + 1, l))
+        blocks[...] = sliding_window_view(_ranks(window), l)
         draws, width, choices = m, l, n - l + 1
     B = cfg.replications
     L = draws * width
-    dtype = np.dtype(np.int32) if source is None else source.dtype
-    step = max(1, _BLOCK_BYTES // (L * dtype.itemsize))
+    step = max(1, _BLOCK_BYTES // (4 * L))  # rows of L int32 ranks per block
     fits = np.empty((B, target.dim))
     for r0 in range(0, B, step):
         b = min(step, B - r0)
         rows = idx = rng.integers(0, choices, size=(b, draws), dtype=np.int32)
-        if source is not None:
-            rows = _scratch("rows", (b, L), dtype)
+        if cfg.mode == "block":
+            rows = _scratch("rows", (b, L))
             # indices are in range, so "wrap" changes none; "raise" would
             # gather into a temporary and copy it to ``out``
-            np.take(source, idx, axis=0, out=rows.reshape((b, draws) + source.shape[1:]),
-                    mode="wrap")
+            np.take(blocks, idx, axis=0, out=rows.reshape(b, draws, width), mode="wrap")
         fits[r0:r0 + b] = target.row_fits(stats, rows)
     return fits
 

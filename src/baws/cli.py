@@ -27,6 +27,7 @@ from .pipeline import (
     _fmt,
     _write_csv,
     emit_results,
+    experiment_mode,
     load_price_csv,
     parse_method,
     run_backtest,
@@ -163,10 +164,10 @@ def _saws_override(args, target) -> SAWSConfig | None:
     return SAWSConfig(**{**target.saws_defaults, **given}) if given else None
 
 
-def _bootstrap_options(args, methods, mode: str | None) -> dict:
+def _bootstrap_options(args, methods, mode: str) -> dict:
     """The bootstrap options given, as ``BootstrapConfig`` fields.  Only BAWS
     resamples, so each must reach a BAWS method, and ``--block-c`` a run in
-    block mode (``mode`` None: not known here)."""
+    block mode, ``mode`` being the run's resolved one."""
     flags = {"--bootstrap-mode": args.bootstrap_mode, "--beta": args.beta,
              "--B": args.boot_b, "--block-c": args.block_c}
     given = [flag for flag, value in flags.items() if value is not None]
@@ -210,10 +211,11 @@ def _cmd_experiment(args) -> None:
     target = _target(args.target, args.alpha)
     scenario = _check_scenario(args.scenario)
     methods = [m for m in args.methods.split(",") if m.strip()]
-    given = _bootstrap_options(args, methods, args.bootstrap_mode)
+    mode = experiment_mode(scenario, args.bootstrap_mode)
+    given = _bootstrap_options(args, methods, mode)
     report = run_experiment(
         scenario, methods, target,
-        n=args.n, T=args.horizon, t0=args.t0, seed=args.seed, mode=args.bootstrap_mode,
+        n=args.n, T=args.horizon, t0=args.t0, seed=args.seed, mode=mode,
         grid=_grid(args), error_control=args.error_control, **given,
     )
     emit_results(report, args.out)

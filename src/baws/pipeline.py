@@ -248,6 +248,14 @@ def _replication(spec: _ExperimentSpec, rep: int) -> dict:
     return out
 
 
+def experiment_mode(scenario, mode: str | None = None) -> str:
+    """The bootstrap mode of an experiment: ``mode`` if given, else
+    moving-block for the serially dependent GARCH scenario and iid otherwise."""
+    if mode is not None:
+        return mode
+    return "block" if isinstance(scenario, str) and scenario.upper() == "GARCH" else "iid"
+
+
 def run_experiment(scenario, methods, target: ForecastTarget, *,
                    n: int, T: int = 2000, t0: int = BacktestConfig.t0, seed: int = 0,
                    beta: float = BootstrapConfig.beta,
@@ -260,12 +268,12 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
     ``scenario`` is a scenario name (A1-A3, B1-B3, GARCH) or a callable
     mapping a seed to a ``ScenarioPath``.  Paths are generated, and the
     truth is taken, at the target's own tail level (none for the mean).
-    The bootstrap mode defaults to moving-block for the serially dependent
-    GARCH scenario and iid otherwise.  ``error_control`` applies to the BAWS
-    methods.  Each method is named once (``full`` and ``FULL`` are one), and
-    labels its rows by its stripped spec.  Replications run in parallel
-    across ``workers`` processes (default: the BAWS_WORKERS variable, else
-    the CPU count); with one worker they run in this process.
+    The bootstrap mode defaults to ``experiment_mode(scenario)``.
+    ``error_control`` applies to the BAWS methods.  Each method is named once
+    (``full`` and ``FULL`` are one), and labels its rows by its stripped
+    spec.  Replications run in parallel across ``workers`` processes
+    (default: the BAWS_WORKERS variable, else the CPU count); with one
+    worker they run in this process.
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
@@ -273,8 +281,7 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
         raise ConfigError(f"workers must be >= 1, got {workers}")
     if seed < 0:
         raise ConfigError("seed must be nonnegative")
-    if mode is None:
-        mode = "block" if isinstance(scenario, str) and scenario.upper() == "GARCH" else "iid"
+    mode = experiment_mode(scenario, mode)
     scenario_label = scenario if isinstance(scenario, str) else getattr(
         scenario, "__name__", "custom")
 

@@ -21,18 +21,10 @@ package decides anything per target.  A target class supplies
     pointwise(x, theta)     loss at single observations
     score_at(stats, theta)  empirical score on a window's WindowStats
     fit(stats)              exact empirical-score minimizer, a FitResult
-    row_source(stats, window)
-                            what resample rows hold per observation of
-                            ``window``, in its order (block rows), or of
-                            the sorted window if it is None (iid rows):
-                            int32 ranks into stats.values_sorted for the
-                            tail targets (None for the sorted window, as
-                            the iid draws are its ranks); for Mean, values
-                            minus stats.center
     row_fits(stats, rows)   (b, dim) fits of a (b, L) block of resample
-                            rows of row_source entries, which it may
-                            overwrite: tail targets receive ranks; Mean's
-                            fits are relative to stats.center
+                            rows of int32 ranks into stats.values_sorted,
+                            which it may overwrite; Mean's fits are
+                            relative to stats.center
     fit_gaps(stats, fits, fit)
                             raw bootstrap score gaps of all B row fits
                             against the window fit
@@ -292,12 +284,10 @@ class Mean(ForecastTarget):
         return FitResult(np.array([stats.mean]), float(mean_score_at(stats, stats.mean)),
                          stats.n)
 
-    def row_source(self, stats: WindowStats, window):
-        # centered means keep constant windows at exactly zero gap
-        return (stats.values_sorted if window is None else window) - stats.center
-
     def row_fits(self, stats: WindowStats, rows: np.ndarray) -> np.ndarray:
-        return (np.add.reduce(rows, axis=1) / rows.shape[1])[:, None]
+        # centered means keep constant windows at exactly zero gap
+        values = (stats.values_sorted - stats.center)[rows]
+        return (np.add.reduce(values, axis=1) / rows.shape[1])[:, None]
 
     def fit_gaps(self, stats: WindowStats, fits: np.ndarray, fit: FitResult) -> np.ndarray:
         # squared-loss score: the gap reduces exactly to (mean_b - mean)^2
@@ -331,14 +321,9 @@ class _TailTarget(ForecastTarget):
         position j - 1 of a sorted window or of a row partitioned at j - 1."""
         return order_index(self.alpha, n)
 
-    def row_source(self, stats: WindowStats, window):
-        if window is None:
-            return None
-        # a stable sort ranks tied observations by position, so the ranks,
-        # and every fit read from them, are one function of the window
-        ranks = np.empty(stats.n, dtype=np.int32)
-        ranks[np.argsort(window, kind="stable")] = np.arange(stats.n, dtype=np.int32)
-        return ranks
+    def window_quantile(self, stats: WindowStats) -> float:
+        """The window's fitted VaR, its order statistic x_(j)."""
+        return float(stats.values_sorted[self.quantile_index(stats.n) - 1])
 
     def row_quantile(self, stats: WindowStats, rows: np.ndarray) -> tuple[int, np.ndarray]:
         """Partition rank rows at j - 1 and read each row's fitted VaR:
@@ -370,7 +355,7 @@ class VaR(_TailTarget):
         return pinball_score_at(stats, theta[..., 0], self.alpha)
 
     def fit(self, stats: WindowStats) -> FitResult:
-        v = float(stats.values_sorted[self.quantile_index(stats.n) - 1])
+        v = self.window_quantile(stats)
         return FitResult(np.array([v]), float(pinball_score_at(stats, v, self.alpha)), stats.n)
 
     def row_fits(self, stats: WindowStats, rows: np.ndarray) -> np.ndarray:
@@ -383,7 +368,7 @@ class VaR(_TailTarget):
         # distribution-exact and avoids materializing the resamples.
         n = stats.n
         j = self.quantile_index(n)
-        v = stats.values_sorted[j - 1]
+        v = self.window_quantile(stats)
         u = rng.beta(j, n - j + 1, size=replications)
         pos = np.minimum((n * u).astype(np.int64), n - 1)
         scores = pinball_score_at(stats, np.append(stats.values_sorted[pos], v), self.alpha)
@@ -419,7 +404,7 @@ class VaRES(_TailTarget):
         return joint_score_at(stats, theta[..., 0], theta[..., 1], self.alpha)
 
     def fit(self, stats: WindowStats) -> FitResult:
-        v = float(stats.values_sorted[self.quantile_index(stats.n) - 1])
+        v = self.window_quantile(stats)
         theta = np.array([v, es_given_v(stats, v, self.alpha)])
         score = float(joint_score_at(stats, theta[0], theta[1], self.alpha))
         return FitResult(theta, score, stats.n)

@@ -218,7 +218,13 @@ def test_options_the_method_ignores_exit_1(tmp_path, capsys):
     assert "--bootstrap-mode applies to method 'baws' only" in capsys.readouterr().err
     assert run(experiment + ["--methods", "baws", "--bootstrap-mode", "iid",
                              "--block-c", "2"]) == 1
+    # with no --bootstrap-mode an experiment runs block mode on GARCH only
+    default_mode = ["experiment", "--methods", "baws", "--n", "1", "--T", "60", "--t0", "41",
+                    "--k0", "10", "--B", "20", "--block-c", "3", "--out", out]
+    assert run(default_mode + ["--scenario", "A1"]) == 1
     assert not out.exists()
+    assert run(default_mode + ["--scenario", "GARCH"]) == 0
+    out.unlink()
     assert run(experiment + ["--methods", "baws,full"]) == 0
     assert run(base + ["--method", "baws", "--B", "20", "--bootstrap-mode", "iid"]) == 0
 

@@ -99,6 +99,28 @@ def test_rejection_probability_against_simulation():
     assert freq == pytest.approx(p, abs=0.01)
 
 
+@pytest.mark.parametrize("mu1, mu2, v1, v2, k, k0, tau", [
+    (0.3, 0.0, 0.5, 0.8, 300, 120, 0.02),
+    (1.0, 1.0, 0.3, 0.4, 400, 100, 0.01),
+    (0.0, 0.2, 1.0, 1.0, 200, 50, 0.02),
+])
+def test_select_window_rejects_at_gaussian_rate(mu1, mu2, v1, v2, k, k0, tau):
+    # the candidates are exactly {k0, k}, so k0 is selected when the one
+    # pair (k0, k) rejects at the fixed tau
+    grid = Grid(k_min=k0, bands=((0, k + 1),))
+    rng = np.random.default_rng(k)
+    draws = 4000
+    hits = 0
+    for _ in range(draws):
+        x = np.concatenate([rng.normal(mu1, np.sqrt(v1), k - k0),
+                            rng.normal(mu2, np.sqrt(v2), k0)])
+        trace = select_window(x, Mean(), fixed(tau), grid)
+        assert trace.candidates.tolist() == [k0, k]
+        hits += trace.k_hat == k0
+    p = rejection_probability_gaussian(mu1, mu2, v1, v2, k, k0, tau)
+    assert abs(hits / draws - p) <= 4 * np.sqrt(p * (1 - p) / draws)
+
+
 def test_select_window_iid_accepts_largest():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(500)
