@@ -22,11 +22,17 @@ are therefore bit-identical across CPUs and dispatch targets.
 
 Resamples are filled in blocks of rows, of at most 512 KB each (block
 rows in a scratch buffer that each thread keeps across calls); every block is
-reduced to its row fits before the next is drawn, and the B fits are
-scored once.  Memory per call is therefore bounded whatever B is.  Indices
-are drawn as int32, which gives the same integers from the same stream as
-int64 draws, and consecutive blocks continue one stream, so the resamples
-equal those of a single (B, L) draw.
+reduced to its row fits and scored before the next is drawn.  Memory per
+call is therefore bounded whatever B is.  Indices are drawn as int32, which
+gives the same integers from the same stream as int64 draws, and
+consecutive blocks continue one stream, so the resamples, and the gaps,
+equal those of a single (B, L) draw whatever the block sizes.
+
+That makes calibration curtailable.  A caller that needs the threshold only
+through a few decisions passes ``until``, which sees each block's gaps and
+sets the size of the next block; it stops the draw once its decisions are
+fixed, and the gaps drawn so far are the first ones of the full draw (see
+``selection``).  The iid VaR shortcut draws its B gaps in one block.
 
 Streams derive from (seed, time_index, window_length) through
 ``numpy.random.SeedSequence``; the seed and time index are arguments of
@@ -40,6 +46,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -153,9 +160,11 @@ def _ranks(window) -> np.ndarray:
     return ranks
 
 
-def _row_fits(window, stats: WindowStats, target: ForecastTarget,
-              cfg: BootstrapConfig, rng: np.random.Generator) -> np.ndarray:
-    """(B, dim) fits of B resample rows, filled and reduced block by block.
+def _row_sampler(window, stats: WindowStats, target: ForecastTarget, cfg: BootstrapConfig,
+                 rng: np.random.Generator):
+    """``(draw, cap)``: ``draw(b)`` gives the (b, dim) fits of the next b
+    resample rows of the stream, and ``cap`` is the most rows that fit in
+    one 512 KB block.
 
     A row is i draws of single observations (iid) or m draws of length-l
     blocks (block), concatenated in draw order: L = i or m * l ranks.
@@ -173,20 +182,18 @@ def _row_fits(window, stats: WindowStats, target: ForecastTarget,
         blocks = _scratch("blocks", (n - l + 1, l))
         blocks[...] = sliding_window_view(_ranks(window), l)
         draws, width, choices = m, l, n - l + 1
-    B = cfg.replications
     L = draws * width
-    step = max(1, _BLOCK_BYTES // (4 * L))  # rows of L int32 ranks per block
-    fits = np.empty((B, target.dim))
-    for r0 in range(0, B, step):
-        b = min(step, B - r0)
+
+    def draw(b: int) -> np.ndarray:
         rows = idx = rng.integers(0, choices, size=(b, draws), dtype=np.int32)
         if cfg.mode == "block":
             rows = _scratch("rows", (b, L))
             # indices are in range, so "wrap" changes none; "raise" would
             # gather into a temporary and copy it to ``out``
             np.take(blocks, idx, axis=0, out=rows.reshape(b, draws, width), mode="wrap")
-        fits[r0:r0 + b] = target.row_fits(stats, rows)
-    return fits
+        return target.row_fits(stats, rows)
+
+    return draw, max(1, _BLOCK_BYTES // (4 * L))
 
 
 def guarded_gaps(raw: np.ndarray, scale: float, kind: str) -> np.ndarray:
@@ -199,20 +206,43 @@ def guarded_gaps(raw: np.ndarray, scale: float, kind: str) -> np.ndarray:
 
 
 def bootstrap_gaps(window, target: ForecastTarget, cfg: BootstrapConfig, *,
-                   time_index: int = 0, seed: int = 0,
-                   stats: WindowStats | None = None) -> tuple[np.ndarray, FitResult]:
-    """Score gaps of B resample fits against the window fit, plus that fit.
+                   time_index: int = 0, seed: int = 0, stats: WindowStats | None = None,
+                   fit: FitResult | None = None,
+                   until: Callable[[np.ndarray], int] | None = None,
+                   ) -> tuple[np.ndarray, FitResult]:
+    """Score gaps of resample fits against the window fit, plus that fit.
 
     The resamples come from the stream keyed by (seed, time_index, window
     length).  All gaps are evaluated under the original window's empirical
-    score.
+    score.  ``stats`` and ``fit``, when given, are the window's.
+
+    Without ``until`` all B rows are drawn.  With it the rows are drawn in
+    stream order, block by block: ``until`` is called first with no gaps,
+    then with each block's guarded gaps, and returns how many rows to draw
+    next; drawing stops when it returns 0 or at B rows, and the gaps drawn
+    so far are returned.  Those are the first gaps of the full draw, bit for
+    bit.  The iid shortcut draws all B gaps at once and passes them to
+    ``until`` in a single call.
     """
     if stats is None:
         stats = window_stats(window)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, time_index, stats.n)))
-    if cfg.mode == "block" or target.iid_gaps is None:  # no shortcut: fill rows
+    if fit is None:
         fit = fit_from_stats(stats, target)
-        raw = target.fit_gaps(stats, _row_fits(window, stats, target, cfg, rng), fit)
-    else:
-        raw, fit = target.iid_gaps(stats, cfg.replications, rng)
-    return guarded_gaps(raw, fit.score, "bootstrap"), fit
+    rng = np.random.default_rng(np.random.SeedSequence((seed, time_index, stats.n)))
+    B = cfg.replications
+    if cfg.mode == "iid" and target.iid_gaps is not None:
+        gaps = guarded_gaps(target.iid_gaps(stats, fit, B, rng), fit.score, "bootstrap")
+        if until is not None:
+            until(gaps)
+        return gaps, fit
+    want = B if until is None else until(np.empty(0))
+    draw, cap = _row_sampler(window, stats, target, cfg, rng)
+    parts = []
+    drawn = 0
+    while drawn < B and want > 0:
+        b = min(want, cap, B - drawn)
+        parts.append(guarded_gaps(target.fit_gaps(stats, draw(b), fit), fit.score,
+                                  "bootstrap"))
+        drawn += b
+        want = B - drawn if until is None else until(parts[-1])
+    return (np.concatenate(parts) if parts else np.empty(0)), fit

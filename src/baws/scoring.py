@@ -28,9 +28,11 @@ package decides anything per target.  A target class supplies
     fit_gaps(stats, fits, fit)
                             raw bootstrap score gaps of all B row fits
                             against the window fit
-    iid_gaps(stats, B, rng) (raw gaps, fit) for B iid resamples drawn
-                            without materializing them; None (the default)
-                            when the target has no such shortcut
+    iid_gaps(stats, fit, B, rng)
+                            raw gaps of B iid resamples against the window
+                            fit, drawn without materializing them; None
+                            (the default) when the target has no such
+                            shortcut
     truth(path)             true parameter path of a scenario, shape (T,)
                             or (T, dim) with one column per component
     metric_rows(tensor, population, metrics)
@@ -52,6 +54,8 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError
+
+_GATHER_CHUNK = 8192  # ranks gathered per np.take call in Mean.row_fits
 
 
 def _check_level(alpha: float) -> None:
@@ -191,28 +195,27 @@ def mean_score_at(stats: WindowStats, mu) -> np.ndarray:
     return stats.var + d * d
 
 
-def _tail_counts(stats: WindowStats, v: np.ndarray):
-    n_lt = np.searchsorted(stats.values_sorted, v, side="left")
+def _split_sums(stats: WindowStats, v: np.ndarray):
+    """(sum of v - x over x < v, sum of x - v over x >= v), from one
+    ``searchsorted`` into the window."""
+    n_lt = stats.values_sorted.searchsorted(v, side="left")
     s_lt = stats.prefix[n_lt]
-    return n_lt, s_lt
+    vc = v - stats.center
+    return n_lt * vc - s_lt, (stats.total - s_lt) - (stats.n - n_lt) * vc
+
+
+def _pinball(stats: WindowStats, below, upper, alpha: float) -> np.ndarray:
+    return ((1.0 - alpha) * below + alpha * upper) / stats.n
 
 
 def pinball_score_at(stats: WindowStats, v, alpha: float) -> np.ndarray:
     """Empirical pinball score at quantile estimates ``v``."""
-    v = np.asarray(v, dtype=float)
-    n_lt, s_lt = _tail_counts(stats, v)
-    vc = v - stats.center
-    below = (1.0 - alpha) * (n_lt * vc - s_lt)
-    above = alpha * ((stats.total - s_lt) - (stats.n - n_lt) * vc)
-    return (below + above) / stats.n
+    return _pinball(stats, *_split_sums(stats, np.asarray(v, dtype=float)), alpha)
 
 
 def tail_mean_at(stats: WindowStats, v) -> np.ndarray:
     """mean(1{x >= v} * (x - v)) over the window; nonnegative for v <= max."""
-    v = np.asarray(v, dtype=float)
-    n_lt, s_lt = _tail_counts(stats, v)
-    vc = v - stats.center
-    return ((stats.total - s_lt) - (stats.n - n_lt) * vc) / stats.n
+    return _split_sums(stats, np.asarray(v, dtype=float))[1] / stats.n
 
 
 def es_given_v(stats: WindowStats, v, alpha: float) -> np.ndarray:
@@ -226,9 +229,10 @@ def joint_score_at(stats: WindowStats, v, e, alpha: float) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     e = np.asarray(e, dtype=float)
     w = tail_weight(e)
+    below, upper = _split_sums(stats, v)
     return (
-        pinball_score_at(stats, v, alpha)
-        - w * tail_mean_at(stats, v) / (1.0 - alpha)
+        _pinball(stats, below, upper, alpha)
+        - w * (upper / stats.n) / (1.0 - alpha)
         + w * (e - v)
         - tail_weight_integral(e)
     )
@@ -286,8 +290,16 @@ class Mean(ForecastTarget):
 
     def row_fits(self, stats: WindowStats, rows: np.ndarray) -> np.ndarray:
         # centered means keep constant windows at exactly zero gap
-        values = (stats.values_sorted - stats.center)[rows]
-        return (np.add.reduce(values, axis=1) / rows.shape[1])[:, None]
+        centered = stats.values_sorted - stats.center
+        ranks = rows.reshape(-1)
+        values = np.empty(ranks.size)
+        # np.take casts each chunk's int32 ranks to a cache-resident index
+        # temporary; ranks are in range, so "wrap" changes none and, unlike
+        # "raise", writes straight to ``out``
+        for c in range(0, ranks.size, _GATHER_CHUNK):
+            np.take(centered, ranks[c:c + _GATHER_CHUNK], out=values[c:c + _GATHER_CHUNK],
+                    mode="wrap")
+        return (np.add.reduce(values.reshape(rows.shape), axis=1) / rows.shape[1])[:, None]
 
     def fit_gaps(self, stats: WindowStats, fits: np.ndarray, fit: FitResult) -> np.ndarray:
         # squared-loss score: the gap reduces exactly to (mean_b - mean)^2
@@ -361,19 +373,16 @@ class VaR(_TailTarget):
     def row_fits(self, stats: WindowStats, rows: np.ndarray) -> np.ndarray:
         return self.row_quantile(stats, rows)[1][:, None]
 
-    def iid_gaps(self, stats: WindowStats, replications: int, rng):
+    def iid_gaps(self, stats: WindowStats, fit: FitResult, replications: int, rng):
         # The fitted VaR of an iid resample is its j-th order statistic,
         # which lands on sorted-window position floor(n * U_(j)) with
         # U_(j) ~ Beta(j, n - j + 1); sampling that position directly is
         # distribution-exact and avoids materializing the resamples.
         n = stats.n
         j = self.quantile_index(n)
-        v = self.window_quantile(stats)
         u = rng.beta(j, n - j + 1, size=replications)
         pos = np.minimum((n * u).astype(np.int64), n - 1)
-        scores = pinball_score_at(stats, np.append(stats.values_sorted[pos], v), self.alpha)
-        fit = FitResult(np.array([v]), float(scores[-1]), n)
-        return scores[:-1] - fit.score, fit
+        return pinball_score_at(stats, stats.values_sorted[pos], self.alpha) - fit.score
 
     def metric_rows(self, tensor, population, metrics):
         return [("CR", metrics.cumulative_risk_var(tensor, population, self.alpha))]

@@ -27,6 +27,19 @@ those of a scan over every reference.  A step right after a structural
 change, where short references reject the long candidates, calibrates
 only the short references.  Each calibration draws from its own
 (seed, t, i) stream, so the scan's order and its stop change no threshold.
+
+A scanned reference i needs its threshold only through the decisions of
+its live pairs, those with the candidates k > i still admissible.  With
+tau_i the j-th smallest of B bootstrap gaps (j = ceil(beta * B), or one j
+per candidate under "fwer"), pair (i, k) rejects exactly when j of the B
+gaps lie below gap_k: a comparison count, with no arithmetic on the gaps.
+The calibration draws its rows in stream order, block by block, and stops
+once every live decision is fixed: a reject by j gaps below gap_k, an
+accept by B - j + 1 gaps not below it (curtailed sampling with a fixed B,
+Besag & Clifford, Biometrika 78, 1991).  The drawn gaps are the first ones
+of the full draw, so every decision, the admissible set and the selection
+are those of full calibrations, bit for bit; only tau_i is left unknown
+when the draw stops early.
 """
 
 from __future__ import annotations
@@ -48,6 +61,7 @@ from .errors import ConfigError
 from .scoring import FitResult, ForecastTarget, fit_from_stats, score_at, window_stats
 
 ERROR_CONTROLS = ("pcer", "fwer")
+_FIRST_ROWS = 64  # fewest rows per curtailed block: smaller ones cost more per row
 
 
 @dataclass(frozen=True)
@@ -79,6 +93,38 @@ class CandidateGridConfig:
             raise ConfigError("explore_step must be positive")
 
 
+class _PairCounts:
+    """Decisions of one reference's pairs, counted from its bootstrap gaps.
+
+    A pair rejects when its gap exceeds tau, the j-th smallest of the B
+    bootstrap gaps: exactly when j of them lie below the pair's gap.  So a
+    reject is fixed once j drawn gaps lie below it, and an accept once
+    B - j + 1 do not.  Called with each block of drawn gaps (the ``until``
+    of ``bootstrap_gaps``), it counts them and returns how many rows to draw
+    next: 0 once every decision is fixed, else at least the rows any
+    decision still needs, at least the rows drawn so far (blocks double) and
+    at least ``_FIRST_ROWS``.
+    """
+
+    def __init__(self, gaps: np.ndarray, order: np.ndarray, replications: int):
+        self.gaps = gaps
+        self.order = order
+        self.replications = replications
+        self.below = 0  # per pair, the drawn gaps below its gap
+        self.drawn = 0
+
+    def __call__(self, block: np.ndarray) -> int:
+        self.below = self.below + np.sort(block).searchsorted(self.gaps, side="left")
+        self.drawn += block.size
+        if self.drawn == self.replications:  # all B drawn: every decision is fixed
+            return 0
+        # per pair, the fewest further rows that can fix its decision
+        need = int(np.minimum(self.order - self.below,
+                              self.below + (self.replications + 1 - self.drawn)
+                              - self.order).max())
+        return max(need, self.drawn, _FIRST_ROWS) if need > 0 else 0
+
+
 class PairDecision(NamedTuple):
     reference: int
     candidate: int
@@ -91,11 +137,19 @@ class PairDecision(NamedTuple):
 class SelectionTrace:
     """Record of one selection step.
 
-    Every candidate appears with its admissibility.  The pairs, stored as
-    parallel arrays ordered by candidate and then reference, are all pairs
-    (i, k) with i a scanned reference: every candidate below the point
-    where the scan stopped (see the module docstring).  References above
-    it were not calibrated, and their pairs are not recorded.
+    Every candidate appears with its admissibility.  The scanned references
+    are the candidates below the point where the scan stopped (see the
+    module docstring); references above it were not calibrated, and their
+    pairs are not recorded.  The pairs are stored as parallel arrays
+    ordered by candidate and then reference.  By default they are the live
+    pairs, whose decisions the scan used: (i, k) with i a scanned reference
+    and k a candidate still admissible when i was scanned.  A threshold is
+    NaN where its reference's calibration stopped before B rows.  With
+    ``exact_thresholds`` the pairs are all (i, k) with i a scanned
+    reference, each with its threshold.
+
+    ``rows_drawn[r]`` is the number of bootstrap rows drawn for the scanned
+    reference ``candidates[r]`` (0 under a fixed-threshold policy).
     """
 
     time_index: int
@@ -105,6 +159,7 @@ class SelectionTrace:
     pair_gap: np.ndarray
     pair_threshold: np.ndarray
     pair_reject: np.ndarray
+    rows_drawn: np.ndarray
     admissible: np.ndarray
     k_hat: int
     fit: FitResult
@@ -193,7 +248,8 @@ def select_window(history, target: ForecastTarget, policy,
                   grid: CandidateGridConfig = CandidateGridConfig(),
                   prev_k: int | None = None, *,
                   time_index: int | None = None, seed: int = 0,
-                  error_control: str = "pcer") -> SelectionTrace:
+                  error_control: str = "pcer",
+                  exact_thresholds: bool = False) -> SelectionTrace:
     """Select the largest admissible window from ``history``.
 
     ``policy`` is a ``BootstrapConfig`` or any object with
@@ -202,6 +258,12 @@ def select_window(history, target: ForecastTarget, policy,
     forecast time in an online run).  Returns the decision trace of the
     scanned references; the smallest candidate has no references and is
     always admissible, so a selection always exists.
+
+    By default each calibration stops drawing once its live pairs are
+    decided, and the trace holds those pairs only.  With
+    ``exact_thresholds`` every scanned reference draws all B rows, and the
+    trace holds every pair of each with its threshold.  The selection is
+    the same either way.
     """
     if error_control not in ERROR_CONTROLS:
         raise ValueError(f"error_control must be one of {ERROR_CONTROLS}, "
@@ -209,6 +271,8 @@ def select_window(history, target: ForecastTarget, policy,
     x = np.asarray(history, dtype=float)
     if x.ndim != 1:
         raise ValueError("history must be 1-dimensional")
+    if not np.isfinite(x).all():  # decisions count gaps below each pair's gap
+        raise ValueError("history must be finite")
     n = x.size
     t = time_index if time_index is not None else n + 1
     candidates = candidate_windows(n, prev_k, grid)
@@ -227,51 +291,74 @@ def select_window(history, target: ForecastTarget, policy,
                          fits[i].score, "pairwise")
             for pos, i in enumerate(candidates[:-1])]
 
-    def thresholds(pos: int, i: int) -> np.ndarray:
-        """tau of the pairs (i, k), k in candidates[pos + 1:]."""
-        count = len(candidates) - pos - 1
-        if not bootstrap_policy:
-            return np.full(count, float(policy.threshold_for(i)))
-        sample, _ = bootstrap_gaps(x[n - i:], target, policy, time_index=t, seed=seed,
-                                   stats=stats[i])
+    if bootstrap_policy:
+        # a pair with the candidate at position s rejects when its gap exceeds
+        # the order[s]-th smallest of the B bootstrap gaps
+        B = policy.replications
         if error_control == "pcer":
-            return np.full(count, empirical_quantile(sample, policy.beta))
-        # candidate k at position s has s references below it
-        g = np.sort(sample)
-        return np.array([float(g[order_index(bonferroni_level(policy.beta, s), g.size) - 1])
-                         for s in range(pos + 1, len(candidates))])
+            order = np.full(len(candidates), order_index(policy.beta, B))
+        else:  # s references lie below the candidate at position s (none at 0)
+            order = np.array([order_index(bonferroni_level(policy.beta, max(s, 1)), B)
+                              for s in range(len(candidates))])
+
+    def calibrate(i: int, g: np.ndarray, j: np.ndarray):
+        """(reject, tau, rows drawn) of the pairs of reference i whose gaps
+        are ``g`` and order indices ``j``."""
+        if not bootstrap_policy:
+            tau = np.full(g.size, float(policy.threshold_for(i)))
+            return g > tau, tau, 0
+        counts = _PairCounts(g, j, B)
+        sample, _ = bootstrap_gaps(x[n - i:], target, policy, time_index=t, seed=seed,
+                                   stats=stats[i], fit=fits[i],
+                                   until=None if exact_thresholds else counts)
+        if exact_thresholds:
+            counts(sample)
+        if sample.size < B:  # curtailed: tau is only bounded
+            tau = np.full(g.size, np.nan)
+        elif error_control == "pcer":
+            tau = np.full(g.size, empirical_quantile(sample, policy.beta))
+        else:
+            tau = np.sort(sample)[j - 1]
+        return counts.below >= j, tau, sample.size
 
     cand_arr = np.asarray(candidates, dtype=np.int64)
     admissible = np.ones(cand_arr.size, dtype=bool)
     k_hat = candidates[-1]
-    refs, cands, gap_col, tau_col = [], [], [], []
+    refs, cands, gap_col, tau_col, reject_col, rows_drawn = [], [], [], [], [], []
     for pos, i in enumerate(candidates):
         if i >= k_hat:  # later references test only candidates above k_hat: all rejected
             break
-        tau_i = thresholds(pos, i)
-        admissible[pos + 1:] &= ~(gaps[pos] > tau_i)
+        # the pairs with the larger candidates; by default only the live ones,
+        # whose candidates are still admissible
+        above = slice(pos + 1, None)
+        live = slice(None) if exact_thresholds else np.flatnonzero(admissible[above])
+        g = gaps[pos][live]
+        reject, tau, rows = calibrate(i, g, order[above][live] if bootstrap_policy else None)
+        admissible[above][live] &= ~reject
         k_hat = int(cand_arr[np.flatnonzero(admissible)[-1]])
-        refs.extend([i] * tau_i.size)
-        cands.extend(candidates[pos + 1:])
-        gap_col.append(gaps[pos])
-        tau_col.append(tau_i)
+        refs.extend([i] * g.size)
+        cands.append(cand_arr[above][live])
+        gap_col.append(g)
+        tau_col.append(tau)
+        reject_col.append(reject)
+        rows_drawn.append(rows)
+
+    def column(parts, dtype):
+        return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
     pair_reference = np.asarray(refs, dtype=np.int64)
-    pair_candidate = np.asarray(cands, dtype=np.int64)
-    pair_gap = np.concatenate(gap_col) if gap_col else np.empty(0)
-    pair_threshold = np.concatenate(tau_col) if tau_col else np.empty(0)
-    pair_reject = pair_gap > pair_threshold
-
+    pair_candidate = column(cands, np.int64)
     # pairs ordered by ascending candidate, then reference
-    order = np.lexsort((pair_reference, pair_candidate))
+    by_candidate = np.lexsort((pair_reference, pair_candidate))
     return SelectionTrace(
         time_index=t,
         candidates=cand_arr,
-        pair_reference=pair_reference[order],
-        pair_candidate=pair_candidate[order],
-        pair_gap=pair_gap[order],
-        pair_threshold=pair_threshold[order],
-        pair_reject=pair_reject[order],
+        pair_reference=pair_reference[by_candidate],
+        pair_candidate=pair_candidate[by_candidate],
+        pair_gap=column(gap_col, float)[by_candidate],
+        pair_threshold=column(tau_col, float)[by_candidate],
+        pair_reject=column(reject_col, bool)[by_candidate],
+        rows_drawn=np.asarray(rows_drawn, dtype=np.int64),
         admissible=admissible,
         k_hat=k_hat,
         fit=fits[k_hat],

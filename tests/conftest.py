@@ -166,16 +166,21 @@ def oneshot_gaps(stats, rows: np.ndarray, fit, target: ForecastTarget) -> np.nda
 
 
 def oneshot_bootstrap_gaps(window, target: ForecastTarget, cfg: BootstrapConfig, *,
-                           time_index: int = 0, seed: int = 0, stats=None):
-    """``bootstrap_gaps`` from one-shot resample matrices (the iid VaR
-    order-statistic shortcut builds none, so it is called as it is)."""
+                           time_index: int = 0, seed: int = 0, stats=None, fit=None,
+                           until=None):
+    """``bootstrap_gaps`` drawing all B rows from one-shot resample matrices
+    (the iid VaR order-statistic shortcut builds none, so it is called as it
+    is); it does not stop early."""
+    if until is not None:
+        raise ValueError("the one-shot oracle draws all B rows")
     if stats is None:
         stats = window_stats(window)
+    if fit is None:
+        fit = target.fit(stats)
     rng = np.random.default_rng(np.random.SeedSequence((seed, time_index, stats.n)))
     if cfg.mode == "iid" and isinstance(target, VaR):
-        raw, fit = target.iid_gaps(stats, cfg.replications, rng)
+        raw = target.iid_gaps(stats, fit, cfg.replications, rng)
     else:
-        fit = target.fit(stats)
         raw = oneshot_gaps(stats, oneshot_resample_rows(window, stats, cfg, rng), fit, target)
     return guarded_gaps(raw, fit.score, "bootstrap"), fit
 
@@ -238,6 +243,8 @@ def exhaustive_select_window(history, target: ForecastTarget, policy,
         time_index=t, candidates=cand_arr, pair_reference=pair_reference[order],
         pair_candidate=pair_candidate[order], pair_gap=pair_gap[order],
         pair_threshold=pair_threshold[order], pair_reject=pair_reject[order],
+        rows_drawn=np.full(len(references),
+                           policy.replications if isinstance(policy, BootstrapConfig) else 0),
         admissible=admissible, k_hat=k_hat, fit=fits[k_hat])
 
 

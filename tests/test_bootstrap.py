@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
 import baws
@@ -293,6 +294,44 @@ def test_row_blocks_match_oneshot_oracle(mode, target, n, B):
         want, want_fit = oneshot_bootstrap_gaps(window, target, cfg, time_index=7, seed=3)
         assert np.array_equal(gaps, want)
         assert np.array_equal(fit.theta, want_fit.theta) and fit.score == want_fit.score
+
+
+@settings(max_examples=60, deadline=None)
+@given(target=st.sampled_from([Mean(), VaR(0.95), VaRES(0.9)]),
+       mode=st.sampled_from(["iid", "block"]),
+       # L = n (iid) or m * l (block): odd but for block mode at n = 57
+       n=st.sampled_from([1, 27, 57, 125, 343]),
+       B=st.integers(1, 200),
+       schedule=st.lists(st.integers(1, 90), max_size=8),
+       finish=st.booleans())
+def test_any_block_schedule_continues_one_stream(target, mode, n, B, schedule, finish):
+    # curtailment rests on this: the gaps of blocks of any sizes, drawn in
+    # turn, are the first gaps of the one-shot draw, bit for bit
+    cfg = BootstrapConfig(replications=B, mode=mode)
+    w = np.random.default_rng(n).standard_t(4, size=n)
+    want, want_fit = bootstrap_gaps(w, target, cfg, time_index=3, seed=8)
+    blocks = []
+    sizes = iter(schedule)
+
+    def until(gaps):
+        blocks.append(gaps)
+        return next(sizes, B if finish else 0)
+
+    got, fit = bootstrap_gaps(w, target, cfg, time_index=3, seed=8, until=until)
+    assert np.array_equal(np.concatenate(blocks), got)
+    assert np.array_equal(got, want[:got.size])
+    assert np.array_equal(fit.theta, want_fit.theta) and fit.score == want_fit.score
+    if mode == "iid" and isinstance(target, VaR):  # the shortcut draws all B at once
+        assert [b.size for b in blocks] == [B]
+    else:
+        assert blocks[0].size == 0
+        # each block is the size asked for, up to the rows left
+        asked = [*schedule, B if finish else 0]
+        left = B
+        for size, ask in zip([b.size for b in blocks[1:]], asked):
+            assert size == min(ask, left)
+            left -= size
+        assert got.size == (B if finish else min(B, sum(schedule)))
 
 
 def test_null_exceedance_rate_small_reference():

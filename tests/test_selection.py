@@ -2,6 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from baws import selection
 from baws.bootstrap import BootstrapConfig, bootstrap_gaps, empirical_quantile
@@ -134,7 +135,7 @@ def test_select_window_iid_accepts_largest():
 def test_select_window_constant_history():
     x = np.full(300, 2.5)
     cfg = BootstrapConfig(beta=0.9, replications=100)
-    trace = select_window(x, Mean(), cfg, Grid(k_min=20), seed=5)
+    trace = select_window(x, Mean(), cfg, Grid(k_min=20), seed=5, exact_thresholds=True)
     assert trace.k_hat == 300  # all gaps and thresholds zero, equality accepts
     assert np.all(trace.pair_gap == 0.0)
     assert np.all(trace.pair_threshold == 0.0)
@@ -157,7 +158,7 @@ def test_trace_consistency_invariants():
     rng = np.random.default_rng(42)
     x = rng.standard_normal(400) * (1 + (np.arange(400) > 250))
     cfg = BootstrapConfig(beta=0.8, replications=150)
-    trace = select_window(x, VaR(0.9), cfg, Grid(k_min=20), seed=1)
+    trace = select_window(x, VaR(0.9), cfg, Grid(k_min=20), seed=1, exact_thresholds=True)
     cands = list(trace.candidates)
     assert trace.k_hat in cands
     # every pair threshold for a given reference is identical (single bootstrap)
@@ -214,8 +215,10 @@ def test_fwer_mode_tightens_thresholds():
     rng = np.random.default_rng(11)
     x = rng.standard_normal(400)
     cfg = BootstrapConfig(beta=0.9, replications=400)
-    pcer = select_window(x, Mean(), cfg, Grid(k_min=20), seed=13, error_control="pcer")
-    fwer = select_window(x, Mean(), cfg, Grid(k_min=20), seed=13, error_control="fwer")
+    pcer = select_window(x, Mean(), cfg, Grid(k_min=20), seed=13, error_control="pcer",
+                         exact_thresholds=True)
+    fwer = select_window(x, Mean(), cfg, Grid(k_min=20), seed=13, error_control="fwer",
+                         exact_thresholds=True)
     # on the pairs both traces hold
     held = {(i, k): tau for i, k, tau in zip(pcer.pair_reference, pcer.pair_candidate,
                                               pcer.pair_threshold)}
@@ -241,6 +244,37 @@ def test_select_window_insufficient_history():
         select_window(np.zeros(10), Mean(), fixed(0.0), Grid(k_min=20))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_select_window_rejects_non_finite_history(bad):
+    x = np.zeros(100)
+    x[50] = bad
+    with pytest.raises(ValueError, match="finite"):
+        select_window(x, Mean(), BootstrapConfig(replications=20), Grid(k_min=20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pair_counts_stop_with_every_decision_fixed(data):
+    # small integer gaps force ties between the pair gaps and the sample
+    B = data.draw(st.integers(1, 300), label="B")
+    sample = np.array(data.draw(st.lists(st.integers(0, 6), min_size=B, max_size=B),
+                                label="sample"), dtype=float)
+    pairs = data.draw(st.integers(1, 6), label="pairs")
+    gaps = np.array(data.draw(st.lists(st.integers(-1, 7), min_size=pairs, max_size=pairs),
+                              label="gaps"), dtype=float)
+    j = np.array(data.draw(st.lists(st.integers(1, B), min_size=pairs, max_size=pairs),
+                           label="j"))
+    # the draw loop of bootstrap_gaps, without its 512 KB cap
+    counts = selection._PairCounts(gaps, j, B)
+    want = counts(sample[:0])
+    drawn = 0
+    while drawn < B and want > 0:
+        b = min(want, B - drawn)
+        want = counts(sample[drawn:drawn + b])
+        drawn += b
+    assert np.array_equal(counts.below >= j, gaps > np.sort(sample)[j - 1])
+
+
 def test_grid_config_validation():
     with pytest.raises(ValueError):
         CandidateGridConfig(k_min=1)
@@ -259,7 +293,8 @@ def test_concurrent_trace_matches_serial_oneshot_oracle(target, mode, error_cont
                                                         monkeypatch):
     x = np.random.default_rng(17).standard_t(4, size=1300)
     cfg = BootstrapConfig(replications=150, mode=mode)
-    kwargs = dict(prev_k=400, time_index=1301, seed=9, error_control=error_control)
+    kwargs = dict(prev_k=400, time_index=1301, seed=9, error_control=error_control,
+                  exact_thresholds=True)
     got = select_window(x, target, cfg, **kwargs)
     # the oracle calibrates from one-shot resample matrices
     monkeypatch.setattr(selection, "bootstrap_gaps", oneshot_bootstrap_gaps)
@@ -281,28 +316,52 @@ def test_scan_matches_exhaustive_oracle(target, mode, error_control, history):
     if history == "break":
         x[-60:] = 3.0 + 3.0 * x[-60:]
     cfg = BootstrapConfig(beta=0.9, replications=100, mode=mode)
+    B = cfg.replications
     kwargs = dict(time_index=601, seed=4, error_control=error_control)
-    got = select_window(x, target, cfg, **kwargs)
     want = exhaustive_select_window(x, target, cfg, **kwargs)
-    assert np.array_equal(got.candidates, want.candidates)
-    assert np.array_equal(got.admissible, want.admissible)
-    assert got.k_hat == want.k_hat
-    assert np.array_equal(got.fit.theta, want.fit.theta)
-    # every recorded pair is the oracle's pair, bit for bit
     oracle = {(p.reference, p.candidate): p for p in want.pair_records()}
-    for p in got.pair_records():
-        assert p == oracle[p.reference, p.candidate]
-    # the scanned references are the candidates below the stop: the first
-    # reference not below the largest candidate its predecessors leave admissible
+    # replay the scan on the oracle's decisions: the scanned references are
+    # the candidates below the stop, the first reference not below the
+    # largest candidate its predecessors leave admissible; the live pairs of
+    # a reference are those with the candidates still admissible above it
     cands = want.candidates.tolist()
     admissible = np.ones(len(cands), dtype=bool)
+    live = []
     stop = 0
     while cands[stop] < cands[np.flatnonzero(admissible)[-1]]:
-        admissible &= [not (k > cands[stop] and oracle[cands[stop], k].reject)
-                       for k in cands]
+        i = cands[stop]
+        live += [(i, k) for k, ok in zip(cands, admissible) if ok and k > i]
+        admissible &= [not (k > i and oracle[i, k].reject) for k in cands]
         stop += 1
     scanned = cands[:stop]
-    assert sorted(zip(got.pair_reference.tolist(), got.pair_candidate.tolist())) == [
-        (i, k) for i in scanned for k in cands if k > i]
+    for exact in (False, True):
+        got = select_window(x, target, cfg, **kwargs, exact_thresholds=exact)
+        assert np.array_equal(got.candidates, want.candidates)
+        assert np.array_equal(got.admissible, want.admissible)
+        assert got.k_hat == want.k_hat
+        assert np.array_equal(got.fit.theta, want.fit.theta)
+        pairs = sorted(zip(got.pair_reference.tolist(), got.pair_candidate.tolist()))
+        rows = dict(zip(scanned, got.rows_drawn.tolist()))
+        assert got.rows_drawn.size == len(scanned)
+        if exact:
+            # every pair of every scanned reference, bit for bit, tau included
+            assert pairs == [(i, k) for i in scanned for k in cands if k > i]
+            for p in got.pair_records():
+                assert p == oracle[p.reference, p.candidate]
+            assert set(rows.values()) == {B}
+            continue
+        # the live pairs only, each with the oracle's gap and decision; tau is
+        # known only where the reference drew all B rows
+        assert pairs == sorted(live)
+        for p in got.pair_records():
+            q = oracle[p.reference, p.candidate]
+            assert (p.gap, p.reject) == (q.gap, q.reject)
+            if rows[p.reference] == B:
+                assert p.threshold == q.threshold
+            else:
+                assert np.isnan(p.threshold)
+        assert all(1 <= r <= B for r in rows.values())
+        if history == "stable" and (mode == "block" or target.iid_gaps is None):
+            assert min(rows.values()) < B  # the iid VaR shortcut draws all B at once
     if history == "break":
         assert got.k_hat < 300 and 2 * len(scanned) <= len(cands)
