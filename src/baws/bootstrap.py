@@ -30,9 +30,12 @@ equal those of a single (B, L) draw whatever the block sizes.
 
 That makes calibration curtailable.  A caller that needs the threshold only
 through a few decisions passes ``until``, which sees each block's gaps and
-sets the size of the next block; it stops the draw once its decisions are
+returns how many more rows its decisions need; the draw stops once they are
 fixed, and the gaps drawn so far are the first ones of the full draw (see
-``selection``).  The iid VaR shortcut draws its B gaps in one block.
+``selection``).  A curtailed draw's blocks hold at least those rows, at
+least the rows drawn so far (so blocks double) and at least 64, since a
+smaller block costs more per row.  The iid VaR shortcut draws its B gaps in
+one block.
 
 Streams derive from (seed, time_index, window_length) through
 ``numpy.random.SeedSequence``; the seed and time index are arguments of
@@ -60,6 +63,7 @@ from .scoring import joint_score_at, pinball_score_at  # noqa: F401
 
 _GAP_SLACK = 1e-9  # tolerated negative rounding noise, relative to score scale
 _BLOCK_BYTES = 1 << 19  # bytes of resample rows per row block
+_FIRST_ROWS = 64  # fewest rows per block of a curtailed draw
 _buffers = threading.local()
 
 
@@ -218,11 +222,12 @@ def bootstrap_gaps(window, target: ForecastTarget, cfg: BootstrapConfig, *,
 
     Without ``until`` all B rows are drawn.  With it the rows are drawn in
     stream order, block by block: ``until`` is called first with no gaps,
-    then with each block's guarded gaps, and returns how many rows to draw
-    next; drawing stops when it returns 0 or at B rows, and the gaps drawn
-    so far are returned.  Those are the first gaps of the full draw, bit for
-    bit.  The iid shortcut draws all B gaps at once and passes them to
-    ``until`` in a single call.
+    then with each block's guarded gaps, and returns the fewest further rows
+    its decisions need.  Drawing stops when it returns 0 or at B rows, and
+    the gaps drawn so far are returned: the first gaps of the full draw, bit
+    for bit.  Each block holds max(need, rows drawn, 64) rows, within the
+    512 KB cap and the rows left.  The iid shortcut draws all B gaps at once
+    and passes them to ``until`` in a single call.
     """
     if stats is None:
         stats = window_stats(window)
@@ -235,14 +240,14 @@ def bootstrap_gaps(window, target: ForecastTarget, cfg: BootstrapConfig, *,
         if until is not None:
             until(gaps)
         return gaps, fit
-    want = B if until is None else until(np.empty(0))
+    need = B if until is None else until(np.empty(0))
     draw, cap = _row_sampler(window, stats, target, cfg, rng)
     parts = []
     drawn = 0
-    while drawn < B and want > 0:
-        b = min(want, cap, B - drawn)
+    while drawn < B and need > 0:
+        b = min(max(need, drawn, _FIRST_ROWS), cap, B - drawn)
         parts.append(guarded_gaps(target.fit_gaps(stats, draw(b), fit), fit.score,
                                   "bootstrap"))
         drawn += b
-        want = B - drawn if until is None else until(parts[-1])
+        need = B - drawn if until is None else until(parts[-1])
     return (np.concatenate(parts) if parts else np.empty(0)), fit

@@ -61,7 +61,6 @@ from .errors import ConfigError
 from .scoring import FitResult, ForecastTarget, fit_from_stats, score_at, window_stats
 
 ERROR_CONTROLS = ("pcer", "fwer")
-_FIRST_ROWS = 64  # fewest rows per curtailed block: smaller ones cost more per row
 
 
 @dataclass(frozen=True)
@@ -100,10 +99,9 @@ class _PairCounts:
     bootstrap gaps: exactly when j of them lie below the pair's gap.  So a
     reject is fixed once j drawn gaps lie below it, and an accept once
     B - j + 1 do not.  Called with each block of drawn gaps (the ``until``
-    of ``bootstrap_gaps``), it counts them and returns how many rows to draw
-    next: 0 once every decision is fixed, else at least the rows any
-    decision still needs, at least the rows drawn so far (blocks double) and
-    at least ``_FIRST_ROWS``.
+    of ``bootstrap_gaps``), it counts them and returns the fewest further
+    rows that can fix every decision: 0 once all are fixed, as they are at
+    B rows.
     """
 
     def __init__(self, gaps: np.ndarray, order: np.ndarray, replications: int):
@@ -116,13 +114,11 @@ class _PairCounts:
     def __call__(self, block: np.ndarray) -> int:
         self.below = self.below + np.sort(block).searchsorted(self.gaps, side="left")
         self.drawn += block.size
-        if self.drawn == self.replications:  # all B drawn: every decision is fixed
-            return 0
-        # per pair, the fewest further rows that can fix its decision
-        need = int(np.minimum(self.order - self.below,
-                              self.below + (self.replications + 1 - self.drawn)
-                              - self.order).max())
-        return max(need, self.drawn, _FIRST_ROWS) if need > 0 else 0
+        # per pair, the fewest further rows that can fix its decision; the
+        # two terms sum to B + 1 - drawn, so one is not positive at B rows
+        need = np.minimum(self.order - self.below,
+                          self.below + (self.replications + 1 - self.drawn) - self.order)
+        return max(int(need.max()), 0)
 
 
 class PairDecision(NamedTuple):
@@ -141,12 +137,10 @@ class SelectionTrace:
     are the candidates below the point where the scan stopped (see the
     module docstring); references above it were not calibrated, and their
     pairs are not recorded.  The pairs are stored as parallel arrays
-    ordered by candidate and then reference.  By default they are the live
-    pairs, whose decisions the scan used: (i, k) with i a scanned reference
-    and k a candidate still admissible when i was scanned.  A threshold is
-    NaN where its reference's calibration stopped before B rows.  With
-    ``exact_thresholds`` the pairs are all (i, k) with i a scanned
-    reference, each with its threshold.
+    ordered by candidate and then reference.  They are the live pairs,
+    whose decisions the scan used: (i, k) with i a scanned reference and k a
+    candidate still admissible when i was scanned.  A threshold is NaN where
+    its reference's calibration stopped before B rows.
 
     ``rows_drawn[r]`` is the number of bootstrap rows drawn for the scanned
     reference ``candidates[r]`` (0 under a fixed-threshold policy).
@@ -248,8 +242,7 @@ def select_window(history, target: ForecastTarget, policy,
                   grid: CandidateGridConfig = CandidateGridConfig(),
                   prev_k: int | None = None, *,
                   time_index: int | None = None, seed: int = 0,
-                  error_control: str = "pcer",
-                  exact_thresholds: bool = False) -> SelectionTrace:
+                  error_control: str = "pcer") -> SelectionTrace:
     """Select the largest admissible window from ``history``.
 
     ``policy`` is a ``BootstrapConfig`` or any object with
@@ -257,13 +250,9 @@ def select_window(history, target: ForecastTarget, policy,
     bootstrap streams (``time_index`` defaults to len(history) + 1, the
     forecast time in an online run).  Returns the decision trace of the
     scanned references; the smallest candidate has no references and is
-    always admissible, so a selection always exists.
-
-    By default each calibration stops drawing once its live pairs are
-    decided, and the trace holds those pairs only.  With
-    ``exact_thresholds`` every scanned reference draws all B rows, and the
-    trace holds every pair of each with its threshold.  The selection is
-    the same either way.
+    always admissible, so a selection always exists.  Each calibration
+    stops drawing once its live pairs are decided, and the trace holds
+    those pairs only.
     """
     if error_control not in ERROR_CONTROLS:
         raise ValueError(f"error_control must be one of {ERROR_CONTROLS}, "
@@ -271,11 +260,13 @@ def select_window(history, target: ForecastTarget, policy,
     x = np.asarray(history, dtype=float)
     if x.ndim != 1:
         raise ValueError("history must be 1-dimensional")
-    if not np.isfinite(x).all():  # decisions count gaps below each pair's gap
-        raise ValueError("history must be finite")
     n = x.size
     t = time_index if time_index is not None else n + 1
     candidates = candidate_windows(n, prev_k, grid)
+    # decisions count the bootstrap gaps below each pair's gap: a NaN would
+    # count none; the fits and calibrations read the largest window only
+    if not np.isfinite(x[n - candidates[-1]:]).all():
+        raise ValueError("history must be finite within the largest candidate window")
 
     bootstrap_policy = isinstance(policy, BootstrapConfig)
     if error_control == "fwer" and not bootstrap_policy:
@@ -309,10 +300,7 @@ def select_window(history, target: ForecastTarget, policy,
             return g > tau, tau, 0
         counts = _PairCounts(g, j, B)
         sample, _ = bootstrap_gaps(x[n - i:], target, policy, time_index=t, seed=seed,
-                                   stats=stats[i], fit=fits[i],
-                                   until=None if exact_thresholds else counts)
-        if exact_thresholds:
-            counts(sample)
+                                   stats=stats[i], fit=fits[i], until=counts)
         if sample.size < B:  # curtailed: tau is only bounded
             tau = np.full(g.size, np.nan)
         elif error_control == "pcer":
@@ -328,10 +316,9 @@ def select_window(history, target: ForecastTarget, policy,
     for pos, i in enumerate(candidates):
         if i >= k_hat:  # later references test only candidates above k_hat: all rejected
             break
-        # the pairs with the larger candidates; by default only the live ones,
-        # whose candidates are still admissible
+        # the live pairs: those with the larger candidates still admissible
         above = slice(pos + 1, None)
-        live = slice(None) if exact_thresholds else np.flatnonzero(admissible[above])
+        live = np.flatnonzero(admissible[above])
         g = gaps[pos][live]
         reject, tau, rows = calibrate(i, g, order[above][live] if bootstrap_policy else None)
         admissible[above][live] &= ~reject

@@ -170,9 +170,7 @@ def oneshot_bootstrap_gaps(window, target: ForecastTarget, cfg: BootstrapConfig,
                            until=None):
     """``bootstrap_gaps`` drawing all B rows from one-shot resample matrices
     (the iid VaR order-statistic shortcut builds none, so it is called as it
-    is); it does not stop early."""
-    if until is not None:
-        raise ValueError("the one-shot oracle draws all B rows")
+    is); it does not stop early, and passes ``until`` its B gaps at once."""
     if stats is None:
         stats = window_stats(window)
     if fit is None:
@@ -182,7 +180,10 @@ def oneshot_bootstrap_gaps(window, target: ForecastTarget, cfg: BootstrapConfig,
         raw = target.iid_gaps(stats, fit, cfg.replications, rng)
     else:
         raw = oneshot_gaps(stats, oneshot_resample_rows(window, stats, cfg, rng), fit, target)
-    return guarded_gaps(raw, fit.score, "bootstrap"), fit
+    gaps = guarded_gaps(raw, fit.score, "bootstrap")
+    if until is not None:
+        until(gaps)
+    return gaps, fit
 
 
 # exhaustive oracle for the scan of baws.selection, which stops at the

@@ -17,6 +17,7 @@ from baws.bootstrap import (
     block_length,
     bootstrap_gaps,
     empirical_quantile,
+    guarded_gaps,
     oversized_block,
 )
 from baws.scoring import (
@@ -302,36 +303,53 @@ def test_row_blocks_match_oneshot_oracle(mode, target, n, B):
        # L = n (iid) or m * l (block): odd but for block mode at n = 57
        n=st.sampled_from([1, 27, 57, 125, 343]),
        B=st.integers(1, 200),
-       schedule=st.lists(st.integers(1, 90), max_size=8),
-       finish=st.booleans())
-def test_any_block_schedule_continues_one_stream(target, mode, n, B, schedule, finish):
-    # curtailment rests on this: the gaps of blocks of any sizes, drawn in
-    # turn, are the first gaps of the one-shot draw, bit for bit
+       schedule=st.lists(st.integers(1, 90), max_size=8))
+def test_any_block_schedule_continues_one_stream(target, mode, n, B, schedule):
+    # curtailment rests on this: rows drawn in blocks of any sizes, in turn,
+    # give the first gaps of the one-shot draw, bit for bit
     cfg = BootstrapConfig(replications=B, mode=mode)
     w = np.random.default_rng(n).standard_t(4, size=n)
-    want, want_fit = bootstrap_gaps(w, target, cfg, time_index=3, seed=8)
+    full, fit = bootstrap_gaps(w, target, cfg, time_index=3, seed=8)
+    stats = window_stats(w)
+
+    def sampled_gaps(sizes):
+        rng = np.random.default_rng(np.random.SeedSequence((8, 3, n)))
+        draw, _ = bootstrap._row_sampler(w, stats, target, cfg, rng)
+        return [guarded_gaps(target.fit_gaps(stats, draw(b), fit), fit.score, "bootstrap")
+                for b in sizes]
+
+    # the row sampler, with 1-row and odd blocks; the iid VaR shortcut of
+    # bootstrap_gaps draws no rows, so its rows are checked against one block
+    want = full if mode == "block" or target.iid_gaps is None else sampled_gaps([B])[0]
+    sizes = []
+    for size in schedule:
+        sizes.append(min(size, B - sum(sizes)))
+    sizes = [b for b in [*sizes, B - sum(sizes)] if b]
+    assert np.array_equal(np.concatenate(sampled_gaps(sizes)), want)
+
+    # bootstrap_gaps asked for the schedule's rows, then for none
     blocks = []
-    sizes = iter(schedule)
+    needs = iter(schedule)
 
     def until(gaps):
         blocks.append(gaps)
-        return next(sizes, B if finish else 0)
+        return next(needs, 0)
 
-    got, fit = bootstrap_gaps(w, target, cfg, time_index=3, seed=8, until=until)
+    got, _ = bootstrap_gaps(w, target, cfg, time_index=3, seed=8, fit=fit, until=until)
     assert np.array_equal(np.concatenate(blocks), got)
-    assert np.array_equal(got, want[:got.size])
-    assert np.array_equal(fit.theta, want_fit.theta) and fit.score == want_fit.score
-    if mode == "iid" and isinstance(target, VaR):  # the shortcut draws all B at once
+    assert np.array_equal(got, full[:got.size])
+    if mode == "iid" and target.iid_gaps is not None:  # the shortcut draws all B at once
         assert [b.size for b in blocks] == [B]
-    else:
-        assert blocks[0].size == 0
-        # each block is the size asked for, up to the rows left
-        asked = [*schedule, B if finish else 0]
-        left = B
-        for size, ask in zip([b.size for b in blocks[1:]], asked):
-            assert size == min(ask, left)
-            left -= size
-        assert got.size == (B if finish else min(B, sum(schedule)))
+        return
+    # each block holds max(need, rows drawn, 64) rows, up to the rows left
+    # (the 512 KB cap holds more than 200 rows of L <= 343), until B rows or
+    # no need
+    assert blocks[0].size == 0 and len(blocks) <= len(schedule) + 1
+    drawn = 0
+    for block, need in zip(blocks[1:], schedule):
+        assert block.size == min(max(need, drawn, bootstrap._FIRST_ROWS), B - drawn)
+        drawn += block.size
+    assert got.size == drawn and (drawn == B or len(blocks) == len(schedule) + 1)
 
 
 def test_null_exceedance_rate_small_reference():

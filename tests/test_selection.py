@@ -8,6 +8,7 @@ from baws import selection
 from baws.bootstrap import BootstrapConfig, bootstrap_gaps, empirical_quantile
 from baws.scoring import Mean, VaR, VaRES, fit_target, order_index
 from baws.selection import (
+    ERROR_CONTROLS,
     CandidateGridConfig,
     CandidateGridConfig as Grid,
     bonferroni_level,
@@ -135,10 +136,11 @@ def test_select_window_iid_accepts_largest():
 def test_select_window_constant_history():
     x = np.full(300, 2.5)
     cfg = BootstrapConfig(beta=0.9, replications=100)
-    trace = select_window(x, Mean(), cfg, Grid(k_min=20), seed=5, exact_thresholds=True)
+    trace = select_window(x, Mean(), cfg, Grid(k_min=20), seed=5)
     assert trace.k_hat == 300  # all gaps and thresholds zero, equality accepts
     assert np.all(trace.pair_gap == 0.0)
-    assert np.all(trace.pair_threshold == 0.0)
+    assert np.all(exhaustive_select_window(x, Mean(), cfg, Grid(k_min=20), seed=5)
+                  .pair_threshold == 0.0)
 
 
 def test_select_window_two_regime_break():
@@ -158,28 +160,39 @@ def test_trace_consistency_invariants():
     rng = np.random.default_rng(42)
     x = rng.standard_normal(400) * (1 + (np.arange(400) > 250))
     cfg = BootstrapConfig(beta=0.8, replications=150)
-    trace = select_window(x, VaR(0.9), cfg, Grid(k_min=20), seed=1, exact_thresholds=True)
+    trace = select_window(x, VaR(0.9), cfg, Grid(k_min=20), seed=1)
     cands = list(trace.candidates)
     assert trace.k_hat in cands
-    # every pair threshold for a given reference is identical (single bootstrap)
-    for i in set(trace.pair_reference):
-        taus = trace.pair_threshold[trace.pair_reference == i]
-        assert np.all(taus == taus[0])
+    # every pair of a reference tests its gap against the reference's one
+    # threshold, recorded unless the calibration stopped before B rows
+    for i, rows in zip(cands, trace.rows_drawn):
+        gaps, _ = bootstrap_gaps(x[-i:], VaR(0.9), cfg, time_index=401, seed=1)
+        tau = empirical_quantile(gaps, 0.8)
+        mine = trace.pair_reference == i
+        assert np.array_equal(trace.pair_reject[mine], trace.pair_gap[mine] > tau)
+        if rows == 150:
+            assert np.all(trace.pair_threshold[mine] == tau)
+        else:
+            assert np.all(np.isnan(trace.pair_threshold[mine]))
     # admissibility bookkeeping: k admissible iff no pair rejects it
     rejected = set(trace.pair_candidate[trace.pair_reject == 1])
     for pos, k in enumerate(cands):
         assert trace.admissible[pos] == (k not in rejected)
     # k_hat is the largest admissible candidate
     assert trace.k_hat == max(np.asarray(cands)[trace.admissible])
-    # re-derive each reject decision from gap vs threshold
-    assert np.array_equal(trace.pair_reject, trace.pair_gap > trace.pair_threshold)
     assert np.all(trace.pair_gap >= 0.0)
-    # pairs are all (i, k), i < k, with i a scanned reference: the candidates
-    # below the first one that is not below k_hat
-    scanned = sorted(set(trace.pair_reference.tolist()))
-    assert scanned == cands[:len(scanned)] and cands[len(scanned)] >= trace.k_hat
-    assert sorted(zip(trace.pair_reference.tolist(), trace.pair_candidate.tolist())) == [
-        (i, k) for i in scanned for k in cands if k > i]
+    # the scanned references are the candidates below the first one that is
+    # not below k_hat; the pairs of each are (i, k) with every candidate k > i
+    # that no earlier reference rejected
+    scanned = cands[:trace.rows_drawn.size]
+    assert sorted(set(trace.pair_reference.tolist())) == scanned
+    assert cands[len(scanned)] >= trace.k_hat
+    alive = set(cands)
+    for i in scanned:
+        mine = trace.pair_reference == i
+        assert sorted(trace.pair_candidate[mine].tolist()) == sorted(
+            k for k in alive if k > i)
+        alive -= set(trace.pair_candidate[mine & trace.pair_reject].tolist())
 
 
 def test_squared_loss_gap_identity():
@@ -215,25 +228,25 @@ def test_fwer_mode_tightens_thresholds():
     rng = np.random.default_rng(11)
     x = rng.standard_normal(400)
     cfg = BootstrapConfig(beta=0.9, replications=400)
-    pcer = select_window(x, Mean(), cfg, Grid(k_min=20), seed=13, error_control="pcer",
-                         exact_thresholds=True)
-    fwer = select_window(x, Mean(), cfg, Grid(k_min=20), seed=13, error_control="fwer",
-                         exact_thresholds=True)
-    # on the pairs both traces hold
-    held = {(i, k): tau for i, k, tau in zip(pcer.pair_reference, pcer.pair_candidate,
-                                              pcer.pair_threshold)}
-    common = [(held[i, k], tau) for i, k, tau in zip(fwer.pair_reference, fwer.pair_candidate,
-                                                     fwer.pair_threshold) if (i, k) in held]
-    assert common and all(tau >= pcer_tau for pcer_tau, tau in common)
+    pcer = select_window(x, Mean(), cfg, Grid(k_min=20), seed=13, error_control="pcer")
+    fwer = select_window(x, Mean(), cfg, Grid(k_min=20), seed=13, error_control="fwer")
     assert fwer.k_hat >= pcer.k_hat
-    # fwer thresholds must be re-quantiled from the same cached gap sample
+    # every pair's threshold, from calibrations of all B rows
+    pcer_all, fwer_all = (exhaustive_select_window(x, Mean(), cfg, Grid(k_min=20), seed=13,
+                                                   error_control=mode)
+                          for mode in ERROR_CONTROLS)
+    assert np.array_equal(pcer_all.pair_candidate, fwer_all.pair_candidate)
+    assert np.all(fwer_all.pair_threshold >= pcer_all.pair_threshold)
+    # fwer decisions re-quantile the same gap sample at the Bonferroni level
     gaps, _ = bootstrap_gaps(x[-20:], Mean(), cfg, time_index=401, seed=13)
     s = np.flatnonzero(fwer.pair_reference == 20)
+    assert s.size
     for pos in s:
         k = fwer.pair_candidate[pos]
         comparisons = int(np.sum(fwer.candidates < k))
-        level = bonferroni_level(0.9, comparisons)
-        assert fwer.pair_threshold[pos] == empirical_quantile(gaps, level)
+        tau = empirical_quantile(gaps, bonferroni_level(0.9, comparisons))
+        assert fwer.pair_reject[pos] == (fwer.pair_gap[pos] > tau)
+        assert np.isnan(fwer.pair_threshold[pos]) or fwer.pair_threshold[pos] == tau
     with pytest.raises(ValueError):
         select_window(x, Mean(), fixed(0.1), Grid(k_min=20),
                       error_control="fwer")
@@ -264,7 +277,7 @@ def test_pair_counts_stop_with_every_decision_fixed(data):
                               label="gaps"), dtype=float)
     j = np.array(data.draw(st.lists(st.integers(1, B), min_size=pairs, max_size=pairs),
                            label="j"))
-    # the draw loop of bootstrap_gaps, without its 512 KB cap
+    # draw only the rows the counter asks for: the smallest blocks possible
     counts = selection._PairCounts(gaps, j, B)
     want = counts(sample[:0])
     drawn = 0
@@ -293,16 +306,19 @@ def test_concurrent_trace_matches_serial_oneshot_oracle(target, mode, error_cont
                                                         monkeypatch):
     x = np.random.default_rng(17).standard_t(4, size=1300)
     cfg = BootstrapConfig(replications=150, mode=mode)
-    kwargs = dict(prev_k=400, time_index=1301, seed=9, error_control=error_control,
-                  exact_thresholds=True)
+    kwargs = dict(prev_k=400, time_index=1301, seed=9, error_control=error_control)
     got = select_window(x, target, cfg, **kwargs)
-    # the oracle calibrates from one-shot resample matrices
+    # the oracle calibrates from one-shot resample matrices of all B rows
     monkeypatch.setattr(selection, "bootstrap_gaps", oneshot_bootstrap_gaps)
     want = select_window(x, target, cfg, **kwargs)
     assert got.candidates.size > 10
     for field in ("candidates", "pair_reference", "pair_candidate", "pair_gap",
-                  "pair_threshold", "pair_reject", "admissible"):
+                  "pair_reject", "admissible"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    # thresholds agree where the calibration drew all B rows
+    known = ~np.isnan(got.pair_threshold)
+    assert np.array_equal(got.pair_threshold[known], want.pair_threshold[known])
+    assert not np.isnan(want.pair_threshold).any()
     assert got.k_hat == want.k_hat
     assert np.array_equal(got.fit.theta, want.fit.theta)
 
@@ -334,34 +350,25 @@ def test_scan_matches_exhaustive_oracle(target, mode, error_control, history):
         admissible &= [not (k > i and oracle[i, k].reject) for k in cands]
         stop += 1
     scanned = cands[:stop]
-    for exact in (False, True):
-        got = select_window(x, target, cfg, **kwargs, exact_thresholds=exact)
-        assert np.array_equal(got.candidates, want.candidates)
-        assert np.array_equal(got.admissible, want.admissible)
-        assert got.k_hat == want.k_hat
-        assert np.array_equal(got.fit.theta, want.fit.theta)
-        pairs = sorted(zip(got.pair_reference.tolist(), got.pair_candidate.tolist()))
-        rows = dict(zip(scanned, got.rows_drawn.tolist()))
-        assert got.rows_drawn.size == len(scanned)
-        if exact:
-            # every pair of every scanned reference, bit for bit, tau included
-            assert pairs == [(i, k) for i in scanned for k in cands if k > i]
-            for p in got.pair_records():
-                assert p == oracle[p.reference, p.candidate]
-            assert set(rows.values()) == {B}
-            continue
-        # the live pairs only, each with the oracle's gap and decision; tau is
-        # known only where the reference drew all B rows
-        assert pairs == sorted(live)
-        for p in got.pair_records():
-            q = oracle[p.reference, p.candidate]
-            assert (p.gap, p.reject) == (q.gap, q.reject)
-            if rows[p.reference] == B:
-                assert p.threshold == q.threshold
-            else:
-                assert np.isnan(p.threshold)
-        assert all(1 <= r <= B for r in rows.values())
-        if history == "stable" and (mode == "block" or target.iid_gaps is None):
-            assert min(rows.values()) < B  # the iid VaR shortcut draws all B at once
+    got = select_window(x, target, cfg, **kwargs)
+    assert np.array_equal(got.candidates, want.candidates)
+    assert np.array_equal(got.admissible, want.admissible)
+    assert got.k_hat == want.k_hat
+    assert np.array_equal(got.fit.theta, want.fit.theta)
+    # the live pairs, each with the oracle's gap and decision; tau is known
+    # only where the reference drew all B rows
+    assert got.rows_drawn.size == len(scanned)
+    rows = dict(zip(scanned, got.rows_drawn.tolist()))
+    assert sorted(zip(got.pair_reference.tolist(), got.pair_candidate.tolist())) == sorted(live)
+    for p in got.pair_records():
+        q = oracle[p.reference, p.candidate]
+        assert (p.gap, p.reject) == (q.gap, q.reject)
+        if rows[p.reference] == B:
+            assert p.threshold == q.threshold
+        else:
+            assert np.isnan(p.threshold)
+    assert all(1 <= r <= B for r in rows.values())
+    if history == "stable" and (mode == "block" or target.iid_gaps is None):
+        assert min(rows.values()) < B  # the iid VaR shortcut draws all B at once
     if history == "break":
         assert got.k_hat < 300 and 2 * len(scanned) <= len(cands)
