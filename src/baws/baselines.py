@@ -15,6 +15,7 @@ Lipschitz losses respectively.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,8 @@ class SAWSConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha_tau < 1.0:
             raise ConfigError("alpha_tau must lie in (0, 1)")
-        if self.c_tau <= 0:
-            raise ConfigError("c_tau must be positive")
+        if not 0.0 < self.c_tau < math.inf:
+            raise ConfigError(f"c_tau must be positive and finite, got {self.c_tau}")
         if self.family not in SAWS_FAMILIES:
             raise ConfigError(f"family must be one of {SAWS_FAMILIES}")
 

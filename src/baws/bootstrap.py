@@ -9,8 +9,8 @@ where theta_b is fitted on the b-th resample (iid, or moving-block for
 dependent data) and theta_hat on the window itself.  Both estimators are
 scored on the original window, so every gap is >= 0 by the minimizer
 property of theta_hat.  This module draws the resamples; the target's
-``row_fits`` reduces them to fits and its ``fit_gaps`` scores those (or
-its ``iid_gaps`` shortcut draws the gaps without resample rows).
+``row_fits`` reduces them to fits (or its ``iid_fits`` shortcut draws iid
+fits without resample rows) and its ``fit_gaps`` scores those.
 
 Every row holds int32 ranks into the sorted window, whatever the target:
 iid rows are the rank draws themselves, and block rows are blocks of the
@@ -33,9 +33,9 @@ through a few decisions passes ``until``, which sees each block's gaps and
 returns how many more rows its decisions need; the draw stops once they are
 fixed, and the gaps drawn so far are the first ones of the full draw (see
 ``selection``).  A curtailed draw's blocks hold at least those rows, at
-least the rows drawn so far (so blocks double) and at least 64, since a
-smaller block costs more per row.  The iid VaR shortcut draws its B gaps in
-one block.
+least the rows drawn so far (so blocks double) and at least max(64 rows,
+512 ranks), since a smaller block costs more per row: the iid VaR
+shortcut's fits, rows of one rank, come in one block up to B = 512.
 
 Streams derive from (seed, time_index, window_length) through
 ``numpy.random.SeedSequence``; the seed and time index are arguments of
@@ -63,7 +63,7 @@ from .scoring import joint_score_at, pinball_score_at  # noqa: F401
 
 _GAP_SLACK = 1e-9  # tolerated negative rounding noise, relative to score scale
 _BLOCK_BYTES = 1 << 19  # bytes of resample rows per row block
-_FIRST_ROWS = 64  # fewest rows per block of a curtailed draw
+_FIRST_ROWS, _FIRST_RANKS = 64, 512  # a curtailed draw's smallest block: max(rows, ranks)
 _buffers = threading.local()
 
 
@@ -92,8 +92,8 @@ class BootstrapConfig:
             raise ConfigError("replications must be >= 1")
         if self.mode not in ("iid", "block"):
             raise ConfigError(f"mode must be 'iid' or 'block', got {self.mode!r}")
-        if self.block_c <= 0:
-            raise ConfigError("block_c must be positive")
+        if not 0.0 < self.block_c < math.inf:
+            raise ConfigError(f"block_c must be positive and finite, got {self.block_c}")
 
 
 def _int_cbrt_ceil(i: int) -> int:
@@ -166,14 +166,16 @@ def _ranks(window) -> np.ndarray:
 
 def _row_sampler(window, stats: WindowStats, target: ForecastTarget, cfg: BootstrapConfig,
                  rng: np.random.Generator):
-    """``(draw, cap)``: ``draw(b)`` gives the (b, dim) fits of the next b
-    resample rows of the stream, and ``cap`` is the most rows that fit in
-    one 512 KB block.
+    """``(draw, L)``: ``draw(b)`` gives the (b, dim) fits of the next b
+    resample rows of the stream, of L ranks each.
 
     A row is i draws of single observations (iid) or m draws of length-l
     blocks (block), concatenated in draw order: L = i or m * l ranks.
+    Fits from a target's ``iid_fits`` are served as rows of one rank.
     """
     n = stats.n
+    if cfg.mode == "iid" and target.iid_fits is not None:
+        return (lambda b: target.iid_fits(stats, b, rng)), 1
     if cfg.mode == "iid":
         # iid resampling is exchangeable, so drawing ranks into the sorted
         # window makes thresholds invariant to permutations of the input
@@ -197,7 +199,7 @@ def _row_sampler(window, stats: WindowStats, target: ForecastTarget, cfg: Bootst
             np.take(blocks, idx, axis=0, out=rows.reshape(b, draws, width), mode="wrap")
         return target.row_fits(stats, rows)
 
-    return draw, max(1, _BLOCK_BYTES // (4 * L))
+    return draw, L
 
 
 def guarded_gaps(raw: np.ndarray, scale: float, kind: str) -> np.ndarray:
@@ -220,14 +222,13 @@ def bootstrap_gaps(window, target: ForecastTarget, cfg: BootstrapConfig, *,
     length).  All gaps are evaluated under the original window's empirical
     score.  ``stats`` and ``fit``, when given, are the window's.
 
-    Without ``until`` all B rows are drawn.  With it the rows are drawn in
-    stream order, block by block: ``until`` is called first with no gaps,
-    then with each block's guarded gaps, and returns the fewest further rows
-    its decisions need.  Drawing stops when it returns 0 or at B rows, and
-    the gaps drawn so far are returned: the first gaps of the full draw, bit
-    for bit.  Each block holds max(need, rows drawn, 64) rows, within the
-    512 KB cap and the rows left.  The iid shortcut draws all B gaps at once
-    and passes them to ``until`` in a single call.
+    Rows are drawn in stream order, in blocks within the 512 KB cap and the
+    rows left.  Without ``until`` all B rows are drawn.  With it, ``until``
+    is called with each block's guarded gaps and returns the fewest further
+    rows its decisions need; the first block holds max(64, 512 // L) rows
+    of L ranks, and each later one max(need, rows drawn, 64, 512 // L).
+    Drawing stops when it returns 0 or at B rows, and the gaps drawn so far
+    are returned: the first gaps of the full draw, bit for bit.
     """
     if stats is None:
         stats = window_stats(window)
@@ -235,19 +236,16 @@ def bootstrap_gaps(window, target: ForecastTarget, cfg: BootstrapConfig, *,
         fit = fit_from_stats(stats, target)
     rng = np.random.default_rng(np.random.SeedSequence((seed, time_index, stats.n)))
     B = cfg.replications
-    if cfg.mode == "iid" and target.iid_gaps is not None:
-        gaps = guarded_gaps(target.iid_gaps(stats, fit, B, rng), fit.score, "bootstrap")
-        if until is not None:
-            until(gaps)
-        return gaps, fit
-    need = B if until is None else until(np.empty(0))
-    draw, cap = _row_sampler(window, stats, target, cfg, rng)
+    draw, L = _row_sampler(window, stats, target, cfg, rng)
+    cap = max(1, _BLOCK_BYTES // (4 * L))
+    smallest = max(_FIRST_ROWS, _FIRST_RANKS // L)
+    need = B if until is None else smallest
     parts = []
     drawn = 0
     while drawn < B and need > 0:
-        b = min(max(need, drawn, _FIRST_ROWS), cap, B - drawn)
+        b = min(max(need, drawn, smallest), cap, B - drawn)
         parts.append(guarded_gaps(target.fit_gaps(stats, draw(b), fit), fit.score,
                                   "bootstrap"))
         drawn += b
         need = B - drawn if until is None else until(parts[-1])
-    return (np.concatenate(parts) if parts else np.empty(0)), fit
+    return np.concatenate(parts), fit

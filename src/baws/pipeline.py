@@ -141,6 +141,8 @@ def run_backtest(series, cfg: BacktestConfig, *, start_t: int | None = None,
     first = cfg.t0 if start_t is None else start_t
     if first < cfg.t0:
         raise ConfigError("start_t cannot precede t0")
+    if first > n + 1:  # n + 1 resumes a finished run: no steps left
+        raise ConfigError(f"start_t={first} lies past the series end t={n + 1}")
 
     # adaptive methods select with a threshold policy; the others fit the
     # last min(t - 1, span) observations

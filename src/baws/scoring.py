@@ -26,13 +26,12 @@ package decides anything per target.  A target class supplies
                             which it may overwrite; Mean's fits are
                             relative to stats.center
     fit_gaps(stats, fits, fit)
-                            raw bootstrap score gaps of all B row fits
-                            against the window fit
-    iid_gaps(stats, fit, B, rng)
-                            raw gaps of B iid resamples against the window
-                            fit, drawn without materializing them; None
-                            (the default) when the target has no such
-                            shortcut
+                            raw bootstrap score gaps of a block of row
+                            fits against the window fit
+    iid_fits(stats, b, rng) (b, dim) fits of the next b iid resamples of
+                            the stream rng, drawn without materializing
+                            them; None (the default) when the target has
+                            no such shortcut
     truth(path)             true parameter path of a scenario, shape (T,)
                             or (T, dim) with one column per component
     metric_rows(tensor, population, metrics)
@@ -257,7 +256,7 @@ class ForecastTarget:
         _check_level(alpha)  # rejected even where the target has no level
         return cls()
 
-    iid_gaps = None
+    iid_fits = None
 
     def fit_gaps(self, stats: WindowStats, fits: np.ndarray, fit: FitResult) -> np.ndarray:
         return self.score_at(stats, fits) - fit.score
@@ -373,16 +372,16 @@ class VaR(_TailTarget):
     def row_fits(self, stats: WindowStats, rows: np.ndarray) -> np.ndarray:
         return self.row_quantile(stats, rows)[1][:, None]
 
-    def iid_gaps(self, stats: WindowStats, fit: FitResult, replications: int, rng):
+    def iid_fits(self, stats: WindowStats, b: int, rng) -> np.ndarray:
         # The fitted VaR of an iid resample is its j-th order statistic,
         # which lands on sorted-window position floor(n * U_(j)) with
         # U_(j) ~ Beta(j, n - j + 1); sampling that position directly is
         # distribution-exact and avoids materializing the resamples.
         n = stats.n
         j = self.quantile_index(n)
-        u = rng.beta(j, n - j + 1, size=replications)
+        u = rng.beta(j, n - j + 1, size=b)
         pos = np.minimum((n * u).astype(np.int64), n - 1)
-        return pinball_score_at(stats, stats.values_sorted[pos], self.alpha) - fit.score
+        return stats.values_sorted[pos][:, None]
 
     def metric_rows(self, tensor, population, metrics):
         return [("CR", metrics.cumulative_risk_var(tensor, population, self.alpha))]

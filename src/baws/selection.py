@@ -98,10 +98,10 @@ class _PairCounts:
     A pair rejects when its gap exceeds tau, the j-th smallest of the B
     bootstrap gaps: exactly when j of them lie below the pair's gap.  So a
     reject is fixed once j drawn gaps lie below it, and an accept once
-    B - j + 1 do not.  Called with each block of drawn gaps (the ``until``
-    of ``bootstrap_gaps``), it counts them and returns the fewest further
-    rows that can fix every decision: 0 once all are fixed, as they are at
-    B rows.
+    B - j + 1 do not.  Called with each drawn block of gaps (the ``until``
+    of ``bootstrap_gaps``, which never passes an empty one), it counts them
+    and returns the fewest further rows that can fix every decision: 0 once
+    all are fixed, as they are at B rows.
     """
 
     def __init__(self, gaps: np.ndarray, order: np.ndarray, replications: int):
@@ -181,11 +181,14 @@ def _band_points(cfg: CandidateGridConfig, lo: int, hi: int) -> list[int]:
 
 def candidate_windows(history_length: int, prev_k: int | None = None,
                       cfg: CandidateGridConfig = CandidateGridConfig()) -> list[int]:
-    """Ordered candidate window set for the current step."""
+    """Ordered candidate window set for the current step; a previous
+    selection ``prev_k`` is never below ``cfg.k_min``."""
     if history_length < cfg.k_min:
         raise ValueError(
             f"insufficient history: {history_length} observations, k_min={cfg.k_min}"
         )
+    if prev_k is not None and prev_k < cfg.k_min:
+        raise ValueError(f"previous window {prev_k} is below k_min={cfg.k_min}")
     limit = history_length
     if cfg.max_window is not None:
         limit = min(limit, cfg.max_window)

@@ -6,8 +6,9 @@ These re-derive expected values from first principles (direct loops,
 exhaustive scans, scalar refinement, textbook formulas) without touching
 the library's fast paths, so implementation and oracle stay independent.
 The one-shot resampler is the exception: it keeps the library's former
-single-matrix algorithm on float64 values, where the library's tail rows
-now hold ranks, and reuses its fits, so that the row blocks can be checked
+single-matrix algorithm on float64 values (one Beta draw of all B order
+statistics for iid VaR), where the library's rows now hold ranks and come
+in blocks, and reuses its fits, so that the row blocks can be checked
 against it bit for bit.  So is the exhaustive selection: it calibrates
 every reference with the library's ``bootstrap_gaps`` and reads the
 selection off all pairs at once, so that the scan that stops early can be
@@ -136,16 +137,32 @@ def block_resample(window, block_len: int, rng: np.random.Generator) -> np.ndarr
 # index in one (B, draws) int64 draw, every value in one (B, L) matrix, and
 # each target's gap formula applied to the whole matrix
 
-def oneshot_resample_rows(window, stats, cfg: BootstrapConfig,
+def oneshot_resample_rows(window, stats, target: ForecastTarget, cfg: BootstrapConfig,
                           rng: np.random.Generator) -> np.ndarray:
-    """(B, L) matrix of resampled values; L = i (iid) or m*l (block)."""
+    """(B, L) matrix of resampled values; L = i (iid) or m*l (block), or 1
+    for iid VaR, whose rows hold only the resample's fitted VaR."""
     B, n = cfg.replications, stats.n
+    if cfg.mode == "iid" and isinstance(target, VaR):
+        # the j-th smallest of n iid uniforms is Beta(j, n - j + 1), and the
+        # j-th smallest resampled value the one at sorted position floor(n u)
+        j = order_index(target.alpha, n)
+        u = rng.beta(j, n - j + 1, size=B)
+        return stats.values_sorted[np.clip(np.floor(n * u), 0, n - 1).astype(int)][:, None]
     if cfg.mode == "iid":
         return stats.values_sorted[rng.integers(0, n, size=(B, n))]
     l, m = block_length(n, cfg.block_c)
     w = np.ascontiguousarray(np.asarray(window, dtype=float))
     starts = rng.integers(0, n - l + 1, size=(B, m))
     return sliding_window_view(w, l)[starts].reshape(B, m * l)
+
+
+def row_length(n: int, target: ForecastTarget, cfg: BootstrapConfig) -> int:
+    """Ranks L per resample row of a window of n: i (iid), m*l (block), or
+    1 for iid VaR, whose order-statistic fits are drawn without rows."""
+    if cfg.mode == "block":
+        l, m = block_length(n, cfg.block_c)
+        return m * l
+    return 1 if isinstance(target, VaR) else n
 
 
 def oneshot_gaps(stats, rows: np.ndarray, fit, target: ForecastTarget) -> np.ndarray:
@@ -168,18 +185,15 @@ def oneshot_gaps(stats, rows: np.ndarray, fit, target: ForecastTarget) -> np.nda
 def oneshot_bootstrap_gaps(window, target: ForecastTarget, cfg: BootstrapConfig, *,
                            time_index: int = 0, seed: int = 0, stats=None, fit=None,
                            until=None):
-    """``bootstrap_gaps`` drawing all B rows from one-shot resample matrices
-    (the iid VaR order-statistic shortcut builds none, so it is called as it
-    is); it does not stop early, and passes ``until`` its B gaps at once."""
+    """``bootstrap_gaps`` drawing all B rows from one-shot resample matrices;
+    it does not stop early, and passes ``until`` its B gaps at once."""
     if stats is None:
         stats = window_stats(window)
     if fit is None:
         fit = target.fit(stats)
     rng = np.random.default_rng(np.random.SeedSequence((seed, time_index, stats.n)))
-    if cfg.mode == "iid" and isinstance(target, VaR):
-        raw = target.iid_gaps(stats, fit, cfg.replications, rng)
-    else:
-        raw = oneshot_gaps(stats, oneshot_resample_rows(window, stats, cfg, rng), fit, target)
+    raw = oneshot_gaps(stats, oneshot_resample_rows(window, stats, target, cfg, rng), fit,
+                       target)
     gaps = guarded_gaps(raw, fit.score, "bootstrap")
     if until is not None:
         until(gaps)

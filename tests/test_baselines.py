@@ -26,8 +26,9 @@ def test_saws_threshold_monotone_decreasing():
 def test_saws_config_validation():
     with pytest.raises(ValueError):
         SAWSConfig(alpha_tau=0.0)
-    with pytest.raises(ValueError):
-        SAWSConfig(c_tau=-1.0)
+    for c_tau in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SAWSConfig(c_tau=c_tau)
     with pytest.raises(ValueError):
         SAWSConfig(family="other")
 

@@ -20,6 +20,7 @@ from baws.bootstrap import (
     guarded_gaps,
     oversized_block,
 )
+from baws.errors import ConfigError
 from baws.scoring import (
     Mean,
     VaR,
@@ -31,7 +32,7 @@ from baws.scoring import (
 )
 
 from conftest import (block_resample, brute_force_var_es, direct_pinball, empirical_score,
-                      iid_resample, oneshot_bootstrap_gaps)
+                      iid_resample, oneshot_bootstrap_gaps, row_length)
 
 
 def threshold(window, target, cfg, time_index=0, seed=0):
@@ -79,6 +80,13 @@ def test_block_length_rounding_and_floor():
         block_length(0, 1.0)
     with pytest.raises(ValueError):
         block_length(10, -1.0)
+
+
+@pytest.mark.parametrize("block_c", [0.0, -1.0, float("nan"), float("inf")])
+def test_block_constant_must_be_positive_and_finite(block_c):
+    # NaN and inf would otherwise fail only once a block length is computed
+    with pytest.raises(ConfigError, match="block_c"):
+        BootstrapConfig(mode="block", block_c=block_c)
 
 
 def test_oversized_block_matches_full_scan():
@@ -282,10 +290,10 @@ def test_vares_resample_gaps_match_row_fits(L, alpha):
 @pytest.mark.parametrize("B", [1, 200])
 def test_row_blocks_match_oneshot_oracle(mode, target, n, B):
     cfg = BootstrapConfig(replications=B, mode=mode)
-    if B > 1 and n >= 999:
-        l, m = block_length(n, cfg.block_c) if mode == "block" else (1, n)
+    L = row_length(n, target, cfg)
+    if B > 1 and n >= 999 and L > 1:  # iid VaR's rows of one rank fill one block
         # every row holds int32 ranks, whatever the target
-        rows_per_block = bootstrap._BLOCK_BYTES // (m * l * 4)
+        rows_per_block = bootstrap._BLOCK_BYTES // (L * 4)
         # several blocks, the last one short
         assert B > rows_per_block and B % rows_per_block
     w = np.random.default_rng(n).standard_t(4, size=n)
@@ -300,7 +308,8 @@ def test_row_blocks_match_oneshot_oracle(mode, target, n, B):
 @settings(max_examples=60, deadline=None)
 @given(target=st.sampled_from([Mean(), VaR(0.95), VaRES(0.9)]),
        mode=st.sampled_from(["iid", "block"]),
-       # L = n (iid) or m * l (block): odd but for block mode at n = 57
+       # L = n (iid), m * l (block) or 1 (iid VaR): odd but for block mode
+       # at n = 57
        n=st.sampled_from([1, 27, 57, 125, 343]),
        B=st.integers(1, 200),
        schedule=st.lists(st.integers(1, 90), max_size=8))
@@ -312,22 +321,24 @@ def test_any_block_schedule_continues_one_stream(target, mode, n, B, schedule):
     full, fit = bootstrap_gaps(w, target, cfg, time_index=3, seed=8)
     stats = window_stats(w)
 
+    L = row_length(n, target, cfg)
+
     def sampled_gaps(sizes):
         rng = np.random.default_rng(np.random.SeedSequence((8, 3, n)))
-        draw, _ = bootstrap._row_sampler(w, stats, target, cfg, rng)
+        draw, ranks = bootstrap._row_sampler(w, stats, target, cfg, rng)
+        assert ranks == L
         return [guarded_gaps(target.fit_gaps(stats, draw(b), fit), fit.score, "bootstrap")
                 for b in sizes]
 
-    # the row sampler, with 1-row and odd blocks; the iid VaR shortcut of
-    # bootstrap_gaps draws no rows, so its rows are checked against one block
-    want = full if mode == "block" or target.iid_gaps is None else sampled_gaps([B])[0]
+    # the row sampler, with 1-row and odd blocks
     sizes = []
     for size in schedule:
         sizes.append(min(size, B - sum(sizes)))
     sizes = [b for b in [*sizes, B - sum(sizes)] if b]
-    assert np.array_equal(np.concatenate(sampled_gaps(sizes)), want)
+    assert np.array_equal(np.concatenate(sampled_gaps(sizes)), full)
 
-    # bootstrap_gaps asked for the schedule's rows, then for none
+    # bootstrap_gaps asked for the schedule's rows after its first block,
+    # then for none
     blocks = []
     needs = iter(schedule)
 
@@ -338,18 +349,32 @@ def test_any_block_schedule_continues_one_stream(target, mode, n, B, schedule):
     got, _ = bootstrap_gaps(w, target, cfg, time_index=3, seed=8, fit=fit, until=until)
     assert np.array_equal(np.concatenate(blocks), got)
     assert np.array_equal(got, full[:got.size])
-    if mode == "iid" and target.iid_gaps is not None:  # the shortcut draws all B at once
-        assert [b.size for b in blocks] == [B]
-        return
-    # each block holds max(need, rows drawn, 64) rows, up to the rows left
-    # (the 512 KB cap holds more than 200 rows of L <= 343), until B rows or
-    # no need
-    assert blocks[0].size == 0 and len(blocks) <= len(schedule) + 1
+    # the first block holds max(64, 512 // L) rows (L = 1 for iid VaR), each
+    # later one max(need, rows drawn, 64, 512 // L), up to the rows left (the
+    # 512 KB cap holds more than 200 rows of L <= 343), until B rows or no
+    # need; ``until`` never sees an empty block
+    smallest = max(bootstrap._FIRST_ROWS, bootstrap._FIRST_RANKS // L)
+    assert all(block.size for block in blocks) and len(blocks) <= len(schedule) + 1
     drawn = 0
-    for block, need in zip(blocks[1:], schedule):
-        assert block.size == min(max(need, drawn, bootstrap._FIRST_ROWS), B - drawn)
+    for block, need in zip(blocks, [smallest, *schedule]):
+        assert block.size == min(max(need, drawn, smallest), B - drawn)
         drawn += block.size
     assert got.size == drawn and (drawn == B or len(blocks) == len(schedule) + 1)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.5, 0.95])
+@pytest.mark.parametrize("n", [20, 21, 250, 999, 1500])
+def test_iid_var_fits_in_chunks_equal_one_draw(n, alpha):
+    # the Beta order-statistic draws continue one stream across chunks, so
+    # the iid VaR fits can be drawn block by block like resample rows
+    target = VaR(alpha)
+    stats = window_stats(np.random.default_rng(n).standard_t(4, size=n))
+
+    def fits(sizes):
+        rng = np.random.default_rng(np.random.SeedSequence((5, 2, n)))
+        return np.concatenate([target.iid_fits(stats, b, rng) for b in sizes])
+
+    assert np.array_equal(fits([1, 63, 448, 1, 487]), fits([1000]))
 
 
 def test_null_exceedance_rate_small_reference():

@@ -134,7 +134,11 @@ def test_invalid_configs_exit_1_before_running(tmp_path, capsys):
     assert "block length 30 exceeds window length 20" in capsys.readouterr().err
     for bad in (["--B", "0"], ["--beta", "1.5"], ["--alpha", "1.5"],
                 ["--target", "mean", "--alpha", "2"], ["--k0", "1"],
-                ["--block-c", "-1"], ["--k0", "20", "--max-window", "10"]):
+                ["--block-c", "-1"], ["--k0", "20", "--max-window", "10"],
+                ["--bootstrap-mode", "block", "--block-c", "nan"],
+                ["--bootstrap-mode", "block", "--block-c", "inf"],
+                ["--method", "saws", "--saws-c-tau", "nan"],
+                ["--method", "saws", "--saws-c-tau", "inf"]):
         assert run(base + bad) == 1, bad
     assert run(["simulate", "--scenario", "A1", "--T", "0", "--out", out]) == 1
     for scenario in ("A1", "GARCH"):

@@ -194,6 +194,10 @@ def test_checkpoint_resume_reproduces_suffix():
     prev_k = next(r.k_hat for r in full if r.t == t_resume - 1)
     suffix = run_backtest(x, cfg, start_t=t_resume, initial_prev_k=prev_k)
     assert suffix == [r for r in full if r.t >= t_resume]
+    # a previous selection below k_min fails on the first step, not midway
+    for bad_k in (0, 5):
+        with pytest.raises(ValueError, match="below k_min"):
+            run_backtest(x, cfg, start_t=t_resume, initial_prev_k=bad_k)
 
 
 def test_backtest_validation():
@@ -206,6 +210,11 @@ def test_backtest_validation():
     cfg = BacktestConfig(method="full", target=Mean(), t0=50)
     with pytest.raises(ConfigError):
         run_backtest(np.zeros(10), cfg)
+    # a finished run resumes to no records; a start past it is an error
+    assert run_backtest(np.zeros(60), cfg, start_t=61) == []
+    for start_t in (62, 10**6):
+        with pytest.raises(ConfigError, match="past the series end"):
+            run_backtest(np.zeros(60), cfg, start_t=start_t)
     with pytest.raises(DataError):
         run_backtest(np.array([np.nan] * 60), cfg)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from baws import selection
+from baws import bootstrap, selection
 from baws.bootstrap import BootstrapConfig, bootstrap_gaps, empirical_quantile
 from baws.scoring import Mean, VaR, VaRES, fit_target, order_index
 from baws.selection import (
@@ -17,7 +17,8 @@ from baws.selection import (
     select_window,
 )
 
-from conftest import empirical_score, exhaustive_select_window, oneshot_bootstrap_gaps
+from conftest import (empirical_score, exhaustive_select_window, oneshot_bootstrap_gaps,
+                      row_length)
 
 
 def fixed(tau):
@@ -60,6 +61,13 @@ def test_candidate_grid_respects_max_window():
 def test_candidate_grid_insufficient_history():
     with pytest.raises(ValueError, match="insufficient history"):
         candidate_windows(19, None, Grid(k_min=20))
+
+
+@pytest.mark.parametrize("prev_k", [0, 5, 19])
+def test_candidate_grid_rejects_previous_window_below_k_min(prev_k):
+    # no selection is below k_min, and the grid holds no window below it
+    with pytest.raises(ValueError, match="below k_min=20"):
+        candidate_windows(100, prev_k, Grid(k_min=20))
 
 
 def test_bonferroni_level_examples():
@@ -367,8 +375,13 @@ def test_scan_matches_exhaustive_oracle(target, mode, error_control, history):
             assert p.threshold == q.threshold
         else:
             assert np.isnan(p.threshold)
-    assert all(1 <= r <= B for r in rows.values())
-    if history == "stable" and (mode == "block" or target.iid_gaps is None):
-        assert min(rows.values()) < B  # the iid VaR shortcut draws all B at once
+    # each reference draws at least its first block, max(64, 512 // L) rows
+    # of L ranks up to B; on the stable history some reference stops before
+    # B rows, unless every first block holds all B (iid VaR, L = 1)
+    first = {i: min(max(bootstrap._FIRST_ROWS, bootstrap._FIRST_RANKS
+                        // row_length(i, target, cfg)), B) for i in scanned}
+    assert all(first[i] <= r <= B for i, r in rows.items())
+    if history == "stable" and min(first.values()) < B:
+        assert min(rows.values()) < B
     if history == "break":
         assert got.k_hat < 300 and 2 * len(scanned) <= len(cands)
