@@ -47,6 +47,11 @@ CASES = {
                              "--T", "230", "--t0", "226", *EXPERIMENT],
     "experiment-A3-vares": ["experiment", "--scenario", "A3", "--target", "vares",
                             "--T", "300", "--t0", "291", *EXPERIMENT],
+    # a random mean path per replication, and the skewed-t ES truth
+    "experiment-B2-var": ["experiment", "--scenario", "B2", "--target", "var",
+                          "--T", "300", "--t0", "271", *EXPERIMENT],
+    "experiment-GARCH-vares": ["experiment", "--scenario", "GARCH", "--target", "vares",
+                               "--T", "230", "--t0", "226", *EXPERIMENT],
 }
 
 DIGESTS = {
@@ -88,8 +93,12 @@ DIGESTS = {
         "893891d6e0d4faf393923c090717fa4faee0f8673c47d5e1eb8e3c4ef0629384",
     "experiment-A3-vares":
         "942da9e882d7ddaef8a1d3951c11e517d9d407150d39fade29ccd22385eeccd6",
+    "experiment-B2-var":
+        "777115c0860b24040127045de0297218bdaf1ccda9d98fa0bff0d96daa406c15",
     "experiment-GARCH-var":
         "decc3ae72e9a1de0a4d0893e26815290adaa1ee7cc3dde1bebed1f23fcf600ba",
+    "experiment-GARCH-vares":
+        "4330a2db061d0f8c68c6e7f8764e8270c46219f102e3254161dea1a28b46ad3c",
 }
 
 
