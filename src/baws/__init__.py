@@ -20,8 +20,6 @@ from .bootstrap import (
 from .errors import ConfigError, DataError
 from .metrics import (
     ExperimentTensor,
-    GaussianTruth,
-    SkewedTTruth,
     cumulative_loss,
     cumulative_risk_mean,
     cumulative_risk_var,
@@ -40,7 +38,9 @@ from .pipeline import (
     run_experiment,
 )
 from .scenarios import (
+    GaussianLaw,
     ScenarioPath,
+    SkewedTLaw,
     gen_garch,
     generate,
     skewed_t_cdf,

@@ -34,7 +34,7 @@ from .pipeline import (
     run_experiment,
 )
 from .baselines import SAWS_FAMILIES, SAWSConfig
-from .scenarios import SCENARIOS, generate
+from .scenarios import DEFAULT_ALPHA, DEFAULT_T, generate, scenario_name
 from .scoring import TARGETS
 from .selection import ERROR_CONTROLS, CandidateGridConfig, rejection_probability_gaussian
 
@@ -64,7 +64,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_method_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target", default="var", help=" | ".join(TARGETS))
-    p.add_argument("--alpha", type=float, default=0.95, help="tail level")
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="tail level")
     # the bootstrap options default to None, so that one given to a run that
     # cannot use it is rejected; BootstrapConfig holds their defaults
     p.add_argument("--beta", type=float, default=None,
@@ -92,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a scenario path as CSV")
     p.add_argument("--scenario", required=True,
                    help="A1, A2, A3, B1, B2, B3, or GARCH")
-    p.add_argument("--T", dest="horizon", type=int, default=2000)
-    p.add_argument("--alpha", type=float, default=0.95)
+    p.add_argument("--T", dest="horizon", type=int, default=DEFAULT_T)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     _add_common(p)
 
     p = sub.add_parser("backtest", help="online forecasts over a losses CSV")
@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="baws,saws,fixed:250,fixed:500,fixed:750,full",
                    help="comma-separated method specs")
     p.add_argument("--n", type=int, default=1000, help="number of replications")
-    p.add_argument("--T", dest="horizon", type=int, default=2000)
+    p.add_argument("--T", dest="horizon", type=int, default=DEFAULT_T)
     _add_method_options(p)
     _add_common(p)
 
@@ -179,15 +179,8 @@ def _bootstrap_options(args, methods, mode: str) -> dict:
     return {key: value for key, value in fields.items() if value is not None}
 
 
-def _check_scenario(name: str) -> str:
-    if name.upper() not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {name!r}; expected one of {SCENARIOS}")
-    return name.upper()
-
-
 def _cmd_simulate(args) -> None:
-    scenario = _check_scenario(args.scenario)
-    path = generate(scenario, T=args.horizon, seed=args.seed, alpha=args.alpha)
+    path = generate(args.scenario, T=args.horizon, seed=args.seed, alpha=args.alpha)
     emit_results(path, args.out)
 
 
@@ -209,7 +202,7 @@ def _cmd_backtest(args) -> None:
 
 def _cmd_experiment(args) -> None:
     target = _target(args.target, args.alpha)
-    scenario = _check_scenario(args.scenario)
+    scenario = scenario_name(args.scenario)
     methods = [m for m in args.methods.split(",") if m.strip()]
     mode = experiment_mode(scenario, args.bootstrap_mode)
     given = _bootstrap_options(args, methods, mode)

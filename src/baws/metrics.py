@@ -13,8 +13,10 @@ with the usual definitions when the truth is common across replications.
     MSE   mean over time and replications of squared error
     CR    cumulative expected excess risk of the forecasts (population
           risk of the estimate minus that of the true parameter): MSE
-          times the horizon for the mean; for VaR, closed forms on the
-          kernels ``scipy.special.ndtr``/``ndtri``, ``norm_pdf``, ``skewed_t_*``
+          times the horizon for the mean; for VaR, one closed form on the
+          loss law mu + sigma * Z, whose innovation law (a scenario path's
+          ``law``) owns the kernels: its cdf, partial expectation and
+          quantile
     CL    cumulative realized forecast loss
 """
 
@@ -23,10 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .scoring import ForecastTarget, pointwise_score
-from .scenarios import norm_pdf, skewed_t_cdf, skewed_t_partial_expectation, skewed_t_quantile
 
 
 @dataclass(frozen=True)
@@ -88,57 +88,27 @@ def cumulative_risk_mean(tensor: ExperimentTensor) -> float:
     return float(np.mean(np.sum(tensor.errors(0) ** 2, axis=1)))
 
 
-@dataclass(frozen=True)
-class GaussianTruth:
-    """Per-period Gaussian loss distribution N(mu_t, sigma_t^2)."""
-
-    mu: np.ndarray
-    sigma: np.ndarray
-
-
-@dataclass(frozen=True)
-class SkewedTTruth:
-    """Loss X_t = sigma_t * Z with Z the sign-flipped standardized skewed t."""
-
-    sigma: np.ndarray
-    nu: float
-    skew: float
-
-
-def cumulative_risk_var(tensor: ExperimentTensor, truth, alpha: float) -> float:
+def cumulative_risk_var(tensor: ExperimentTensor, mu, sigma, law, alpha: float) -> float:
     """Cumulative excess expected pinball risk of VaR forecasts.
 
-    Per period the excess risk of forecast v against the true loss law is
+    Each (replication, time) cell's loss is X = mu + sigma * Z, Z ~ ``law``.
+    The excess risk of forecast v against it is
 
         -alpha v - E[X 1{X < v}] + E[X 1{X < VaR}] + v P(X < v),
 
-    which vanishes at v = VaR.  Gaussian truths use the closed-form partial
-    expectation mu Phi(z) - sigma phi(z); skewed-t truths use the closed-form
-    partial expectation of the standardized innovation
-    (``skewed_t_partial_expectation``), evaluated over the whole
-    (replication, time) array at once.
+    which vanishes at v = VaR = mu + sigma q, q the law's alpha-quantile.  At
+    z = (v - mu) / sigma, E[X 1{X < v}] = mu P(Z < z) + sigma E[Z 1{Z < z}],
+    from the law's closed-form cdf and partial expectation.
     """
     v = tensor.estimates[:, :, 0]
     n, horizon = v.shape
-    if isinstance(truth, GaussianTruth):
-        mu = np.broadcast_to(np.asarray(truth.mu, dtype=float), (n, horizon))
-        sigma = np.broadcast_to(np.asarray(truth.sigma, dtype=float), (n, horizon))
-        z = (v - mu) / sigma
-        z_alpha = ndtri(alpha)
-        part_v = mu * ndtr(z) - sigma * norm_pdf(z)
-        part_true = mu * alpha - sigma * norm_pdf(z_alpha)
-        risk = -alpha * v - part_v + part_true + v * ndtr(z)
-    elif isinstance(truth, SkewedTTruth):
-        sigma = np.broadcast_to(np.asarray(truth.sigma, dtype=float), (n, horizon))
-        nu, r = truth.nu, truth.skew
-        q_z = -skewed_t_quantile(1.0 - alpha, nu, r)  # alpha-quantile of Z = -eps
-        psi_true = skewed_t_partial_expectation(-q_z, nu, r)
-        a = -v / sigma
-        psi = skewed_t_partial_expectation(a, nu, r)
-        prob_below = 1.0 - skewed_t_cdf(a, nu, r)
-        risk = -alpha * v - sigma * psi + sigma * psi_true + v * prob_below
-    else:
-        raise TypeError(f"unsupported truth distribution {truth!r}")
+    mu = np.broadcast_to(np.asarray(mu, dtype=float), (n, horizon))
+    sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (n, horizon))
+    z = (v - mu) / sigma
+    below = law.cdf(z)
+    part_v = mu * below + sigma * law.partial(z)
+    part_true = mu * alpha + sigma * law.partial(law.quantile(alpha))
+    risk = -alpha * v - part_v + part_true + v * below
     return float(np.mean(np.sum(risk, axis=1)))
 
 

@@ -25,8 +25,6 @@ from .bootstrap import BootstrapConfig, oversized_block
 from .errors import ConfigError, DataError
 from .metrics import (  # cumulative_risk_* are called through this module
     ExperimentTensor,
-    GaussianTruth,
-    SkewedTTruth,
     cumulative_loss,
     cumulative_risk_mean,
     cumulative_risk_var,
@@ -34,7 +32,7 @@ from .metrics import (  # cumulative_risk_* are called through this module
     mean_variance,
     mse,
 )
-from .scenarios import ScenarioPath, generate
+from .scenarios import DEFAULT_T, ScenarioPath, generate, scenario_name
 from .scoring import ForecastTarget, pointwise_score
 from .selection import ERROR_CONTROLS, CandidateGridConfig, select_window
 
@@ -143,6 +141,9 @@ def run_backtest(series, cfg: BacktestConfig, *, start_t: int | None = None,
         raise ConfigError("start_t cannot precede t0")
     if first > n + 1:  # n + 1 resumes a finished run: no steps left
         raise ConfigError(f"start_t={first} lies past the series end t={n + 1}")
+    if initial_prev_k is not None and cfg.method not in ("baws", "saws"):
+        raise ConfigError(f"initial_prev_k applies to adaptive methods only, "
+                          f"not {cfg.method!r}")
 
     # adaptive methods select with a threshold policy; the others fit the
     # last min(t - 1, span) observations
@@ -251,15 +252,16 @@ def _replication(spec: _ExperimentSpec, rep: int) -> dict:
 
 
 def experiment_mode(scenario, mode: str | None = None) -> str:
-    """The bootstrap mode of an experiment: ``mode`` if given, else
-    moving-block for the serially dependent GARCH scenario and iid otherwise."""
+    """The bootstrap mode of an experiment on ``scenario`` (a canonical name
+    or a callable): ``mode`` if given, else moving-block for the serially
+    dependent GARCH scenario and iid otherwise."""
     if mode is not None:
         return mode
-    return "block" if isinstance(scenario, str) and scenario.upper() == "GARCH" else "iid"
+    return "block" if scenario == "GARCH" else "iid"
 
 
 def run_experiment(scenario, methods, target: ForecastTarget, *,
-                   n: int, T: int = 2000, t0: int = BacktestConfig.t0, seed: int = 0,
+                   n: int, T: int = DEFAULT_T, t0: int = BacktestConfig.t0, seed: int = 0,
                    beta: float = BootstrapConfig.beta,
                    replications: int = BootstrapConfig.replications,
                    mode: str | None = None, block_c: float = BootstrapConfig.block_c,
@@ -267,9 +269,10 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
                    error_control: str = BacktestConfig.error_control) -> MetricsReport:
     """Replicate a scenario n times, run every method, aggregate the metrics.
 
-    ``scenario`` is a scenario name (A1-A3, B1-B3, GARCH) or a callable
-    mapping a seed to a ``ScenarioPath``.  Paths are generated, and the
-    truth is taken, at the target's own tail level (none for the mean).
+    ``scenario`` is a scenario name (A1-A3, B1-B3, GARCH, in any case; rows
+    are labelled by the canonical name) or a callable mapping a seed to a
+    ``ScenarioPath``.  Paths are generated, and the truth is taken, at the
+    target's own tail level (none for the mean).
     The bootstrap mode defaults to ``experiment_mode(scenario)``.
     ``error_control`` applies to the BAWS methods.  Each method is named once
     (``full`` and ``FULL`` are one), and labels its rows by its stripped
@@ -283,6 +286,8 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
         raise ConfigError(f"workers must be >= 1, got {workers}")
     if seed < 0:
         raise ConfigError("seed must be nonnegative")
+    if isinstance(scenario, str):
+        scenario = scenario_name(scenario)
     mode = experiment_mode(scenario, mode)
     scenario_label = scenario if isinstance(scenario, str) else getattr(
         scenario, "__name__", "custom")
@@ -310,11 +315,9 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
     paths = [res["path"] for res in results]
     realized = np.stack([p.losses[t0 - 1:] for p in paths])
     truths = np.stack([res["truth"][t0 - 1:] for res in results])
-    sigma = np.stack([p.true_sigma[t0 - 1:] for p in paths])
-    if paths[0].innovations == "gaussian":
-        population = GaussianTruth(np.stack([p.true_mean[t0 - 1:] for p in paths]), sigma)
-    else:
-        population = SkewedTTruth(sigma, paths[0].nu, paths[0].skew)
+    # the loss law: losses = mu + sigma * Z, Z ~ law, in each replication
+    population = (np.stack([p.true_mean[t0 - 1:] for p in paths]),
+                  np.stack([p.true_sigma[t0 - 1:] for p in paths]), paths[0].law)
     # targets call the metric functions through this module's names, as the
     # rows below do, so that patching a name here reaches every call
     metrics = sys.modules[__name__]

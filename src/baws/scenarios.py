@@ -8,15 +8,15 @@ Three families, all seeded and bit-reproducible:
     GARCH   sign-flipped GARCH(1,1) losses with standardized skewed-t
             innovations and a persistence jump at t = 1000
 
-Each path carries its true mean/volatility sequences and, when a tail
-level is supplied, the true VaR and ES paths (mu + sigma * z_alpha and
-mu + sigma * phi(z_alpha) / (1 - alpha) for Gaussians; sigma times the
-flipped innovation's quantile and ES for the GARCH process).  Kernels:
-``Generator.standard_t`` draws t variates, ``scipy.special.stdtr``/``stdtrit``
-give the t CDF and quantile, and ``norm_pdf`` is the one normal density.
+Each path's losses are true_mean + true_sigma * Z, with Z drawn from its
+standardized innovation ``law``: ``GaussianLaw``, or ``SkewedTLaw`` (the
+sign-flipped skewed t) for GARCH.  The law owns the kernels of the loss
+distribution, its ``cdf``, ``partial`` expectation and ``quantile``;
+``_path`` writes every path's VaR and ES truths from them, and
+``metrics.cumulative_risk_var`` scores VaR forecasts with them.
 
-``generate`` is the one entry point, by a name in ``SCENARIOS``;
-``gen_garch`` alone takes the innovation law (``nu``, ``skew``).
+``generate`` is the one entry point, by a name that ``scenario_name``
+checks; ``gen_garch`` alone takes the innovation law (``nu``, ``skew``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ndtri, stdtr, stdtrit
+from scipy.special import gammaln, ndtr, ndtri, stdtr, stdtrit
 
 from .errors import ConfigError
 from .scoring import _check_level
@@ -39,6 +39,51 @@ GARCH_NU = 5.0
 GARCH_SKEW = 0.95
 
 SCENARIOS = ("A1", "A2", "A3", "B1", "B2", "B3", "GARCH")
+DEFAULT_T = 2000  # path length
+DEFAULT_ALPHA = 0.95  # tail level
+
+
+def scenario_name(name: str) -> str:
+    """The canonical name of scenario ``name``, matched case-insensitively."""
+    key = name.upper()
+    if key not in SCENARIOS:
+        raise ConfigError(f"unknown scenario {name!r}; expected one of {SCENARIOS}")
+    return key
+
+
+@dataclass(frozen=True)
+class GaussianLaw:
+    """The standard normal law: cdf P(Z < z), partial expectation
+    E[Z 1{Z < z}] and quantile."""
+
+    def cdf(self, z):
+        return ndtr(z)
+
+    def partial(self, z):
+        return -norm_pdf(z)
+
+    def quantile(self, p):
+        return ndtri(p)
+
+
+@dataclass(frozen=True)
+class SkewedTLaw:
+    """The law of Z = -eps, eps the standardized skewed t of
+    ``skewed_t_sample``: cdf P(Z < z), partial expectation E[Z 1{Z < z}]
+    and quantile."""
+
+    nu: float
+    skew: float
+
+    def cdf(self, z):
+        return 1.0 - skewed_t_cdf(-z, self.nu, self.skew)
+
+    def partial(self, z):
+        # -E[eps 1{eps > -z}] = E[eps 1{eps <= -z}], as eps has mean zero
+        return skewed_t_partial_expectation(-z, self.nu, self.skew)
+
+    def quantile(self, p):
+        return -skewed_t_quantile(1.0 - p, self.nu, self.skew)
 
 
 @dataclass(frozen=True)
@@ -52,9 +97,7 @@ class ScenarioPath:
     true_sigma: np.ndarray
     true_var: np.ndarray | None
     alpha: float | None
-    innovations: str = "gaussian"  # "gaussian" | "skewt"
-    nu: float | None = None
-    skew: float | None = None
+    law: GaussianLaw | SkewedTLaw = GaussianLaw()  # of (losses - true_mean) / true_sigma
     true_es: np.ndarray | None = None
 
 
@@ -63,15 +106,17 @@ def norm_pdf(z):
     return np.exp(-z**2 / 2.0) / np.sqrt(2.0 * np.pi)
 
 
-def _gaussian_path(name, seed, mu, sigma, alpha, rng) -> ScenarioPath:
-    losses = mu + sigma * rng.standard_normal(mu.size)
-    sigma = np.broadcast_to(sigma, mu.shape).copy()
+def _path(name, seed, losses, mu, sigma, alpha, law=GaussianLaw()) -> ScenarioPath:
+    """The path of losses mu + sigma * Z, Z ~ ``law``, with its truths at tail
+    level ``alpha`` (none when it is None): VaR = mu + sigma q at the law's
+    alpha-quantile q, and ES = mu + sigma E[Z | Z >= q], where
+    E[Z | Z >= q] = -E[Z 1{Z < q}] / (1 - alpha) as Z has mean zero."""
     true_var = true_es = None
     if alpha is not None:
-        z = ndtri(alpha)
-        true_var = mu + sigma * z
-        true_es = mu + sigma * (norm_pdf(z) / (1.0 - alpha))
-    return ScenarioPath(name, seed, losses, mu, sigma, true_var, alpha, true_es=true_es)
+        q = law.quantile(alpha)
+        true_var = mu + sigma * q
+        true_es = mu + sigma * (-law.partial(q) / (1.0 - alpha))
+    return ScenarioPath(name, seed, losses, mu, sigma, true_var, alpha, law, true_es)
 
 
 def _piecewise(t: np.ndarray, breaks: list[int], values: list[float]) -> np.ndarray:
@@ -182,7 +227,7 @@ def skewed_t_partial_expectation(a, nu: float, r: float):
     return float(out) if out.ndim == 0 else out
 
 
-def gen_garch(T: int = 2000, seed: int = 0, alpha: float | None = 0.95,
+def gen_garch(T: int = DEFAULT_T, seed: int = 0, alpha: float | None = DEFAULT_ALPHA,
               nu: float = GARCH_NU, skew: float = GARCH_SKEW) -> ScenarioPath:
     """Loss path L_t = -sigma_t eps_t with GARCH(1,1) volatility.
 
@@ -206,34 +251,24 @@ def gen_garch(T: int = 2000, seed: int = 0, alpha: float | None = 0.95,
         )
         var[u] = GARCH_OMEGA + (GARCH_ARCH * eps_sq[u - 1] + gamma) * var[u - 1]
     sigma = np.sqrt(var[GARCH_BURN_IN:])
-    losses = -sigma * eps[GARCH_BURN_IN:]
-    true_var = true_es = None
-    if alpha is not None:
-        # L_t = sigma_t * (-eps); quantile of -eps at alpha is q = -q_eps(1 - alpha),
-        # and its ES is E[-eps | eps <= -q] = -E[eps 1{eps <= -q}] / (1 - alpha)
-        q = -skewed_t_quantile(1.0 - alpha, nu, skew)
-        true_var = sigma * q
-        true_es = sigma * (-skewed_t_partial_expectation(-q, nu, skew) / (1.0 - alpha))
-    return ScenarioPath("GARCH", seed, losses, np.zeros(T), sigma, true_var, alpha,
-                        innovations="skewt", nu=nu, skew=skew, true_es=true_es)
+    return _path("GARCH", seed, -sigma * eps[GARCH_BURN_IN:], np.zeros(T), sigma, alpha,
+                 SkewedTLaw(nu, skew))
 
 
-def generate(name: str, T: int = 2000, seed: int = 0,
+def generate(name: str, T: int = DEFAULT_T, seed: int = 0,
              alpha: float | None = None) -> ScenarioPath:
-    """Generate the scenario path ``name`` (one of ``SCENARIOS``).
+    """Generate the scenario path ``name`` (one of ``SCENARIOS``, in any case).
 
     GARCH is ``gen_garch`` at the default innovation law and at tail
-    level 0.95 when ``alpha`` is None.
+    level ``DEFAULT_ALPHA`` when ``alpha`` is None.
     """
     if alpha is not None:
         _check_level(alpha)
     if seed < 0:
         raise ConfigError("seed must be nonnegative")
-    key = name.upper()
-    if key not in SCENARIOS:
-        raise ValueError(f"unknown scenario {name!r}, expected one of {SCENARIOS}")
+    key = scenario_name(name)
     if key == "GARCH":
-        return gen_garch(T, seed, alpha if alpha is not None else 0.95)
+        return gen_garch(T, seed, alpha if alpha is not None else DEFAULT_ALPHA)
     if T < 1:
         raise ConfigError("T must be >= 1")
     rng = np.random.default_rng(seed)
@@ -253,4 +288,4 @@ def generate(name: str, T: int = 2000, seed: int = 0,
         # exp((drift - s^2/2) t/T + s W_t) with drift 0.5 and s^2 0.25
         w = np.cumsum(rng.normal(0.0, np.sqrt(1.0 / T), size=T))
         mu = w if key == "B2" else np.exp((0.5 - 0.125) * t / T + 0.5 * w)
-    return _gaussian_path(key, seed, mu, sigma, alpha, rng)
+    return _path(key, seed, mu + sigma * rng.standard_normal(T), mu, sigma, alpha)

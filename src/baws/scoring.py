@@ -35,7 +35,9 @@ package decides anything per target.  A target class supplies
     truth(path)             true parameter path of a scenario, shape (T,)
                             or (T, dim) with one column per component
     metric_rows(tensor, population, metrics)
-                            experiment metric rows between MSE and CL
+                            experiment metric rows between MSE and CL;
+                            population is the loss law (mu, sigma, law)
+                            of the replications' paths
 
 Adding a target means one class here plus its entry in ``TARGETS``.
 Callers fit a target through its two entry points:
@@ -384,7 +386,7 @@ class VaR(_TailTarget):
         return stats.values_sorted[pos][:, None]
 
     def metric_rows(self, tensor, population, metrics):
-        return [("CR", metrics.cumulative_risk_var(tensor, population, self.alpha))]
+        return [("CR", metrics.cumulative_risk_var(tensor, *population, self.alpha))]
 
 
 @dataclass(frozen=True)

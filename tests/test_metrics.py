@@ -4,8 +4,6 @@ from scipy.stats import norm
 
 from baws.metrics import (
     ExperimentTensor,
-    GaussianTruth,
-    SkewedTTruth,
     cumulative_loss,
     cumulative_risk_mean,
     cumulative_risk_var,
@@ -14,6 +12,8 @@ from baws.metrics import (
     mse,
 )
 from baws.scenarios import (
+    GaussianLaw,
+    SkewedTLaw,
     skewed_t_cdf,
     skewed_t_moments,
     skewed_t_partial_expectation,
@@ -96,7 +96,7 @@ def test_cr_var_zero_at_true_var():
     alpha = 0.95
     true_var = mu + sigma * norm.ppf(alpha)
     t = _tensor(true_var[None, :, None], true_var)
-    assert cumulative_risk_var(t, GaussianTruth(mu, sigma), alpha) == \
+    assert cumulative_risk_var(t, mu, sigma, GaussianLaw(), alpha) == \
         pytest.approx(0.0, abs=1e-12)
 
 
@@ -107,7 +107,7 @@ def test_cr_var_frozen_value_and_monte_carlo():
     expected = -0.95 * 2 + norm.pdf(2.0) - norm.pdf(z) + 2 * norm.cdf(2.0)
     assert expected == pytest.approx(0.0053551, abs=1e-6)
     t = _tensor(np.array([[[2.0]]]), np.array([z]))
-    got = cumulative_risk_var(t, GaussianTruth(np.zeros(1), np.ones(1)), 0.95)
+    got = cumulative_risk_var(t, np.zeros(1), np.ones(1), GaussianLaw(), 0.95)
     assert got == pytest.approx(expected, rel=1e-12)
     # Monte Carlo oracle: E pinball(X, v) - E pinball(X, VaR)
     rng = np.random.default_rng(3)
@@ -119,11 +119,10 @@ def test_cr_var_frozen_value_and_monte_carlo():
 
 def test_cr_var_nonnegative_on_grid():
     mu, sigma, alpha = 0.3, 0.8, 0.9
-    truth = GaussianTruth(np.array([mu]), np.array([sigma]))
     true_var = mu + sigma * norm.ppf(alpha)
     for v in np.linspace(mu - 3 * sigma, mu + 4 * sigma, 41):
         t = _tensor(np.array([[[v]]]), np.array([true_var]))
-        assert cumulative_risk_var(t, truth, alpha) >= -1e-12
+        assert cumulative_risk_var(t, mu, sigma, GaussianLaw(), alpha) >= -1e-12
 
 
 def test_skewt_partial_expectation_quad_vs_closed_form():
@@ -143,7 +142,8 @@ def test_cr_var_skewt_matches_cellwise_quadrature():
     alpha, nu, r = 0.95, 5.0, 0.95
     sigma = rng.uniform(0.005, 0.05, size=(3, 7))
     v = sigma * rng.uniform(-1.0, 4.0, size=(3, 7))
-    got = cumulative_risk_var(_tensor(v[:, :, None], v), SkewedTTruth(sigma, nu, r), alpha)
+    got = cumulative_risk_var(_tensor(v[:, :, None], v), 0.0, sigma, SkewedTLaw(nu, r),
+                              alpha)
     # X = sigma Z with Z = -eps:  E[X 1{X < v}] = -sigma E[eps 1{eps > -v/sigma}]
     # = sigma E[eps 1{eps <= -v/sigma}] (eps has mean zero), P(X < v) = 1 - F(-v/sigma)
     q = -skewed_t_quantile(1 - alpha, nu, r)
@@ -163,7 +163,7 @@ def test_cr_var_skewt_zero_at_true_var():
     q = -skewed_t_quantile(1 - alpha, nu, r)
     true_var = sigma * q
     t = _tensor(true_var[None, :, None], true_var)
-    got = cumulative_risk_var(t, SkewedTTruth(sigma, nu, r), alpha)
+    got = cumulative_risk_var(t, 0.0, sigma, SkewedTLaw(nu, r), alpha)
     assert got == pytest.approx(0.0, abs=1e-10)
 
 
@@ -172,7 +172,7 @@ def test_cr_var_skewt_positive_off_optimum():
     alpha, nu, r = 0.95, 5.0, 0.95
     q = -skewed_t_quantile(1 - alpha, nu, r)
     t = _tensor(np.full((2, 4, 1), 0.03), sigma * q)
-    got = cumulative_risk_var(t, SkewedTTruth(sigma, nu, r), alpha)
+    got = cumulative_risk_var(t, 0.0, sigma, SkewedTLaw(nu, r), alpha)
     assert got > 0
 
 

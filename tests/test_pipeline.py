@@ -217,6 +217,11 @@ def test_backtest_validation():
             run_backtest(np.zeros(60), cfg, start_t=start_t)
     with pytest.raises(DataError):
         run_backtest(np.array([np.nan] * 60), cfg)
+    # only an adaptive method has a candidate grid for a previous selection to seed
+    for method, fixed_k in (("full", None), ("fixed", 20)):
+        cfg = BacktestConfig(method=method, target=VaR(0.9), t0=50, fixed_k=fixed_k)
+        with pytest.raises(ConfigError, match="initial_prev_k"):
+            run_backtest(np.zeros(60), cfg, initial_prev_k=3)
 
 
 def test_negative_seed_rejected_on_entry():
@@ -227,6 +232,21 @@ def test_negative_seed_rejected_on_entry():
     for name in ("A1", "GARCH"):
         with pytest.raises(ConfigError, match="seed"):
             generate(name, T=10, seed=-1)
+
+
+def test_experiment_checks_scenario_name_before_replicating(monkeypatch):
+    def unreachable(spec, rep):
+        raise AssertionError("a replication ran before the scenario check")
+
+    monkeypatch.setattr(pipeline, "_replication", unreachable)
+    with pytest.raises(ConfigError, match="unknown scenario"):
+        run_experiment("Z9", ["full"], Mean(), n=2, T=60, t0=41, workers=1)
+
+
+def test_experiment_rows_carry_the_canonical_scenario_name():
+    report = run_experiment("a1", ["full"], Mean(), n=1, T=60, t0=41, workers=1)
+    assert {row[1] for row in report.rows} == {"A1"}
+    assert report == run_experiment("A1", ["full"], Mean(), n=1, T=60, t0=41, workers=1)
 
 
 def test_error_control_checked_at_construction():

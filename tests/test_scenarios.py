@@ -11,6 +11,8 @@ from scipy.stats import t as student_t
 
 from baws.scenarios import (
     GARCH_BURN_IN,
+    GaussianLaw,
+    SkewedTLaw,
     gen_garch,
     generate,
     norm_pdf,
@@ -18,6 +20,8 @@ from baws.scenarios import (
     skewed_t_quantile,
     skewed_t_sample,
 )
+
+from conftest import skewt_partial_expectation_quad
 
 
 def test_setting_a1_parameters():
@@ -129,8 +133,7 @@ def test_garch_initial_variance_and_floor():
     assert np.all(path.true_sigma**2 >= 1e-5 - 1e-18)
     # pre-break unconditional variance used to seed the recursion
     assert 1e-5 / 0.26 == pytest.approx(3.846153846e-5, rel=1e-9)
-    assert path.innovations == "skewt"
-    assert path.nu == 5.0 and path.skew == 0.95
+    assert path.law == SkewedTLaw(5.0, 0.95)
 
 
 def test_garch_zero_mean_and_finite():
@@ -191,6 +194,7 @@ def test_generate_dispatch_and_reproducibility():
         assert np.array_equal(a.losses, b.losses)
         assert a.losses.size == 400
         assert a.true_var is not None
+        assert a.law == (SkewedTLaw(5.0, 0.95) if name == "GARCH" else GaussianLaw())
     with pytest.raises(ValueError):
         generate("C9")
 
@@ -245,6 +249,28 @@ def test_norm_pdf_matches_scipy_stats():
     z = np.concatenate([np.linspace(-40.0, 40.0, 20001), ndtri([0.5, 0.9, 0.95, 0.99])])
     assert np.array_equal(norm_pdf(z), norm.pdf(z))
     assert norm_pdf(ndtri(0.95)) == norm.pdf(ndtri(0.95))
+
+
+@pytest.mark.parametrize("law", [GaussianLaw(), SkewedTLaw(5.0, 0.95), SkewedTLaw(4.5, 1.2)])
+def test_law_kernels_agree_with_oracles(law):
+    # the skewed-t law is that of Z = -eps: each kernel flips a sign
+    p = np.linspace(0.01, 0.99, 99)
+    np.testing.assert_allclose(law.cdf(law.quantile(p)), p, rtol=0, atol=1e-12)
+    if isinstance(law, GaussianLaw):
+        z = np.linspace(-8.0, 8.0, 65)
+        np.testing.assert_array_equal(law.partial(z), -norm.pdf(z))
+        draws = np.random.default_rng(15).standard_normal(1_000_000)
+    else:
+        m, s = skewed_t_moments(law.nu, law.skew)
+        kink = m / s  # where the two pieces of Z's density meet
+        z = np.concatenate([np.linspace(-8.0, 8.0, 65), [kink - 1e-12, kink, kink + 1e-12]])
+        oracle = [skewt_partial_expectation_quad(-x, law.nu, law.skew) for x in z]
+        np.testing.assert_allclose(law.partial(z), oracle, rtol=0, atol=1e-10)
+        draws = -skewed_t_sample(law.nu, law.skew, np.random.default_rng(15), size=1_000_000)
+    # Monte Carlo: P(Z < z) and E[Z 1{Z < z}] of the drawn innovations
+    for x in (-1.5, 0.0, 0.3, 1.6):
+        assert law.cdf(x) == pytest.approx(np.mean(draws < x), abs=0.002)
+        assert law.partial(x) == pytest.approx(np.mean(draws * (draws < x)), abs=0.005)
 
 
 def test_import_leaves_scipy_stats_unloaded():
