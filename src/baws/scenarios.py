@@ -106,7 +106,7 @@ def norm_pdf(z):
     return np.exp(-z**2 / 2.0) / np.sqrt(2.0 * np.pi)
 
 
-def _path(name, seed, losses, mu, sigma, alpha, law=GaussianLaw()) -> ScenarioPath:
+def _path(name, seed, losses, mu, sigma, alpha, law) -> ScenarioPath:
     """The path of losses mu + sigma * Z, Z ~ ``law``, with its truths at tail
     level ``alpha`` (none when it is None): VaR = mu + sigma q at the law's
     alpha-quantile q, and ES = mu + sigma E[Z | Z >= q], where
@@ -288,4 +288,5 @@ def generate(name: str, T: int = DEFAULT_T, seed: int = 0,
         # exp((drift - s^2/2) t/T + s W_t) with drift 0.5 and s^2 0.25
         w = np.cumsum(rng.normal(0.0, np.sqrt(1.0 / T), size=T))
         mu = w if key == "B2" else np.exp((0.5 - 0.125) * t / T + 0.5 * w)
-    return _path(key, seed, mu + sigma * rng.standard_normal(T), mu, sigma, alpha)
+    losses = mu + sigma * rng.standard_normal(T)
+    return _path(key, seed, losses, mu, sigma, alpha, GaussianLaw())
