@@ -202,11 +202,12 @@ def _row_sampler(window, stats: WindowStats, target: ForecastTarget, cfg: Bootst
     return draw, L
 
 
-def guarded_gaps(raw: np.ndarray, scale: float, kind: str) -> np.ndarray:
+def guarded_gaps(raw: np.ndarray, scale: float | np.ndarray, kind: str) -> np.ndarray:
     """Clip rounding noise off score gaps; genuine negatives violate the
-    minimizer property of the reference fit."""
-    floor = -_GAP_SLACK * max(1.0, abs(scale))
-    if raw.min() < floor:
+    minimizer property of the reference fit.  ``scale``, the reference
+    fit's score, broadcasts against ``raw``: one per row of a pair grid."""
+    floor = -_GAP_SLACK * np.maximum(1.0, np.abs(scale))
+    if (raw < floor).any():
         raise AssertionError(f"negative {kind} gap beyond rounding tolerance")
     return np.maximum(raw, 0.0)
 

@@ -264,7 +264,7 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
                    n: int, T: int = DEFAULT_T, t0: int = BacktestConfig.t0, seed: int = 0,
                    beta: float = BootstrapConfig.beta,
                    replications: int = BootstrapConfig.replications,
-                   mode: str | None = None, block_c: float = BootstrapConfig.block_c,
+                   mode: str | None = None, block_c: float | None = None,
                    grid: CandidateGridConfig = CandidateGridConfig(), workers: int | None = None,
                    error_control: str = BacktestConfig.error_control) -> MetricsReport:
     """Replicate a scenario n times, run every method, aggregate the metrics.
@@ -273,7 +273,9 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
     are labelled by the canonical name) or a callable mapping a seed to a
     ``ScenarioPath``.  Paths are generated, and the truth is taken, at the
     target's own tail level (none for the mean).
-    The bootstrap mode defaults to ``experiment_mode(scenario)``.
+    The bootstrap mode defaults to ``experiment_mode(scenario)``; ``block_c``
+    (default ``BootstrapConfig.block_c``) applies to block mode only.
+    Every replication's path must have the first one's loss law.
     ``error_control`` applies to the BAWS methods.  Each method is named once
     (``full`` and ``FULL`` are one), and labels its rows by its stripped
     spec.  Replications run in parallel across ``workers`` processes
@@ -289,6 +291,10 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
     if isinstance(scenario, str):
         scenario = scenario_name(scenario)
     mode = experiment_mode(scenario, mode)
+    if block_c is None:
+        block_c = BootstrapConfig.block_c
+    elif mode == "iid":
+        raise ConfigError("block_c applies to bootstrap mode 'block' only")
     scenario_label = scenario if isinstance(scenario, str) else getattr(
         scenario, "__name__", "custom")
 
@@ -313,11 +319,16 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
         results = [_replication(spec, rep) for rep in range(n)]
 
     paths = [res["path"] for res in results]
+    law = paths[0].law
+    for p in paths[1:]:
+        if p.law != law:
+            raise ConfigError(f"replications have different loss laws, {law} and {p.law}; "
+                              "their cumulative risk needs one law")
     realized = np.stack([p.losses[t0 - 1:] for p in paths])
     truths = np.stack([res["truth"][t0 - 1:] for res in results])
     # the loss law: losses = mu + sigma * Z, Z ~ law, in each replication
     population = (np.stack([p.true_mean[t0 - 1:] for p in paths]),
-                  np.stack([p.true_sigma[t0 - 1:] for p in paths]), paths[0].law)
+                  np.stack([p.true_sigma[t0 - 1:] for p in paths]), law)
     # targets call the metric functions through this module's names, as the
     # rows below do, so that patching a name here reaches every call
     metrics = sys.modules[__name__]

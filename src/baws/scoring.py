@@ -9,8 +9,8 @@ Every forecast target is scored by a consistent (elicitable) loss:
 
 ``score_at`` gives the average pointwise loss over a look-back window from
 its ``WindowStats``; window selection compares these averages across
-windows.  All scores are evaluated in double precision and are
-overflow-safe for large |e|.
+windows, all of them at once through a target's ``grid``.  All scores are
+evaluated in double precision and are overflow-safe for large |e|.
 
 Each target is one ``ForecastTarget`` class, the only place where the
 package decides anything per target.  A target class supplies
@@ -20,6 +20,11 @@ package decides anything per target.  A target class supplies
     from_level(alpha)       the target at a tail level (used by the CLI)
     pointwise(x, theta)     loss at single observations
     score_at(stats, theta)  empirical score on a window's WindowStats
+    grid(stats)             (theta, scores) of a sequence of C windows'
+                            WindowStats in one pass: the (C, dim) fits and
+                            the (C, C) scores, scores[r, c] being the score
+                            of fit c on window r; bit for bit those of fit
+                            and score_at, whose arithmetic it shares
     fit(stats)              exact empirical-score minimizer, a FitResult
     row_fits(stats, rows)   (b, dim) fits of a (b, L) block of resample
                             rows of int32 ranks into stats.values_sorted,
@@ -141,20 +146,31 @@ class WindowStats:
     pinball and tail terms only involve differences, and centering keeps
     them exact for degenerate (constant) windows instead of leaving
     cancellation noise.  ``prefix[r]`` is the sum of the r smallest
-    centered observations.  Moment statistics are computed lazily; the
-    quantile paths never need them.
+    centered observations.  The prefix sums and the moment statistics are
+    computed lazily: the mean paths never need the former, and the
+    quantile paths never need the latter.
     """
 
-    __slots__ = ("values_sorted", "prefix", "center", "n", "_mean", "_var")
+    __slots__ = ("values_sorted", "center", "n", "_prefix", "_mean", "_var")
 
-    def __init__(self, values_sorted: np.ndarray, prefix: np.ndarray,
-                 center: float, n: int):
+    def __init__(self, values_sorted: np.ndarray, center: float, n: int):
         self.values_sorted = values_sorted
-        self.prefix = prefix
         self.center = center
         self.n = n
+        self._prefix = None
         self._mean = None
         self._var = None
+
+    @property
+    def prefix(self) -> np.ndarray:
+        if self._prefix is None:
+            # the cumsum of the centered values behind a leading 0.0, summed
+            # in place; the first centered value is x_(1) - x_(1) = +0.0, so
+            # starting from 0.0 changes no sum
+            p = np.zeros(self.n + 1)
+            np.subtract(self.values_sorted, self.center, out=p[1:])
+            self._prefix = np.add.accumulate(p, out=p)
+        return self._prefix
 
     @property
     def total(self) -> float:
@@ -180,63 +196,88 @@ def window_stats(window) -> WindowStats:
     if w.ndim != 1 or w.size == 0:
         raise ValueError("window must be a non-empty 1-d sequence")
     ws = np.sort(w)
-    center = float(ws[0])
-    prefix = np.concatenate(([0.0], np.cumsum(ws - center)))
-    return WindowStats(ws, prefix, center, w.size)
+    return WindowStats(ws, float(ws[0]), w.size)
+
+
+def _mean_score(mean, var, mu):
+    """Squared-error score at mean estimates ``mu`` of a window with mean
+    ``mean`` and variance ``var``, by the exact decomposition
+    mean((x-mu)^2) = var + (mu - mean)^2, which is stable when comparing
+    nearby mu."""
+    d = mu - mean
+    return var + d * d
 
 
 def mean_score_at(stats: WindowStats, mu) -> np.ndarray:
-    """Empirical squared-error score at mean estimates ``mu``.
+    """Empirical squared-error score at mean estimates ``mu``."""
+    return _mean_score(stats.mean, stats.var, np.asarray(mu, dtype=float))
 
-    Uses the exact decomposition mean((x-mu)^2) = var + (mu - mean)^2,
-    which is stable when comparing nearby mu.
-    """
-    mu = np.asarray(mu, dtype=float)
-    d = mu - stats.mean
-    return stats.var + d * d
+
+def _split(n, n_lt, s_lt, vc, total):
+    """Split sums of a window of n values whose centered values sum to
+    ``total``, at a v of centered value ``vc``, from the count ``n_lt`` and
+    the centered sum ``s_lt`` of its values below v."""
+    return n_lt * vc - s_lt, (total - s_lt) - (n - n_lt) * vc
 
 
 def _split_sums(stats: WindowStats, v: np.ndarray):
     """(sum of v - x over x < v, sum of x - v over x >= v), from one
     ``searchsorted`` into the window."""
     n_lt = stats.values_sorted.searchsorted(v, side="left")
-    s_lt = stats.prefix[n_lt]
-    vc = v - stats.center
-    return n_lt * vc - s_lt, (stats.total - s_lt) - (stats.n - n_lt) * vc
+    return _split(stats.n, n_lt, stats.prefix[n_lt], v - stats.center, stats.total)
 
 
-def _pinball(stats: WindowStats, below, upper, alpha: float) -> np.ndarray:
-    return ((1.0 - alpha) * below + alpha * upper) / stats.n
+def _grid_split_sums(stats, v: np.ndarray):
+    """(n, below, upper) of the windows ``stats`` at the C values ``v``: the
+    (C, 1) window lengths and the (C, C) split sums, row r holding window
+    r's ``_split_sums`` at every v.  One ``searchsorted`` per window, and
+    one gather from the windows' concatenated prefix sums."""
+    n_lt = np.array([s.values_sorted.searchsorted(v, side="left") for s in stats])
+    n = np.array([s.n for s in stats])[:, None]
+    ends = np.cumsum(n + 1)  # each prefix holds n + 1 sums
+    prefix = np.concatenate([s.prefix for s in stats])
+    center = np.array([s.center for s in stats])[:, None]
+    s_lt = prefix[n_lt + (ends[:, None] - n - 1)]
+    return n, *_split(n, n_lt, s_lt, v - center, prefix[ends - 1][:, None])
+
+
+def _pinball(n, below, upper, alpha: float) -> np.ndarray:
+    return ((1.0 - alpha) * below + alpha * upper) / n
 
 
 def pinball_score_at(stats: WindowStats, v, alpha: float) -> np.ndarray:
     """Empirical pinball score at quantile estimates ``v``."""
-    return _pinball(stats, *_split_sums(stats, np.asarray(v, dtype=float)), alpha)
+    return _pinball(stats.n, *_split_sums(stats, np.asarray(v, dtype=float)), alpha)
 
 
-def tail_mean_at(stats: WindowStats, v) -> np.ndarray:
-    """mean(1{x >= v} * (x - v)) over the window; nonnegative for v <= max."""
-    return _split_sums(stats, np.asarray(v, dtype=float))[1] / stats.n
+def _es(n, v, upper, alpha: float):
+    """e(v) = v + mean((x - v)+) / (1 - alpha), from the window's upper split
+    sum at v."""
+    return v + upper / n / (1.0 - alpha)
 
 
 def es_given_v(stats: WindowStats, v, alpha: float) -> np.ndarray:
     """Shortfall estimate e(v) = v + mean((x - v)+) / (1 - alpha) minimizing
     the empirical joint score in e at a fixed quantile estimate v."""
-    return v + tail_mean_at(stats, v) / (1.0 - alpha)
+    return _es(stats.n, v, _split_sums(stats, np.asarray(v, dtype=float))[1], alpha)
+
+
+def _joint(n, below, upper, v, e, alpha: float) -> np.ndarray:
+    """Joint VaR/ES score from the split sums at v, with the tail weight
+    evaluated on e alone."""
+    w = tail_weight(e)
+    return (
+        _pinball(n, below, upper, alpha)
+        - w * (upper / n) / (1.0 - alpha)
+        + w * (e - v)
+        - tail_weight_integral(e)
+    )
 
 
 def joint_score_at(stats: WindowStats, v, e, alpha: float) -> np.ndarray:
     """Empirical joint VaR/ES score at estimates ``(v, e)``."""
     v = np.asarray(v, dtype=float)
-    e = np.asarray(e, dtype=float)
-    w = tail_weight(e)
-    below, upper = _split_sums(stats, v)
-    return (
-        _pinball(stats, below, upper, alpha)
-        - w * (upper / stats.n) / (1.0 - alpha)
-        + w * (e - v)
-        - tail_weight_integral(e)
-    )
+    return _joint(stats.n, *_split_sums(stats, v), v, np.asarray(e, dtype=float), alpha)
 
 
 @dataclass(frozen=True)
@@ -289,6 +330,11 @@ class Mean(ForecastTarget):
         return FitResult(np.array([stats.mean]), float(mean_score_at(stats, stats.mean)),
                          stats.n)
 
+    def grid(self, stats) -> tuple[np.ndarray, np.ndarray]:
+        mean = np.array([s.mean for s in stats])
+        var = np.array([s.var for s in stats])
+        return mean[:, None], _mean_score(mean[:, None], var[:, None], mean)
+
     def row_fits(self, stats: WindowStats, rows: np.ndarray) -> np.ndarray:
         # centered means keep constant windows at exactly zero gap
         centered = stats.values_sorted - stats.center
@@ -338,6 +384,12 @@ class _TailTarget(ForecastTarget):
         """The window's fitted VaR, its order statistic x_(j)."""
         return float(stats.values_sorted[self.quantile_index(stats.n) - 1])
 
+    def grid_quantiles(self, stats) -> tuple[np.ndarray, tuple]:
+        """The fitted VaR of each window, and the windows' (n, below, upper)
+        split sums at every one of them."""
+        v = np.array([self.window_quantile(s) for s in stats])
+        return v, _grid_split_sums(stats, v)
+
     def row_quantile(self, stats: WindowStats, rows: np.ndarray) -> tuple[int, np.ndarray]:
         """Partition rank rows at j - 1 and read each row's fitted VaR:
         values_sorted is nondecreasing, so the row's j-th smallest rank
@@ -370,6 +422,10 @@ class VaR(_TailTarget):
     def fit(self, stats: WindowStats) -> FitResult:
         v = self.window_quantile(stats)
         return FitResult(np.array([v]), float(pinball_score_at(stats, v, self.alpha)), stats.n)
+
+    def grid(self, stats) -> tuple[np.ndarray, np.ndarray]:
+        v, sums = self.grid_quantiles(stats)
+        return v[:, None], _pinball(*sums, self.alpha)
 
     def row_fits(self, stats: WindowStats, rows: np.ndarray) -> np.ndarray:
         return self.row_quantile(stats, rows)[1][:, None]
@@ -418,6 +474,11 @@ class VaRES(_TailTarget):
         theta = np.array([v, es_given_v(stats, v, self.alpha)])
         score = float(joint_score_at(stats, theta[0], theta[1], self.alpha))
         return FitResult(theta, score, stats.n)
+
+    def grid(self, stats) -> tuple[np.ndarray, np.ndarray]:
+        v, (n, below, upper) = self.grid_quantiles(stats)
+        e = _es(n[:, 0], v, upper.diagonal(), self.alpha)
+        return np.column_stack((v, e)), _joint(n, below, upper, v, e, self.alpha)
 
     def row_fits(self, stats: WindowStats, rows: np.ndarray) -> np.ndarray:
         j, v = self.row_quantile(stats, rows)

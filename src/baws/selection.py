@@ -14,19 +14,21 @@ default error control each comparison runs at level 1 - beta; the "fwer"
 mode tightens pairwise levels by a Bonferroni split across the comparisons
 of each candidate, re-quantiling the sorted bootstrap gap sample.
 
-Every pair is scored, so the minimizer guard on the gaps covers every fit.
-Thresholds are the costly part (a bootstrap calibration of reference i
-costs B * i), and only references below the selected window can decide
-it: reference i compares i with larger candidates only.  So the
-references are scanned in ascending order, each calibrated and its
-rejections marked in turn, and the scan stops at the first reference that
-is not below the largest candidate still admissible.  That candidate is
-the selection: no remaining reference can reject it, and every reference
-below it has been calibrated, so the admissible set and the selection are
-those of a scan over every reference.  A step right after a structural
-change, where short references reject the long candidates, calibrates
-only the short references.  Each calibration draws from its own
-(seed, t, i) stream, so the scan's order and its stop change no threshold.
+Every pair is scored, in one pass per step: the target's ``grid`` fits
+every candidate window and scores each fit on every candidate window, and
+the minimizer guard on the gaps covers every fit.  Thresholds are the
+costly part (a bootstrap calibration of reference i costs B * i), and
+only references below the selected window can decide it: reference i
+compares i with larger candidates only.  So the references are scanned in
+ascending order, each calibrated and its rejections marked in turn, and
+the scan stops at the first reference that is not below the largest
+candidate still admissible.  That candidate is the selection: no
+remaining reference can reject it, and every reference below it has been
+calibrated, so the admissible set and the selection are those of a scan
+over every reference.  A step right after a structural change, where
+short references reject the long candidates, calibrates only the short
+references.  Each calibration draws from its own (seed, t, i) stream, so
+the scan's order and its stop change no threshold.
 
 A scanned reference i needs its threshold only through the decisions of
 its live pairs, those with the candidates k > i still admissible.  With
@@ -58,7 +60,10 @@ from .bootstrap import (
     order_index,
 )
 from .errors import ConfigError
-from .scoring import FitResult, ForecastTarget, fit_from_stats, score_at, window_stats
+from .scoring import FitResult, ForecastTarget, window_stats
+
+# unused here; bound so that benchmark/tracing.py can patch these names
+from .scoring import fit_from_stats, score_at  # noqa: F401
 
 ERROR_CONTROLS = ("pcer", "fwer")
 
@@ -277,13 +282,15 @@ def select_window(history, target: ForecastTarget, policy,
     if not bootstrap_policy and not hasattr(policy, "threshold_for"):
         raise TypeError(f"unsupported threshold policy {policy!r}")
 
-    stats = {k: window_stats(x[n - k:]) for k in candidates}
-    fits = {k: fit_from_stats(stats[k], target) for k in candidates}
-    theta_rows = np.vstack([fits[k].theta for k in candidates])
-    # gaps[pos]: the pairs of reference candidates[pos] with every larger candidate
-    gaps = [guarded_gaps(score_at(stats[i], theta_rows[pos + 1:], target) - fits[i].score,
-                         fits[i].score, "pairwise")
-            for pos, i in enumerate(candidates[:-1])]
+    stats = [window_stats(x[n - k:]) for k in candidates]
+    # theta[c] is candidate c's fit and scores[r, c] its score on window r;
+    # gaps[r, c], for c > r, is the gap of the pair (candidates[r], candidates[c])
+    theta, scores = target.grid(stats)
+    own = scores.diagonal()
+    gaps = guarded_gaps(np.triu(scores - own[:, None], 1), own[:, None], "pairwise")
+
+    def fit(pos: int) -> FitResult:
+        return FitResult(theta[pos], float(own[pos]), candidates[pos])
 
     if bootstrap_policy:
         # a pair with the candidate at position s rejects when its gap exceeds
@@ -295,15 +302,16 @@ def select_window(history, target: ForecastTarget, policy,
             order = np.array([order_index(bonferroni_level(policy.beta, max(s, 1)), B)
                               for s in range(len(candidates))])
 
-    def calibrate(i: int, g: np.ndarray, j: np.ndarray):
-        """(reject, tau, rows drawn) of the pairs of reference i whose gaps
-        are ``g`` and order indices ``j``."""
+    def calibrate(pos: int, g: np.ndarray, j: np.ndarray):
+        """(reject, tau, rows drawn) of the pairs of reference candidates[pos]
+        whose gaps are ``g`` and order indices ``j``."""
+        i = candidates[pos]
         if not bootstrap_policy:
             tau = np.full(g.size, float(policy.threshold_for(i)))
             return g > tau, tau, 0
         counts = _PairCounts(g, j, B)
         sample, _ = bootstrap_gaps(x[n - i:], target, policy, time_index=t, seed=seed,
-                                   stats=stats[i], fit=fits[i], until=counts)
+                                   stats=stats[pos], fit=fit(pos), until=counts)
         if sample.size < B:  # curtailed: tau is only bounded
             tau = np.full(g.size, np.nan)
         elif error_control == "pcer":
@@ -314,18 +322,18 @@ def select_window(history, target: ForecastTarget, policy,
 
     cand_arr = np.asarray(candidates, dtype=np.int64)
     admissible = np.ones(cand_arr.size, dtype=bool)
-    k_hat = candidates[-1]
+    k_pos = cand_arr.size - 1  # the position of the selection so far
     refs, cands, gap_col, tau_col, reject_col, rows_drawn = [], [], [], [], [], []
     for pos, i in enumerate(candidates):
-        if i >= k_hat:  # later references test only candidates above k_hat: all rejected
+        if pos >= k_pos:  # later references test only candidates above k_hat: all rejected
             break
         # the live pairs: those with the larger candidates still admissible
         above = slice(pos + 1, None)
         live = np.flatnonzero(admissible[above])
-        g = gaps[pos][live]
-        reject, tau, rows = calibrate(i, g, order[above][live] if bootstrap_policy else None)
+        g = gaps[pos, above][live]
+        reject, tau, rows = calibrate(pos, g, order[above][live] if bootstrap_policy else None)
         admissible[above][live] &= ~reject
-        k_hat = int(cand_arr[np.flatnonzero(admissible)[-1]])
+        k_pos = int(np.flatnonzero(admissible)[-1])
         refs.extend([i] * g.size)
         cands.append(cand_arr[above][live])
         gap_col.append(g)
@@ -350,6 +358,6 @@ def select_window(history, target: ForecastTarget, policy,
         pair_reject=column(reject_col, bool)[by_candidate],
         rows_drawn=np.asarray(rows_drawn, dtype=np.int64),
         admissible=admissible,
-        k_hat=k_hat,
-        fit=fits[k_hat],
+        k_hat=candidates[k_pos],
+        fit=fit(k_pos),
     )

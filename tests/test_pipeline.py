@@ -278,6 +278,29 @@ def test_block_length_checked_at_construction():
                    bootstrap=BootstrapConfig(mode="iid", block_c=10))
 
 
+def test_experiment_block_c_applies_to_block_mode_only():
+    def no_path(seed):
+        raise AssertionError("a replication ran")
+
+    for scenario, mode in (("A1", None), ("GARCH", "iid"), (no_path, None)):
+        with pytest.raises(ConfigError, match="block_c applies to bootstrap mode 'block'"):
+            run_experiment(scenario, ["baws"], VaR(0.95), n=1, mode=mode, block_c=3.0,
+                           workers=1)
+    kwargs = dict(n=1, T=80, t0=41, seed=3, replications=40, grid=Grid(k_min=10),
+                  workers=1)
+    assert (run_experiment("A1", ["baws"], VaR(0.9), mode="block", block_c=1.0, **kwargs)
+            == run_experiment("A1", ["baws"], VaR(0.9), mode="block", **kwargs))
+
+
+def test_experiment_rejects_replications_of_different_laws():
+    def garch(seed):  # the replications of seed 0 draw an odd and an even path seed
+        return baws.gen_garch(T=330, seed=seed, nu=5.0 if seed % 2 else 30.0, alpha=0.95)
+
+    with pytest.raises(ConfigError, match=r"different loss laws, SkewedTLaw\(nu=30.0.*"
+                                          r"SkewedTLaw\(nu=5.0"):
+        run_experiment(garch, ["full"], VaR(0.95), n=2, t0=301, seed=0, workers=1)
+
+
 def test_experiment_fwer_applies_to_baws_only():
     kwargs = dict(n=1, T=80, t0=41, seed=3, replications=40, grid=Grid(k_min=10),
                   workers=1)

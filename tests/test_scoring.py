@@ -1,14 +1,18 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from baws.baselines import SAWSConfig
 from baws.scoring import (
     Mean,
     VaR,
     VaRES,
+    es_given_v,
     joint_vares_score,
+    order_index,
     pinball_score,
     pointwise_score,
     score_at,
@@ -17,6 +21,7 @@ from baws.scoring import (
     tail_weight_integral,
     window_stats,
 )
+from baws.selection import candidate_windows, select_window
 
 from conftest import direct_joint, direct_pinball, empirical_score
 
@@ -152,3 +157,78 @@ def test_monte_carlo_expected_joint_score_minimizer():
     iv, ie = np.unravel_index(np.argmin(surface), surface.shape)
     assert abs(v_grid[iv] - 1.6448536) <= step + 1e-12
     assert abs(e_grid[ie] - 2.0627128) <= step + 1e-12
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=st.one_of(
+           # ties and mixed signs
+           st.lists(st.integers(-3, 3).map(lambda v: v * 0.75), min_size=2, max_size=60),
+           st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=60),
+           # heavy-tailed draws, whose sums round
+           st.tuples(st.integers(0, 2**32 - 1), st.integers(2, 200)).map(
+               lambda c: np.random.default_rng(c[0]).standard_t(4, size=c[1]).tolist()),
+           # a constant history: every window constant
+           st.tuples(st.floats(-1e3, 1e3), st.integers(2, 60)).map(lambda c: [c[0]] * c[1])),
+       data=st.data(),
+       alpha=st.sampled_from([0.5, 0.9, 0.95, 0.975]))
+@example(values=[1.0, -2.0], data=None, alpha=0.9)  # k = 2 only
+def test_grid_matches_per_window_fits_and_scores(values, data, alpha):
+    # target.grid scores every candidate's fit on every window in one pass;
+    # each fit and each score must be the per-window one, bit for bit
+    x = np.asarray(values, dtype=float)
+    n = x.size
+    lengths = [n] if data is None else sorted(data.draw(
+        st.lists(st.integers(2, n), min_size=1, max_size=12, unique=True), label="lengths"))
+    stats = [window_stats(x[n - k:]) for k in lengths]
+    for target in (Mean(), VaR(alpha), VaRES(alpha)):
+        theta, scores = target.grid(stats)
+        assert theta.shape == (len(stats), target.dim)
+        assert scores.shape == (len(stats), len(stats))
+        for c, s in enumerate(stats):
+            fit = target.fit(s)
+            assert same_bits(theta[c], fit.theta) and same_bits(scores[c, c], fit.score)
+            if isinstance(target, Mean):
+                assert same_bits(theta[c, 0], s.mean)
+            else:
+                v = s.values_sorted[order_index(alpha, s.n) - 1]
+                assert same_bits(theta[c, 0], v)
+                if isinstance(target, VaRES):
+                    assert same_bits(theta[c, 1], es_given_v(s, v, alpha))
+        for r, s in enumerate(stats):
+            for c in range(len(stats)):
+                assert same_bits(scores[r, c], score_at(s, theta[c], target)), (target, r, c)
+
+
+@dataclass(frozen=True)
+class _PlantedGap(VaR):
+    """VaR whose grid plants ``gap`` as the score gap at ``cell`` (row r
+    scores candidate c on window r)."""
+
+    gap: float = 0.0
+    cell: tuple[int, int] = (0, -1)
+
+    def grid(self, stats):
+        theta, scores = super().grid(stats)
+        r, c = self.cell
+        scores[r, c] = scores[r, r] + self.gap
+        return theta, scores
+
+
+def test_pairwise_guard_rejects_a_planted_negative_gap():
+    # the losses are below 1, so every fitted score is and the floor is -1e-9
+    x = np.random.default_rng(5).uniform(0.0, 0.5, size=60)
+    policy = SAWSConfig()
+    cands = candidate_windows(x.size)
+    with pytest.raises(AssertionError, match="negative pairwise gap"):
+        select_window(x, _PlantedGap(0.9, gap=-2e-9), policy)
+    # rounding noise within the slack is clipped to a zero gap
+    trace = select_window(x, _PlantedGap(0.9, gap=-0.5e-9), policy)
+    pair = (trace.pair_reference == cands[0]) & (trace.pair_candidate == cands[-1])
+    assert trace.pair_gap[pair].tolist() == [0.0]
+    # the smaller candidate's fit on the largest window is no pair: not guarded
+    select_window(x, _PlantedGap(0.9, gap=-1.0, cell=(-1, 0)), policy)
