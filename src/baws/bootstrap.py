@@ -10,13 +10,16 @@ dependent data) and theta_hat on the window itself.  Both estimators are
 scored on the original window, so every gap is >= 0 by the minimizer
 property of theta_hat.  This module draws the resamples; the target's
 ``row_fits`` reduces them to fits (or its ``iid_fits`` shortcut draws iid
-fits without resample rows) and its ``fit_gaps`` scores those.
+fits without resample rows), and the scorer that its ``gap_scorer`` builds
+once per calibration maps each block of fits to their gaps.
 
 Every row holds int32 ranks into the sorted window, whatever the target:
 iid rows are the rank draws themselves, and block rows are blocks of the
 ranks of a stable argsort of the window.  A target's ``row_fits`` reads
 its fits from the sorted window at those ranks.  A tail fit partitions the
-ranks; VaR/ES sums its tail in rank order, not in the order the partition
+ranks; a VaR fit is the row's j-th smallest rank itself, an order statistic
+of the window, so VaR's gaps are read from one table of the gap at every
+rank.  VaR/ES sums its tail in rank order, not in the order the partition
 leaves it, which depends on the SIMD code numpy dispatches to.  Thresholds
 are therefore bit-identical across CPUs and dispatch targets.
 
@@ -52,7 +55,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
 from .scoring import (FitResult, ForecastTarget, WindowStats, fit_from_stats, order_index,
@@ -185,8 +187,10 @@ def _row_sampler(window, stats: WindowStats, target: ForecastTarget, cfg: Bootst
         if m < 1:
             raise ValueError(f"block length {l} exceeds window length {n}")
         # np.take copies a strided source on every call; copy it once here
+        ranks = _ranks(window)
         blocks = _scratch("blocks", (n - l + 1, l))
-        blocks[...] = sliding_window_view(_ranks(window), l)
+        # row s of the strided view is the block of ranks starting at s
+        blocks[...] = np.ndarray((n - l + 1, l), np.int32, ranks, strides=ranks.strides * 2)
         draws, width, choices = m, l, n - l + 1
     L = draws * width
 
@@ -203,13 +207,17 @@ def _row_sampler(window, stats: WindowStats, target: ForecastTarget, cfg: Bootst
 
 
 def guarded_gaps(raw: np.ndarray, scale: float | np.ndarray, kind: str) -> np.ndarray:
-    """Clip rounding noise off score gaps; genuine negatives violate the
-    minimizer property of the reference fit.  ``scale``, the reference
-    fit's score, broadcasts against ``raw``: one per row of a pair grid."""
-    floor = -_GAP_SLACK * np.maximum(1.0, np.abs(scale))
-    if (raw < floor).any():
+    """Clip rounding noise off score gaps, in place; genuine negatives
+    violate the minimizer property of the reference fit.  ``scale``, the
+    reference fit's score, is a float or broadcasts against ``raw``: one
+    per row of a pair grid."""
+    if isinstance(scale, float):
+        negative = raw.min() < -_GAP_SLACK * max(1.0, abs(scale))
+    else:
+        negative = (raw < -_GAP_SLACK * np.maximum(1.0, np.abs(scale))).any()
+    if negative:
         raise AssertionError(f"negative {kind} gap beyond rounding tolerance")
-    return np.maximum(raw, 0.0)
+    return np.maximum(raw, 0.0, out=raw)
 
 
 def bootstrap_gaps(window, target: ForecastTarget, cfg: BootstrapConfig, *,
@@ -238,6 +246,7 @@ def bootstrap_gaps(window, target: ForecastTarget, cfg: BootstrapConfig, *,
     rng = np.random.default_rng(np.random.SeedSequence((seed, time_index, stats.n)))
     B = cfg.replications
     draw, L = _row_sampler(window, stats, target, cfg, rng)
+    scored = target.gap_scorer(stats, fit)
     cap = max(1, _BLOCK_BYTES // (4 * L))
     smallest = max(_FIRST_ROWS, _FIRST_RANKS // L)
     need = B if until is None else smallest
@@ -245,8 +254,7 @@ def bootstrap_gaps(window, target: ForecastTarget, cfg: BootstrapConfig, *,
     drawn = 0
     while drawn < B and need > 0:
         b = min(max(need, drawn, smallest), cap, B - drawn)
-        parts.append(guarded_gaps(target.fit_gaps(stats, draw(b), fit), fit.score,
-                                  "bootstrap"))
+        parts.append(guarded_gaps(scored(draw(b)), fit.score, "bootstrap"))
         drawn += b
         need = B - drawn if until is None else until(parts[-1])
     return np.concatenate(parts), fit

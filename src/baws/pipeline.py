@@ -290,6 +290,10 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
         raise ConfigError("seed must be nonnegative")
     if isinstance(scenario, str):
         scenario = scenario_name(scenario)
+        # a named scenario's paths hold T losses; a callable's are checked
+        # by each backtest
+        if T < t0:
+            raise ConfigError(f"series length {T} is shorter than t0={t0}")
     mode = experiment_mode(scenario, mode)
     if block_c is None:
         block_c = BootstrapConfig.block_c

@@ -29,14 +29,17 @@ package decides anything per target.  A target class supplies
     row_fits(stats, rows)   (b, dim) fits of a (b, L) block of resample
                             rows of int32 ranks into stats.values_sorted,
                             which it may overwrite; Mean's fits are
-                            relative to stats.center
-    fit_gaps(stats, fits, fit)
-                            raw bootstrap score gaps of a block of row
-                            fits against the window fit
+                            relative to stats.center, and VaR's are ranks
+                            into stats.values_sorted
+    gap_scorer(stats, fit)  the function mapping a block of fits to their
+                            raw bootstrap score gaps against the window
+                            fit, built once per calibration; VaR's reads
+                            each gap from a table of the gaps at every
+                            rank
     iid_fits(stats, b, rng) (b, dim) fits of the next b iid resamples of
-                            the stream rng, drawn without materializing
-                            them; None (the default) when the target has
-                            no such shortcut
+                            the stream rng, in row_fits' form, drawn
+                            without materializing them; None (the
+                            default) when the target has no such shortcut
     truth(path)             true parameter path of a scenario, shape (T,)
                             or (T, dim) with one column per component
     metric_rows(tensor, population, metrics)
@@ -179,14 +182,16 @@ class WindowStats:
     @property
     def mean(self) -> float:
         if self._mean is None:
-            self._mean = self.center + float(np.mean(self.values_sorted - self.center))
+            # np.mean of float64 is this reduce and one true divide
+            self._mean = self.center + float(
+                np.add.reduce(self.values_sorted - self.center) / self.n)
         return self._mean
 
     @property
     def var(self) -> float:
         """Mean squared deviation from the mean (divisor k)."""
         if self._var is None:
-            self._var = float(np.mean((self.values_sorted - self.mean) ** 2))
+            self._var = float(np.add.reduce((self.values_sorted - self.mean) ** 2) / self.n)
         return self._var
 
 
@@ -301,8 +306,8 @@ class ForecastTarget:
 
     iid_fits = None
 
-    def fit_gaps(self, stats: WindowStats, fits: np.ndarray, fit: FitResult) -> np.ndarray:
-        return self.score_at(stats, fits) - fit.score
+    def gap_scorer(self, stats: WindowStats, fit: FitResult):
+        return lambda fits: self.score_at(stats, fits) - fit.score
 
     def _path_truth(self, path, field: str):
         value = getattr(path, field)
@@ -348,10 +353,10 @@ class Mean(ForecastTarget):
                     mode="wrap")
         return (np.add.reduce(values.reshape(rows.shape), axis=1) / rows.shape[1])[:, None]
 
-    def fit_gaps(self, stats: WindowStats, fits: np.ndarray, fit: FitResult) -> np.ndarray:
+    def gap_scorer(self, stats: WindowStats, fit: FitResult):
         # squared-loss score: the gap reduces exactly to (mean_b - mean)^2
-        d = fits[:, 0] - (stats.mean - stats.center)
-        return d * d
+        centered_mean = stats.mean - stats.center
+        return lambda fits: np.square(fits[:, 0] - centered_mean)
 
     def truth(self, path):
         return path.true_mean
@@ -390,13 +395,15 @@ class _TailTarget(ForecastTarget):
         v = np.array([self.window_quantile(s) for s in stats])
         return v, _grid_split_sums(stats, v)
 
-    def row_quantile(self, stats: WindowStats, rows: np.ndarray) -> tuple[int, np.ndarray]:
-        """Partition rank rows at j - 1 and read each row's fitted VaR:
-        values_sorted is nondecreasing, so the row's j-th smallest rank
-        indexes its j-th smallest value."""
+    def partition_rows(self, rows: np.ndarray) -> int:
+        """Partition rank rows at j - 1 and return j.  values_sorted is
+        nondecreasing, so each row's j-th smallest rank, at j - 1, indexes
+        its j-th smallest value, the row's fitted VaR (Hutson & Ernst,
+        JRSS B 62, 2000: a bootstrap quantile is an order statistic of the
+        window)."""
         j = self.quantile_index(rows.shape[1])
         rows.partition(j - 1, axis=1)
-        return j, stats.values_sorted[rows[:, j - 1]]
+        return j
 
     def truth(self, path):
         return self._path_truth(path, "true_var")
@@ -428,7 +435,9 @@ class VaR(_TailTarget):
         return v[:, None], _pinball(*sums, self.alpha)
 
     def row_fits(self, stats: WindowStats, rows: np.ndarray) -> np.ndarray:
-        return self.row_quantile(stats, rows)[1][:, None]
+        # the rows may be a reused buffer: copy the fitted ranks out
+        j = self.partition_rows(rows)
+        return rows[:, j - 1:j].copy()
 
     def iid_fits(self, stats: WindowStats, b: int, rng) -> np.ndarray:
         # The fitted VaR of an iid resample is its j-th order statistic,
@@ -438,8 +447,13 @@ class VaR(_TailTarget):
         n = stats.n
         j = self.quantile_index(n)
         u = rng.beta(j, n - j + 1, size=b)
-        pos = np.minimum((n * u).astype(np.int64), n - 1)
-        return stats.values_sorted[pos][:, None]
+        return np.minimum((n * u).astype(np.int64), n - 1)[:, None]
+
+    def gap_scorer(self, stats: WindowStats, fit: FitResult):
+        # a fit is a rank r, and its gap that of the value at r: score every
+        # rank once, ties from the first of their group as score_at does
+        table = pinball_score_at(stats, stats.values_sorted, self.alpha) - fit.score
+        return lambda ranks: table[ranks[:, 0]]
 
     def metric_rows(self, tensor, population, metrics):
         return [("CR", metrics.cumulative_risk_var(tensor, *population, self.alpha))]
@@ -481,7 +495,8 @@ class VaRES(_TailTarget):
         return np.column_stack((v, e)), _joint(n, below, upper, v, e, self.alpha)
 
     def row_fits(self, stats: WindowStats, rows: np.ndarray) -> np.ndarray:
-        j, v = self.row_quantile(stats, rows)
+        j = self.partition_rows(rows)
+        v = stats.values_sorted[rows[:, j - 1]]
         # e(v) of each row: after the partition its values >= v sit past j,
         # summed in rank order, not in the CPU-dependent order the partition
         # leaves them

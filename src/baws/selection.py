@@ -321,21 +321,21 @@ def select_window(history, target: ForecastTarget, policy,
         return counts.below >= j, tau, sample.size
 
     cand_arr = np.asarray(candidates, dtype=np.int64)
-    admissible = np.ones(cand_arr.size, dtype=bool)
-    k_pos = cand_arr.size - 1  # the position of the selection so far
+    kept = np.arange(cand_arr.size)  # the positions still admissible, ascending
+    k_pos = cand_arr.size - 1  # the position of the selection so far, kept[-1]
     refs, cands, gap_col, tau_col, reject_col, rows_drawn = [], [], [], [], [], []
     for pos, i in enumerate(candidates):
         if pos >= k_pos:  # later references test only candidates above k_hat: all rejected
             break
         # the live pairs: those with the larger candidates still admissible
-        above = slice(pos + 1, None)
-        live = np.flatnonzero(admissible[above])
-        g = gaps[pos, above][live]
-        reject, tau, rows = calibrate(pos, g, order[above][live] if bootstrap_policy else None)
-        admissible[above][live] &= ~reject
-        k_pos = int(np.flatnonzero(admissible)[-1])
+        below = kept.searchsorted(pos, side="right")
+        live = kept[below:]
+        g = gaps[pos, live]
+        reject, tau, rows = calibrate(pos, g, order[live] if bootstrap_policy else None)
+        kept = np.concatenate((kept[:below], live[~reject]))
+        k_pos = int(kept[-1])
         refs.extend([i] * g.size)
-        cands.append(cand_arr[above][live])
+        cands.append(cand_arr[live])
         gap_col.append(g)
         tau_col.append(tau)
         reject_col.append(reject)
@@ -348,6 +348,8 @@ def select_window(history, target: ForecastTarget, policy,
     pair_candidate = column(cands, np.int64)
     # pairs ordered by ascending candidate, then reference
     by_candidate = np.lexsort((pair_reference, pair_candidate))
+    admissible = np.zeros(cand_arr.size, dtype=bool)
+    admissible[kept] = True
     return SelectionTrace(
         time_index=t,
         candidates=cand_arr,

@@ -28,6 +28,7 @@ from baws.scoring import (
     fit_target,
     joint_score_at,
     order_index,
+    pinball_score_at,
     window_stats,
 )
 
@@ -275,7 +276,7 @@ def test_vares_resample_gaps_match_row_fits(L, alpha):
     rows = stats.values_sorted[ranks]
     target = VaRES(alpha)
     fit = target.fit(stats)
-    gaps = target.fit_gaps(stats, target.row_fits(stats, ranks), fit)
+    gaps = target.gap_scorer(stats, fit)(target.row_fits(stats, ranks))
     row_fits = [fit_target(row, target) for row in rows]
     expected = [joint_score_at(stats, *f.theta, alpha) - fit.score for f in row_fits]
     np.testing.assert_allclose(gaps, expected, rtol=0, atol=1e-12)
@@ -305,6 +306,52 @@ def test_row_blocks_match_oneshot_oracle(mode, target, n, B):
         assert np.array_equal(fit.theta, want_fit.theta) and fit.score == want_fit.score
 
 
+@pytest.mark.parametrize("target", [Mean(), VaR(0.95), VaRES(0.95)], ids=str)
+@pytest.mark.parametrize("n", [1, 20, 999, 2500])
+def test_rounded_iid_windows_match_oneshot_oracle(target, n):
+    # iid VaR gaps are read by rank: tied values must give their group's gap
+    cfg = BootstrapConfig(replications=200, mode="iid")
+    window = np.round(np.random.default_rng(n).standard_t(4, size=n), 1)
+    gaps, fit = bootstrap_gaps(window, target, cfg, time_index=7, seed=3)
+    want, want_fit = oneshot_bootstrap_gaps(window, target, cfg, time_index=7, seed=3)
+    assert np.array_equal(gaps, want)
+    assert np.array_equal(fit.theta, want_fit.theta) and fit.score == want_fit.score
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.one_of(
+           # ties, of values whose sums round, and windows of one value
+           st.lists(st.integers(-30, 30).map(lambda v: v / 10), min_size=1, max_size=80),
+           st.tuples(st.floats(-1e3, 1e3), st.integers(1, 40)).map(lambda c: [c[0]] * c[1]),
+           st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 600)).map(
+               lambda c: np.random.default_rng(c[0]).standard_t(4, size=c[1]).tolist()),
+           st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 600)).map(
+               lambda c: np.random.default_rng(c[0]).standard_t(4, size=c[1]).round(1).tolist())),
+       alpha=st.sampled_from([0.01, 0.5, 0.9, 0.95, 0.975]))
+def test_var_gap_table_is_pinball_score_at_every_rank(values, alpha):
+    # a VaR fit is a rank r, whose gap is the score of values_sorted[r]; a
+    # tied value is scored from the first rank of its group
+    target = VaR(alpha)
+    stats = window_stats(values)
+    fit = target.fit(stats)
+    ranks = np.arange(stats.n, dtype=np.int32)[:, None]
+    got = target.gap_scorer(stats, fit)(ranks)
+    want = np.array([pinball_score_at(stats, stats.values_sorted[r], alpha) - fit.score
+                     for r in range(stats.n)])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_bootstrap_guard_clips_noise_and_rejects_negative_gaps():
+    # the floor is -1e-9 times max(1, |score|)
+    raw = np.array([0.25, -0.5e-9, 0.0])
+    assert guarded_gaps(raw, 0.5, "bootstrap") is raw and raw.tolist() == [0.25, 0.0, 0.0]
+    with pytest.raises(AssertionError, match="negative bootstrap gap"):
+        guarded_gaps(np.array([0.25, -2e-9]), -0.5, "bootstrap")
+    assert guarded_gaps(np.array([-2e-9]), 4.0, "bootstrap").tolist() == [0.0]
+    with pytest.raises(AssertionError, match="negative bootstrap gap"):
+        guarded_gaps(np.array([-5e-9]), -4.0, "bootstrap")
+
+
 @settings(max_examples=60, deadline=None)
 @given(target=st.sampled_from([Mean(), VaR(0.95), VaRES(0.9)]),
        mode=st.sampled_from(["iid", "block"]),
@@ -327,8 +374,8 @@ def test_any_block_schedule_continues_one_stream(target, mode, n, B, schedule):
         rng = np.random.default_rng(np.random.SeedSequence((8, 3, n)))
         draw, ranks = bootstrap._row_sampler(w, stats, target, cfg, rng)
         assert ranks == L
-        return [guarded_gaps(target.fit_gaps(stats, draw(b), fit), fit.score, "bootstrap")
-                for b in sizes]
+        scored = target.gap_scorer(stats, fit)
+        return [guarded_gaps(scored(draw(b)), fit.score, "bootstrap") for b in sizes]
 
     # the row sampler, with 1-row and odd blocks
     sizes = []

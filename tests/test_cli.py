@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from baws import pipeline
 from baws.cli import main
 from baws.selection import rejection_probability_gaussian
 
@@ -60,6 +61,20 @@ def test_experiment_smoke(tmp_path):
     assert lines[0] == "method,scenario,metric,value"
     methods = {line.split(",")[0] for line in lines[1:]}
     assert methods == {"baws", "fixed:20", "full"}
+
+
+def test_experiment_t0_past_the_path_exits_1(tmp_path, capsys, monkeypatch):
+    def unreachable(spec, rep):
+        raise AssertionError("a replication ran before the length check")
+
+    # one replication runs in this process, where the patch reaches it
+    monkeypatch.setattr(pipeline, "_replication", unreachable)
+    out = tmp_path / "metrics.csv"
+    code = run(["experiment", "--scenario", "A1", "--methods", "full", "--n", "1",
+                "--T", "100", "--t0", "200", "--out", out])
+    assert code == 1
+    assert "series length 100 is shorter than t0=200" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_diagnose_matches_library(tmp_path):

@@ -243,6 +243,19 @@ def test_experiment_checks_scenario_name_before_replicating(monkeypatch):
         run_experiment("Z9", ["full"], Mean(), n=2, T=60, t0=41, workers=1)
 
 
+def test_experiment_checks_t0_against_named_path_length(monkeypatch):
+    def unreachable(spec, rep):
+        raise AssertionError("a replication ran before the length check")
+
+    monkeypatch.setattr(pipeline, "_replication", unreachable)
+    with pytest.raises(ConfigError, match="series length 100 is shorter than t0=200"):
+        run_experiment("A1", ["full"], Mean(), n=2, T=100, t0=200, workers=1)
+    # a path of exactly t0 losses has one forecast step
+    monkeypatch.undo()
+    report = run_experiment("A1", ["full"], Mean(), n=1, T=60, t0=60, workers=1)
+    assert report.value("full", "MSE") >= 0.0
+
+
 def test_experiment_rows_carry_the_canonical_scenario_name():
     report = run_experiment("a1", ["full"], Mean(), n=1, T=60, t0=41, workers=1)
     assert {row[1] for row in report.rows} == {"A1"}

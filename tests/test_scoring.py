@@ -204,6 +204,20 @@ def test_grid_matches_per_window_fits_and_scores(values, data, alpha):
                 assert same_bits(scores[r, c], score_at(s, theta[c], target)), (target, r, c)
 
 
+@settings(max_examples=150, deadline=None)
+@given(n=st.one_of(st.integers(1, 300), st.sampled_from([1000, 1400, 2000, 2100])),
+       seed=st.integers(0, 2**32 - 1),
+       loc=st.sampled_from([0.0, -3.5, 1e6, -1e12, 1e150]),
+       spread=st.sampled_from([0.0, 1e-3, 1.0, 1e100]))
+def test_window_moments_are_np_mean_bit_for_bit(n, seed, loc, spread):
+    # spread 0 gives constant windows; loc 1e150 and spread 1e100 large
+    # magnitudes, whose squares still fit a float64
+    x = loc + spread * np.random.default_rng(seed).standard_t(4, size=n)
+    s = window_stats(x)
+    assert same_bits(s.mean, s.center + float(np.mean(s.values_sorted - s.center)))
+    assert same_bits(s.var, float(np.mean((s.values_sorted - s.mean) ** 2)))
+
+
 @dataclass(frozen=True)
 class _PlantedGap(VaR):
     """VaR whose grid plants ``gap`` as the score gap at ``cell`` (row r
