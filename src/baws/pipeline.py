@@ -403,7 +403,7 @@ def load_price_csv(path, price_col: str | None = None, loss_col: str | None = No
     for rownum, row in enumerate(rows[1:], start=2):
         if not row or all(not c.strip() for c in row):
             continue
-        if col >= len(row):
+        if any(c is not None and c >= len(row) for c in (col, date_idx)):
             raise DataError(f"{path}: row {rownum} has too few columns")
         text = row[col].strip()
         try:
@@ -415,8 +415,10 @@ def load_price_csv(path, price_col: str | None = None, loss_col: str | None = No
         if price_idx is not None and value <= 0.0:
             raise DataError(f"{path}: row {rownum}: price must be positive, got {text}")
         values.append(value)
-        if date_idx is not None and date_idx < len(row):
+        if date_idx is not None:
             dates.append(row[date_idx].strip())
+            if not dates[-1]:
+                raise DataError(f"{path}: row {rownum}: empty date")
 
     if price_idx is not None:
         if len(values) < 2:

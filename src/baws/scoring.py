@@ -533,5 +533,6 @@ def fit_target(window, target: ForecastTarget) -> FitResult:
 
 
 def fit_from_stats(stats: WindowStats, target: ForecastTarget) -> FitResult:
-    """Fit from precomputed ``WindowStats`` (shared by selection and bootstrap)."""
+    """Fit from precomputed ``WindowStats``: the bootstrap's window fit when
+    its caller passes none (selection fits through the target's ``grid``)."""
     return target.fit(stats)

@@ -12,7 +12,7 @@ from the data), or any object exposing ``threshold_for(window_length)``,
 such as the deterministic SAWS families of ``baselines``.  With the
 default error control each comparison runs at level 1 - beta; the "fwer"
 mode tightens pairwise levels by a Bonferroni split across the comparisons
-of each candidate, re-quantiling the sorted bootstrap gap sample.
+of each candidate, which raises the order index j of its pairs.
 
 Every pair is scored, in one pass per step: the target's ``grid`` fits
 every candidate window and scores each fit on every candidate window, and
@@ -40,29 +40,25 @@ once every live decision is fixed: a reject by j gaps below gap_k, an
 accept by B - j + 1 gaps not below it (curtailed sampling with a fixed B,
 Besag & Clifford, Biometrika 78, 1991).  The drawn gaps are the first ones
 of the full draw, so every decision, the admissible set and the selection
-are those of full calibrations, bit for bit; only tau_i is left unknown
-when the draw stops early.
+are those of full calibrations, bit for bit.  The count and j are the
+record of a decision; tau_i itself is never computed.  A fixed-threshold
+policy is a sample of one gap, tau(i), with j = 1, so both policies decide
+by the same rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
 
-from .bootstrap import (
-    BootstrapConfig,
-    bootstrap_gaps,
-    empirical_quantile,
-    guarded_gaps,
-    order_index,
-)
+from .bootstrap import BootstrapConfig, bootstrap_gaps, guarded_gaps, order_index
 from .errors import ConfigError
 from .scoring import FitResult, ForecastTarget, window_stats
 
 # unused here; bound so that benchmark/tracing.py can patch these names
+from .bootstrap import empirical_quantile  # noqa: F401
 from .scoring import fit_from_stats, score_at  # noqa: F401
 
 ERROR_CONTROLS = ("pcer", "fwer")
@@ -126,14 +122,6 @@ class _PairCounts:
         return max(int(need.max()), 0)
 
 
-class PairDecision(NamedTuple):
-    reference: int
-    candidate: int
-    gap: float
-    threshold: float
-    reject: int
-
-
 @dataclass(frozen=True)
 class SelectionTrace:
     """Record of one selection step.
@@ -144,8 +132,14 @@ class SelectionTrace:
     pairs are not recorded.  The pairs are stored as parallel arrays
     ordered by candidate and then reference.  They are the live pairs,
     whose decisions the scan used: (i, k) with i a scanned reference and k a
-    candidate still admissible when i was scanned.  A threshold is NaN where
-    its reference's calibration stopped before B rows.
+    candidate still admissible when i was scanned.
+
+    The counts are the record of a decision: ``pair_below`` holds the drawn
+    gaps of the reference's sample that lie below the pair's gap, and
+    ``pair_order`` its order index j; the pair rejected when the count
+    reached j.  Under a fixed-threshold policy the sample is the one gap
+    tau(i) and j = 1.  The bootstrap tau of any (seed, t, i) is one
+    ``bootstrap_gaps`` call away.
 
     ``rows_drawn[r]`` is the number of bootstrap rows drawn for the scanned
     reference ``candidates[r]`` (0 under a fixed-threshold policy).
@@ -156,19 +150,16 @@ class SelectionTrace:
     pair_reference: np.ndarray
     pair_candidate: np.ndarray
     pair_gap: np.ndarray
-    pair_threshold: np.ndarray
-    pair_reject: np.ndarray
+    pair_below: np.ndarray
+    pair_order: np.ndarray
     rows_drawn: np.ndarray
     admissible: np.ndarray
     k_hat: int
     fit: FitResult
 
-    def pair_records(self) -> Iterator[PairDecision]:
-        for r, k, g, tau, rej in zip(
-            self.pair_reference, self.pair_candidate, self.pair_gap,
-            self.pair_threshold, self.pair_reject,
-        ):
-            yield PairDecision(int(r), int(k), float(g), float(tau), int(rej))
+    @property
+    def pair_reject(self) -> np.ndarray:
+        return self.pair_below >= self.pair_order
 
 
 def _band_points(cfg: CandidateGridConfig, lo: int, hi: int) -> list[int]:
@@ -292,53 +283,47 @@ def select_window(history, target: ForecastTarget, policy,
     def fit(pos: int) -> FitResult:
         return FitResult(theta[pos], float(own[pos]), candidates[pos])
 
-    if bootstrap_policy:
-        # a pair with the candidate at position s rejects when its gap exceeds
-        # the order[s]-th smallest of the B bootstrap gaps
-        B = policy.replications
-        if error_control == "pcer":
-            order = np.full(len(candidates), order_index(policy.beta, B))
-        else:  # s references lie below the candidate at position s (none at 0)
-            order = np.array([order_index(bonferroni_level(policy.beta, max(s, 1)), B)
-                              for s in range(len(candidates))])
+    # a pair with the candidate at position s rejects when order[s] gaps of
+    # its reference's sample lie below its gap
+    if not bootstrap_policy:
+        order = np.ones(len(candidates), dtype=np.int64)
+    elif error_control == "pcer":
+        order = np.full(len(candidates), order_index(policy.beta, policy.replications))
+    else:  # s references lie below the candidate at position s (none at 0)
+        order = np.array([order_index(bonferroni_level(policy.beta, max(s, 1)),
+                                      policy.replications)
+                          for s in range(len(candidates))])
 
     def calibrate(pos: int, g: np.ndarray, j: np.ndarray):
-        """(reject, tau, rows drawn) of the pairs of reference candidates[pos]
-        whose gaps are ``g`` and order indices ``j``."""
+        """(the gaps below each of ``g``, rows drawn) for the pairs of
+        reference candidates[pos] whose gaps are ``g`` and order indices ``j``."""
         i = candidates[pos]
-        if not bootstrap_policy:
-            tau = np.full(g.size, float(policy.threshold_for(i)))
-            return g > tau, tau, 0
-        counts = _PairCounts(g, j, B)
+        if not bootstrap_policy:  # a sample of one gap, tau(i)
+            return (g > float(policy.threshold_for(i))).astype(np.int64), 0
+        counts = _PairCounts(g, j, policy.replications)
         sample, _ = bootstrap_gaps(x[n - i:], target, policy, time_index=t, seed=seed,
                                    stats=stats[pos], fit=fit(pos), until=counts)
-        if sample.size < B:  # curtailed: tau is only bounded
-            tau = np.full(g.size, np.nan)
-        elif error_control == "pcer":
-            tau = np.full(g.size, empirical_quantile(sample, policy.beta))
-        else:
-            tau = np.sort(sample)[j - 1]
-        return counts.below >= j, tau, sample.size
+        return counts.below, sample.size
 
     cand_arr = np.asarray(candidates, dtype=np.int64)
     kept = np.arange(cand_arr.size)  # the positions still admissible, ascending
     k_pos = cand_arr.size - 1  # the position of the selection so far, kept[-1]
-    refs, cands, gap_col, tau_col, reject_col, rows_drawn = [], [], [], [], [], []
+    refs, cands, gap_col, below_col, order_col, rows_drawn = [], [], [], [], [], []
     for pos, i in enumerate(candidates):
         if pos >= k_pos:  # later references test only candidates above k_hat: all rejected
             break
         # the live pairs: those with the larger candidates still admissible
-        below = kept.searchsorted(pos, side="right")
-        live = kept[below:]
-        g = gaps[pos, live]
-        reject, tau, rows = calibrate(pos, g, order[live] if bootstrap_policy else None)
-        kept = np.concatenate((kept[:below], live[~reject]))
+        split = kept.searchsorted(pos, side="right")
+        live = kept[split:]
+        g, j = gaps[pos, live], order[live]
+        below, rows = calibrate(pos, g, j)
+        kept = np.concatenate((kept[:split], live[below < j]))
         k_pos = int(kept[-1])
         refs.extend([i] * g.size)
         cands.append(cand_arr[live])
         gap_col.append(g)
-        tau_col.append(tau)
-        reject_col.append(reject)
+        below_col.append(below)
+        order_col.append(j)
         rows_drawn.append(rows)
 
     def column(parts, dtype):
@@ -356,8 +341,8 @@ def select_window(history, target: ForecastTarget, policy,
         pair_reference=pair_reference[by_candidate],
         pair_candidate=pair_candidate[by_candidate],
         pair_gap=column(gap_col, float)[by_candidate],
-        pair_threshold=column(tau_col, float)[by_candidate],
-        pair_reject=column(reject_col, bool)[by_candidate],
+        pair_below=column(below_col, np.int64)[by_candidate],
+        pair_order=column(order_col, np.int64)[by_candidate],
         rows_drawn=np.asarray(rows_drawn, dtype=np.int64),
         admissible=admissible,
         k_hat=candidates[k_pos],

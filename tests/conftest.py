@@ -206,60 +206,80 @@ def oneshot_bootstrap_gaps(window, target: ForecastTarget, cfg: BootstrapConfig,
 def exhaustive_select_window(history, target: ForecastTarget, policy,
                              grid: CandidateGridConfig = CandidateGridConfig(),
                              prev_k=None, *, time_index=None, seed: int = 0,
-                             error_control: str = "pcer") -> SelectionTrace:
-    """``select_window`` with a threshold for every reference window and
-    every pair (i, k), i < k, scored and tested; a candidate is admissible
-    when none of its pairs rejects.  Reference fits come from their
-    calibrations."""
+                             error_control: str = "pcer", samples=None) -> SelectionTrace:
+    """``select_window`` with every reference window calibrated and every
+    pair (i, k), i < k, scored and tested; a candidate is admissible when
+    none of its pairs rejects.  Reference fits come from their calibrations.
+
+    Each pair is decided as gap > tau, tau read from the reference's full
+    sample (all B bootstrap gaps, or the one gap tau(i) of a fixed policy),
+    and checked against the count rule: j of the sample below the gap.  The
+    trace records the count over the full sample.  ``samples``, when given,
+    is a dict filled with each reference's sample in draw order."""
     x = np.asarray(history, dtype=float)
     n = x.size
     t = time_index if time_index is not None else n + 1
     candidates = candidate_windows(n, prev_k, grid)
     stats = {k: window_stats(x[n - k:]) for k in candidates}
     references = candidates[:-1]
+    bootstrap = isinstance(policy, BootstrapConfig)
     calibrated = {}
     for i in references:
-        if isinstance(policy, BootstrapConfig):
+        if bootstrap:
             gaps, fit = bootstrap_gaps(x[n - i:], target, policy, time_index=t, seed=seed,
                                        stats=stats[i])
-            calibrated[i] = (fit, np.sort(gaps) if error_control == "fwer"
-                             else empirical_quantile(gaps, policy.beta))
+            calibrated[i] = (gaps, fit)
         else:
-            calibrated[i] = (fit_from_stats(stats[i], target), float(policy.threshold_for(i)))
-    fits = {i: fit for i, (fit, _) in calibrated.items()}
+            calibrated[i] = (np.array([float(policy.threshold_for(i))]),
+                             fit_from_stats(stats[i], target))
+    if samples is not None:
+        samples.update({i: sample for i, (sample, _) in calibrated.items()})
+    fits = {i: fit for i, (_, fit) in calibrated.items()}
     fits[candidates[-1]] = fit_from_stats(stats[candidates[-1]], target)
 
-    refs, cands, gap_col, tau_col = [], [], [], []
+    refs, cands, gap_col, below_col, order_col, reject_col = [], [], [], [], [], []
     theta_rows = np.vstack([fits[k].theta for k in candidates])
     for pos, i in enumerate(references):
         larger = candidates[pos + 1:]
         raw = score_at(stats[i], theta_rows[pos + 1:], target) - fits[i].score
+        gaps = guarded_gaps(raw, fits[i].score, "pairwise")
+        sample = calibrated[i][0]
+        B = sample.size
+        if not bootstrap:
+            j = np.ones(len(larger), dtype=np.int64)
+            tau = np.full(len(larger), sample[0])
+        elif error_control == "pcer":
+            j = np.full(len(larger), order_index(policy.beta, B))
+            tau = np.full(len(larger), empirical_quantile(sample, policy.beta))
+        else:
+            j = np.array([order_index(bonferroni_level(policy.beta, s), B)
+                          for s in range(pos + 1, len(candidates))])
+            tau = np.sort(sample)[j - 1]
+        below = (sample[None, :] < gaps[:, None]).sum(axis=1)
+        reject = gaps > tau
+        assert np.array_equal(reject, below >= j), (i, larger)
         refs.extend([i] * len(larger))
         cands.extend(larger)
-        gap_col.append(guarded_gaps(raw, fits[i].score, "pairwise"))
-        if error_control == "pcer":
-            tau_col.append(np.full(len(larger), calibrated[i][1]))
-        else:
-            g = calibrated[i][1]
-            tau_col.append(np.array([
-                float(g[order_index(bonferroni_level(policy.beta, s), g.size) - 1])
-                for s in range(pos + 1, len(candidates))]))
+        gap_col.append(gaps)
+        below_col.append(below)
+        order_col.append(j)
+        reject_col.append(reject)
+
+    def column(parts, dtype):
+        return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
     pair_reference = np.asarray(refs, dtype=np.int64)
     pair_candidate = np.asarray(cands, dtype=np.int64)
-    pair_gap = np.concatenate(gap_col) if gap_col else np.empty(0)
-    pair_threshold = np.concatenate(tau_col) if tau_col else np.empty(0)
-    pair_reject = pair_gap > pair_threshold
     cand_arr = np.asarray(candidates, dtype=np.int64)
-    admissible = ~np.isin(cand_arr, pair_candidate[pair_reject])
+    admissible = ~np.isin(cand_arr, pair_candidate[column(reject_col, bool)])
     k_hat = int(cand_arr[admissible][-1])
     order = np.lexsort((pair_reference, pair_candidate))
     return SelectionTrace(
         time_index=t, candidates=cand_arr, pair_reference=pair_reference[order],
-        pair_candidate=pair_candidate[order], pair_gap=pair_gap[order],
-        pair_threshold=pair_threshold[order], pair_reject=pair_reject[order],
-        rows_drawn=np.full(len(references),
-                           policy.replications if isinstance(policy, BootstrapConfig) else 0),
+        pair_candidate=pair_candidate[order], pair_gap=column(gap_col, float)[order],
+        pair_below=column(below_col, np.int64)[order],
+        pair_order=column(order_col, np.int64)[order],
+        rows_drawn=np.full(len(references), policy.replications if bootstrap else 0),
         admissible=admissible, k_hat=k_hat, fit=fits[k_hat])
 
 

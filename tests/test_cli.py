@@ -136,6 +136,11 @@ def test_exit_codes(tmp_path, capsys):
     bad.write_text("loss\n0.1\nxyz\n")
     assert run(["backtest", "--input", bad, "--t0", "2", "--k0", "2",
                 "--method", "full", "--out", out]) == 2
+    # data error: a row without its date cell
+    bad.write_text("loss,date\n0.1,2020-01-01\n0.2\n0.3,2020-01-03\n")
+    assert run(["backtest", "--input", bad, "--t0", "2", "--k0", "2",
+                "--method", "full", "--out", out]) == 2
+    assert "row 3 has too few columns" in capsys.readouterr().err
 
 
 def test_invalid_configs_exit_1_before_running(tmp_path, capsys):

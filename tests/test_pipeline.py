@@ -73,6 +73,18 @@ def test_load_loss_csv_without_dates(tmp_path):
     assert series.dates is None
 
 
+@pytest.mark.parametrize("header", ["loss,date", "price,date"])
+def test_load_csv_names_a_row_without_its_date(tmp_path, header):
+    # named where it is read, not left to misalign the dates and the values
+    f = tmp_path / "dated.csv"
+    f.write_text(f"{header}\n0.1,2020-01-01\n0.2\n0.3,2020-01-03\n")
+    with pytest.raises(DataError, match="row 3 has too few columns"):
+        load_price_csv(f)
+    f.write_text(f"{header}\n0.1,2020-01-01\n0.2,\n0.3,2020-01-03\n")
+    with pytest.raises(DataError, match="row 3: empty date"):
+        load_price_csv(f)
+
+
 def test_load_csv_column_errors(tmp_path):
     f = tmp_path / "odd.csv"
     f.write_text("date,value\n2020-01-01,1\n")

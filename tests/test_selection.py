@@ -145,10 +145,14 @@ def test_select_window_constant_history():
     x = np.full(300, 2.5)
     cfg = BootstrapConfig(beta=0.9, replications=100)
     trace = select_window(x, Mean(), cfg, Grid(k_min=20), seed=5)
-    assert trace.k_hat == 300  # all gaps and thresholds zero, equality accepts
+    assert trace.k_hat == 300  # all gaps zero: no bootstrap gap lies below one
     assert np.all(trace.pair_gap == 0.0)
-    assert np.all(exhaustive_select_window(x, Mean(), cfg, Grid(k_min=20), seed=5)
-                  .pair_threshold == 0.0)
+    assert np.all(trace.pair_below == 0)
+    # every bootstrap gap, and so every threshold, is zero too
+    samples = {}
+    assert np.all(exhaustive_select_window(x, Mean(), cfg, Grid(k_min=20), seed=5,
+                                           samples=samples).pair_below == 0)
+    assert all(np.all(sample == 0.0) for sample in samples.values())
 
 
 def test_select_window_two_regime_break():
@@ -171,17 +175,16 @@ def test_trace_consistency_invariants():
     trace = select_window(x, VaR(0.9), cfg, Grid(k_min=20), seed=1)
     cands = list(trace.candidates)
     assert trace.k_hat in cands
-    # every pair of a reference tests its gap against the reference's one
-    # threshold, recorded unless the calibration stopped before B rows
+    # every pair of a reference decides as its gap against the reference's
+    # one threshold; the record is the count of drawn gaps below the gap
+    assert np.all(trace.pair_order == order_index(0.8, 150))
     for i, rows in zip(cands, trace.rows_drawn):
         gaps, _ = bootstrap_gaps(x[-i:], VaR(0.9), cfg, time_index=401, seed=1)
         tau = empirical_quantile(gaps, 0.8)
         mine = trace.pair_reference == i
         assert np.array_equal(trace.pair_reject[mine], trace.pair_gap[mine] > tau)
-        if rows == 150:
-            assert np.all(trace.pair_threshold[mine] == tau)
-        else:
-            assert np.all(np.isnan(trace.pair_threshold[mine]))
+        assert np.array_equal(trace.pair_below[mine],
+                              (gaps[:rows] < trace.pair_gap[mine, None]).sum(axis=1))
     # admissibility bookkeeping: k admissible iff no pair rejects it
     rejected = set(trace.pair_candidate[trace.pair_reject == 1])
     for pos, k in enumerate(cands):
@@ -209,12 +212,13 @@ def test_squared_loss_gap_identity():
     trace = select_window(x, Mean(), fixed(0.0), Grid(k_min=250, bands=((0, 250),)))
     mu_500 = fit_target(x, Mean()).theta[0]
     mu_250 = fit_target(x[250:], Mean()).theta[0]
-    pair = [p for p in trace.pair_records() if p.reference == 250 and p.candidate == 500]
-    assert len(pair) == 1
-    assert pair[0].gap == pytest.approx((mu_500 - mu_250) ** 2, abs=1e-10)
+    pair = (trace.pair_reference == 250) & (trace.pair_candidate == 500)
+    assert pair.sum() == 1
+    gap = trace.pair_gap[pair][0]
+    assert gap == pytest.approx((mu_500 - mu_250) ** 2, abs=1e-10)
     direct = (empirical_score(x[250:], [mu_500], Mean())
               - empirical_score(x[250:], [mu_250], Mean()))
-    assert pair[0].gap == pytest.approx(direct, abs=1e-10)
+    assert gap == pytest.approx(direct, abs=1e-10)
 
 
 def test_threshold_agnostic_core():
@@ -228,7 +232,8 @@ def test_threshold_agnostic_core():
                       Grid(k_min=20))
     assert a.k_hat == b.k_hat
     assert np.array_equal(a.pair_gap, b.pair_gap)
-    assert np.array_equal(a.pair_threshold, b.pair_threshold)
+    assert np.array_equal(a.pair_below, b.pair_below)
+    assert np.array_equal(a.pair_order, b.pair_order)
     assert np.array_equal(a.fit.theta, b.fit.theta)
 
 
@@ -239,22 +244,28 @@ def test_fwer_mode_tightens_thresholds():
     pcer = select_window(x, Mean(), cfg, Grid(k_min=20), seed=13, error_control="pcer")
     fwer = select_window(x, Mean(), cfg, Grid(k_min=20), seed=13, error_control="fwer")
     assert fwer.k_hat >= pcer.k_hat
-    # every pair's threshold, from calibrations of all B rows
+    # every pair's count over calibrations of all B rows: the same samples,
+    # so fwer raises each order index and rejects a subset of pcer's pairs
     pcer_all, fwer_all = (exhaustive_select_window(x, Mean(), cfg, Grid(k_min=20), seed=13,
                                                    error_control=mode)
                           for mode in ERROR_CONTROLS)
     assert np.array_equal(pcer_all.pair_candidate, fwer_all.pair_candidate)
-    assert np.all(fwer_all.pair_threshold >= pcer_all.pair_threshold)
-    # fwer decisions re-quantile the same gap sample at the Bonferroni level
+    assert np.array_equal(fwer_all.pair_below, pcer_all.pair_below)
+    assert np.all(fwer_all.pair_order >= pcer_all.pair_order)
+    assert np.any(fwer_all.pair_order > pcer_all.pair_order)
+    assert not np.any(fwer_all.pair_reject & ~pcer_all.pair_reject)
+    # fwer decisions read the same gap sample at the Bonferroni level
     gaps, _ = bootstrap_gaps(x[-20:], Mean(), cfg, time_index=401, seed=13)
+    rows = fwer.rows_drawn[0]
     s = np.flatnonzero(fwer.pair_reference == 20)
     assert s.size
     for pos in s:
         k = fwer.pair_candidate[pos]
-        comparisons = int(np.sum(fwer.candidates < k))
-        tau = empirical_quantile(gaps, bonferroni_level(0.9, comparisons))
+        level = bonferroni_level(0.9, int(np.sum(fwer.candidates < k)))
+        tau = empirical_quantile(gaps, level)
         assert fwer.pair_reject[pos] == (fwer.pair_gap[pos] > tau)
-        assert np.isnan(fwer.pair_threshold[pos]) or fwer.pair_threshold[pos] == tau
+        assert fwer.pair_order[pos] == order_index(level, 400)
+        assert fwer.pair_below[pos] == np.sum(gaps[:rows] < fwer.pair_gap[pos])
     with pytest.raises(ValueError):
         select_window(x, Mean(), fixed(0.1), Grid(k_min=20),
                       error_control="fwer")
@@ -321,12 +332,12 @@ def test_concurrent_trace_matches_serial_oneshot_oracle(target, mode, error_cont
     want = select_window(x, target, cfg, **kwargs)
     assert got.candidates.size > 10
     for field in ("candidates", "pair_reference", "pair_candidate", "pair_gap",
-                  "pair_reject", "admissible"):
+                  "pair_order", "pair_reject", "admissible"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
-    # thresholds agree where the calibration drew all B rows
-    known = ~np.isnan(got.pair_threshold)
-    assert np.array_equal(got.pair_threshold[known], want.pair_threshold[known])
-    assert not np.isnan(want.pair_threshold).any()
+    # counts agree where the calibration drew all B rows, as the oracle's all do
+    assert np.all(want.rows_drawn == 150)
+    rows = got.rows_drawn[got.candidates.searchsorted(got.pair_reference)]
+    assert np.array_equal(got.pair_below[rows == 150], want.pair_below[rows == 150])
     assert got.k_hat == want.k_hat
     assert np.array_equal(got.fit.theta, want.fit.theta)
 
@@ -342,8 +353,10 @@ def test_scan_matches_exhaustive_oracle(target, mode, error_control, history):
     cfg = BootstrapConfig(beta=0.9, replications=100, mode=mode)
     B = cfg.replications
     kwargs = dict(time_index=601, seed=4, error_control=error_control)
-    want = exhaustive_select_window(x, target, cfg, **kwargs)
-    oracle = {(p.reference, p.candidate): p for p in want.pair_records()}
+    samples = {}
+    want = exhaustive_select_window(x, target, cfg, samples=samples, **kwargs)
+    oracle = {(int(i), int(k)): pos
+              for pos, (i, k) in enumerate(zip(want.pair_reference, want.pair_candidate))}
     # replay the scan on the oracle's decisions: the scanned references are
     # the candidates below the stop, the first reference not below the
     # largest candidate its predecessors leave admissible; the live pairs of
@@ -355,7 +368,7 @@ def test_scan_matches_exhaustive_oracle(target, mode, error_control, history):
     while cands[stop] < cands[np.flatnonzero(admissible)[-1]]:
         i = cands[stop]
         live += [(i, k) for k, ok in zip(cands, admissible) if ok and k > i]
-        admissible &= [not (k > i and oracle[i, k].reject) for k in cands]
+        admissible &= [not (k > i and want.pair_reject[oracle[i, k]]) for k in cands]
         stop += 1
     scanned = cands[:stop]
     got = select_window(x, target, cfg, **kwargs)
@@ -363,18 +376,17 @@ def test_scan_matches_exhaustive_oracle(target, mode, error_control, history):
     assert np.array_equal(got.admissible, want.admissible)
     assert got.k_hat == want.k_hat
     assert np.array_equal(got.fit.theta, want.fit.theta)
-    # the live pairs, each with the oracle's gap and decision; tau is known
-    # only where the reference drew all B rows
+    # the live pairs, each with the oracle's gap, order index and decision,
+    # and the count of the oracle's first rows_drawn gaps below its gap
     assert got.rows_drawn.size == len(scanned)
     rows = dict(zip(scanned, got.rows_drawn.tolist()))
     assert sorted(zip(got.pair_reference.tolist(), got.pair_candidate.tolist())) == sorted(live)
-    for p in got.pair_records():
-        q = oracle[p.reference, p.candidate]
-        assert (p.gap, p.reject) == (q.gap, q.reject)
-        if rows[p.reference] == B:
-            assert p.threshold == q.threshold
-        else:
-            assert np.isnan(p.threshold)
+    for i, k, gap, below, j, reject in zip(got.pair_reference.tolist(),
+                                           got.pair_candidate.tolist(), got.pair_gap,
+                                           got.pair_below, got.pair_order, got.pair_reject):
+        q = oracle[i, k]
+        assert (gap, j, reject) == (want.pair_gap[q], want.pair_order[q], want.pair_reject[q])
+        assert below == np.sum(samples[i][:rows[i]] < gap)
     # each reference draws at least its first block, max(64, 512 // L) rows
     # of L ranks up to B; on the stable history some reference stops before
     # B rows, unless every first block holds all B (iid VaR, L = 1)
@@ -385,3 +397,45 @@ def test_scan_matches_exhaustive_oracle(target, mode, error_control, history):
         assert min(rows.values()) < B
     if history == "break":
         assert got.k_hat < 300 and 2 * len(scanned) <= len(cands)
+
+
+@pytest.mark.parametrize("history", ["break", "stable"])
+@pytest.mark.parametrize("error_control", ["pcer", "fwer"])
+@pytest.mark.parametrize("mode", ["iid", "block"])
+@pytest.mark.parametrize("target", [Mean(), VaR(0.95), VaRES(0.95)], ids=["mean", "var", "vares"])
+def test_every_recorded_decision_is_fixed_by_its_count(target, mode, error_control, history):
+    x = np.random.default_rng(29).standard_normal(600)
+    if history == "break":
+        x[-60:] = 3.0 + 3.0 * x[-60:]
+    cfg = BootstrapConfig(beta=0.9, replications=100, mode=mode)
+    B = cfg.replications
+    trace = select_window(x, target, cfg, time_index=601, seed=6, error_control=error_control)
+    # each pair's count is over the rows its reference drew; a reject is
+    # fixed by j gaps below, an accept once the rows left cannot reach j
+    rows = trace.rows_drawn[trace.candidates.searchsorted(trace.pair_reference)]
+    below, j = trace.pair_below, trace.pair_order
+    assert np.all((0 <= below) & (below <= rows))
+    assert np.all((below >= j) | (below + (B - rows) < j))
+    assert np.array_equal(trace.pair_reject, below >= j)
+    # the admissible set and the selection follow from the recorded decisions
+    rejected = trace.pair_candidate[trace.pair_reject]
+    assert np.array_equal(trace.admissible, ~np.isin(trace.candidates, rejected))
+    assert trace.k_hat == trace.candidates[trace.admissible][-1]
+
+
+@pytest.mark.parametrize("target", [Mean(), VaR(0.95), VaRES(0.95)], ids=["mean", "var", "vares"])
+def test_saws_is_a_sample_of_one(target):
+    from baws.baselines import SAWSConfig
+
+    x = np.random.default_rng(29).standard_normal(600)
+    x[-60:] = 3.0 + 3.0 * x[-60:]
+    cfg = SAWSConfig()
+    trace = select_window(x, target, cfg, Grid(k_min=20))
+    # the sample is the one gap tau(i), and j = 1: a pair rejects when tau(i)
+    # lies below its gap, and no bootstrap row is drawn
+    assert np.all(trace.pair_order == 1)
+    assert set(trace.pair_below.tolist()) <= {0, 1}
+    tau = np.array([cfg.threshold_for(int(i)) for i in trace.pair_reference])
+    assert np.array_equal(trace.pair_reject, trace.pair_gap > tau)
+    assert trace.pair_reject.any() and not trace.pair_reject.all()
+    assert np.all(trace.rows_drawn == 0)
