@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -317,6 +316,12 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
     spec = _ExperimentSpec(scenario, T, seed, target, tuple(configs))
     workers = _experiment_workers() if workers is None else workers
     if workers > 1 and n > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # replications may need scipy.special (truths, tail weights): loaded
+        # here once, forked workers share it instead of each loading a copy
+        import scipy.special  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
             results = list(pool.map(partial(_replication, spec), range(n)))
     else:

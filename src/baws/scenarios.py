@@ -13,7 +13,10 @@ standardized innovation ``law``: ``GaussianLaw``, or ``SkewedTLaw`` (the
 sign-flipped skewed t) for GARCH.  The law owns the kernels of the loss
 distribution, its ``cdf``, ``partial`` expectation and ``quantile``;
 ``_path`` writes every path's VaR and ES truths from them, and
-``metrics.cumulative_risk_var`` scores VaR forecasts with them.
+``metrics.cumulative_risk_var`` scores VaR forecasts with them.  These
+kernels and the skewed-t moments come from ``scipy.special`` (``ndtr``,
+``ndtri``, ``stdtr``, ``stdtrit``, ``gammaln``) through ``_special``, on
+first use: a Gaussian path without truths never imports it.
 
 ``generate`` is the one entry point, by a name that ``scenario_name``
 checks; ``gen_garch`` alone takes the innovation law (``nu``, ``skew``).
@@ -24,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ndtr, ndtri, stdtr, stdtrit
 
+from . import _special
 from .errors import ConfigError
 from .scoring import _check_level
 
@@ -57,13 +60,13 @@ class GaussianLaw:
     E[Z 1{Z < z}] and quantile."""
 
     def cdf(self, z):
-        return ndtr(z)
+        return _special.ndtr(z)
 
     def partial(self, z):
         return -norm_pdf(z)
 
     def quantile(self, p):
-        return ndtri(p)
+        return _special.ndtri(p)
 
 
 @dataclass(frozen=True)
@@ -128,8 +131,8 @@ def _piecewise(t: np.ndarray, breaks: list[int], values: list[float]) -> np.ndar
 
 def _t_abs_moment(nu: float) -> float:
     """E|T| for T ~ t_nu."""
-    return (2.0 * np.sqrt(nu) * np.exp(gammaln((nu + 1) / 2.0) - gammaln(nu / 2.0))
-            / (np.sqrt(np.pi) * (nu - 1.0)))
+    log_ratio = _special.gammaln((nu + 1) / 2.0) - _special.gammaln(nu / 2.0)
+    return 2.0 * np.sqrt(nu) * np.exp(log_ratio) / (np.sqrt(np.pi) * (nu - 1.0))
 
 
 def skewed_t_moments(nu: float, r: float) -> tuple[float, float]:
@@ -180,8 +183,8 @@ def skewed_t_quantile(p, nu: float, r: float):
     if np.any((p <= 0.0) | (p >= 1.0)):
         raise ValueError("quantile level must lie strictly in (0, 1)")
     split = 1.0 / (1.0 + r * r)
-    lower = stdtrit(nu, p * (1.0 + r * r) / 2.0) / r
-    upper = r * stdtrit(nu, 1.0 - (1.0 - p) * (1.0 + r * r) / (2.0 * r * r))
+    lower = _special.stdtrit(nu, p * (1.0 + r * r) / 2.0) / r
+    upper = r * _special.stdtrit(nu, 1.0 - (1.0 - p) * (1.0 + r * r) / (2.0 * r * r))
     x = np.where(p < split, lower, upper)
     out = (x - m) / s
     return float(out) if out.ndim == 0 else out
@@ -191,8 +194,8 @@ def skewed_t_cdf(y, nu: float, r: float):
     """CDF of the standardized skewed t (the two-piece CDF at x = m + s y)."""
     m, s = skewed_t_moments(nu, r)
     x = m + s * np.asarray(y, dtype=float)
-    lower = 2.0 / (1.0 + r * r) * stdtr(nu, x * r)
-    upper = 1.0 - 2.0 * r * r / (1.0 + r * r) * (1.0 - stdtr(nu, x / r))
+    lower = 2.0 / (1.0 + r * r) * _special.stdtr(nu, x * r)
+    upper = 1.0 - 2.0 * r * r / (1.0 + r * r) * (1.0 - _special.stdtr(nu, x / r))
     out = np.where(x <= 0, lower, upper)
     return float(out) if out.ndim == 0 else out
 

@@ -10,7 +10,10 @@ Every forecast target is scored by a consistent (elicitable) loss:
 ``score_at`` gives the average pointwise loss over a look-back window from
 its ``WindowStats``; window selection compares these averages across
 windows, all of them at once through a target's ``grid``.  All scores are
-evaluated in double precision and are overflow-safe for large |e|.
+evaluated in double precision and are overflow-safe for large |e|.  The
+tail weight's kernel is ``scipy.special.expit``, looked up through
+``_special`` on first use, so that only VaR/ES scoring imports
+``scipy.special``.
 
 Each target is one ``ForecastTarget`` class, the only place where the
 package decides anything per target.  A target class supplies
@@ -60,8 +63,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
+from . import _special
 from .errors import ConfigError
 
 _GATHER_CHUNK = 8192  # ranks gathered per np.take call in Mean.row_fits
@@ -93,7 +96,7 @@ def tail_weight(e):
     Strictly increasing with limit 0 as e -> +inf; evaluated stably for
     any magnitude of e.
     """
-    return -expit(-np.asarray(e, dtype=float))
+    return -_special.expit(-np.asarray(e, dtype=float))
 
 
 def tail_weight_integral(e):

@@ -51,8 +51,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
+from . import _special
 from .bootstrap import BootstrapConfig, bootstrap_gaps, guarded_gaps, order_index
 from .errors import ConfigError
 from .scoring import FitResult, ForecastTarget, window_stats
@@ -223,6 +223,9 @@ def rejection_probability_gaussian(mu1: float, mu2: float, var1: float, var2: fl
     and the exceedance probability of its square over tau is the two-sided
     normal tail at +-sqrt(tau).
     """
+    if not np.isfinite([mu1, mu2, var1, var2, tau]).all():
+        raise ConfigError(f"means, variances and tau must be finite, got mu1={mu1}, "
+                          f"mu2={mu2}, var1={var1}, var2={var2}, tau={tau}")
     if not tau > 0:
         raise ConfigError(f"tau must be positive, got {tau}")
     if not k > k0 >= 1:
@@ -234,7 +237,7 @@ def rejection_probability_gaussian(mu1: float, mu2: float, var1: float, var2: fl
     v = frac * frac * (var1 / (k - k0) + var2 / k0)
     root = np.sqrt(tau)
     sd = np.sqrt(v)
-    return float(1.0 - ndtr((root - m) / sd) + ndtr((-root - m) / sd))
+    return float(1.0 - _special.ndtr((root - m) / sd) + _special.ndtr((-root - m) / sd))
 
 
 def select_window(history, target: ForecastTarget, policy,

@@ -183,7 +183,14 @@ def test_invalid_configs_exit_1_before_running(tmp_path, capsys):
                 ["--var2", "1", "--tau", "0.1", "--k", "100", "--k0", "50.5"],
                 ["--var2", "1", "--tau", "0.1", "--k", "100,50", "--k0", "50"],
                 ["--var2", "1", "--tau", "0.1", "--k", "100", "--k0", "0"],
-                ["--var2", "1,0", "--tau", "0.1", "--k", "100", "--k0", "50"]):
+                ["--var2", "1,0", "--tau", "0.1", "--k", "100", "--k0", "50"],
+                ["--mu1", "nan", "--mu2", "0", "--var2", "1", "--tau", "0.1", "--k", "200",
+                 "--k0", "100"],
+                ["--mu1", "0,inf", "--var2", "1", "--tau", "0.1", "--k", "200", "--k0", "100"],
+                ["--mu2", "-inf", "--var2", "1", "--tau", "0.1", "--k", "200", "--k0", "100"],
+                ["--var1", "inf", "--var2", "1", "--tau", "0.1", "--k", "200", "--k0", "100"],
+                ["--var2", "nan", "--tau", "0.1", "--k", "200", "--k0", "100"],
+                ["--var2", "1", "--tau", "0.1,inf", "--k", "200", "--k0", "100"]):
         assert run(diagnose + bad) == 1, bad
     assert "runtime failure" not in capsys.readouterr().err
     assert not out.exists()

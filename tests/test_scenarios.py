@@ -273,10 +273,68 @@ def test_law_kernels_agree_with_oracles(law):
         assert law.partial(x) == pytest.approx(np.mean(draws * (draws < x)), abs=0.005)
 
 
-def test_import_leaves_scipy_stats_unloaded():
+# the start of each fresh interpreter below, whose argument is a scratch
+# directory: baws, inputs and helpers for the cases
+_LAZY_SETUP = """
+import sys
+from pathlib import Path
+import numpy as np
+import baws, baws.cli
+from baws import BacktestConfig, BootstrapConfig, Mean, VaR, VaRES
+
+x = np.random.default_rng(0).normal(size=60)
+tmp = Path(sys.argv[1])
+
+def backtest(target, mode):
+    cfg = BacktestConfig(method="baws", target=target, t0=56,
+                         bootstrap=BootstrapConfig(replications=50, mode=mode))
+    return baws.run_backtest(x, cfg)
+
+def experiment(target, workers):
+    return baws.run_experiment("A1", ["baws", "full"], target, n=2, T=60, t0=57,
+                               replications=20, workers=workers)
+
+def loaded():
+    return "scipy.special" in sys.modules
+"""
+
+# cases that must leave scipy.special unloaded, run in turn in one interpreter
+_LAZY_CASES = """
+prices = tmp / "prices.csv"
+prices.write_text("date,price\\n" + "".join(f"d{i},{100 + i}\\n" for i in range(60)))
+for case, run in [
+    ("mean iid", lambda: backtest(Mean(), "iid")),
+    ("mean block", lambda: backtest(Mean(), "block")),
+    ("var iid", lambda: backtest(VaR(0.95), "iid")),
+    ("var block", lambda: backtest(VaR(0.95), "block")),
+    ("mean experiment, one worker", lambda: experiment(Mean(), 1)),
+    ("load_price_csv", lambda: baws.load_price_csv(prices)),
+    ("emit_results", lambda: baws.emit_results(backtest(VaR(0.95), "iid"), tmp / "o.csv",
+                                               target=VaR(0.95))),
+]:
+    run()
+    assert not loaded(), case
+"""
+
+# cases that must load scipy.special, each in its own interpreter
+_EAGER_CASES = {
+    "vares backtest": "backtest(VaRES(0.95), 'iid')",
+    "a path with truths": "baws.generate('A1', T=50, alpha=0.95)",
+    "rejection probability": "baws.rejection_probability_gaussian(1, 2, 1, 1, 200, 100, 0.1)",
+    "experiment with a pool, in the parent": "experiment(Mean(), 2)",
+}
+
+
+def test_import_leaves_scipy_stats_unloaded(tmp_path):
+    """``import baws`` loads neither scipy.stats nor scipy.special, and
+    scipy.special loads only where a kernel of it is needed."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, baws; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+
+    def run(code):
+        subprocess.run([sys.executable, "-c", _LAZY_SETUP + code, str(tmp_path)], env=env,
+                       check=True)
+
+    run("assert 'scipy.stats' not in sys.modules and not loaded()\n" + _LAZY_CASES)
+    for case, call in _EAGER_CASES.items():
+        run(f"assert not loaded()\n{call}\nassert loaded(), {case!r}\n")

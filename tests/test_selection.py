@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from baws import bootstrap, selection
 from baws.bootstrap import BootstrapConfig, bootstrap_gaps, empirical_quantile
+from baws.errors import ConfigError
 from baws.scoring import Mean, VaR, VaRES, fit_target, order_index
 from baws.selection import (
     ERROR_CONTROLS,
@@ -95,6 +96,14 @@ def test_rejection_probability_strong_break():
         rejection_probability_gaussian(1, 2, 0.25, 0.25, 500, 250, 0.0)
     with pytest.raises(ValueError):
         rejection_probability_gaussian(1, 2, 0.25, 0.25, 250, 250, 0.1)
+    # a non-finite mean, variance or tau has no probability (NaN, or 1.0 for
+    # an infinite mean): it is rejected
+    finite = [1.0, 2.0, 0.25, 0.25, 0.1]  # mu1, mu2, var1, var2, tau
+    for pos in range(len(finite)):
+        for bad in (np.nan, np.inf, -np.inf):
+            mu1, mu2, var1, var2, tau = finite[:pos] + [bad] + finite[pos + 1:]
+            with pytest.raises(ConfigError, match="must be finite"):
+                rejection_probability_gaussian(mu1, mu2, var1, var2, 500, 250, tau)
 
 
 def test_rejection_probability_against_simulation():
