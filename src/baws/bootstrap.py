@@ -8,25 +8,26 @@ the nonnegative score gaps
 where theta_b is fitted on the b-th resample (iid, or moving-block for
 dependent data) and theta_hat on the window itself.  Both estimators are
 scored on the original window, so every gap is >= 0 by the minimizer
-property of theta_hat.  This module draws the resamples; the target's
-``row_fits`` reduces them to fits (or its ``iid_fits`` shortcut draws iid
-fits without resample rows), and the scorer that its ``gap_scorer`` builds
-once per calibration maps each block of fits to their gaps.
+property of theta_hat.  This module draws the resamples, and the function
+that the target's ``row_gaps`` builds once per calibration maps each block
+of resample rows to their gaps.
 
 Every row holds int32 ranks into the sorted window, whatever the target:
 iid rows are the rank draws themselves, and block rows are blocks of the
-ranks of a stable argsort of the window.  A target's ``row_fits`` reads
+ranks of a stable argsort of the window.  A target's ``row_gaps`` reads
 its fits from the sorted window at those ranks.  A tail fit partitions the
 ranks; a VaR fit is the row's j-th smallest rank itself, an order statistic
 of the window, so VaR's gaps are read from one table of the gap at every
-rank.  VaR/ES sums its tail in rank order, not in the order the partition
-leaves it, which depends on the SIMD code numpy dispatches to.  Thresholds
-are therefore bit-identical across CPUs and dispatch targets.
+rank, and its ``iid_rows`` shortcut draws that rank of each iid resample
+as a row of one rank.  VaR/ES sums its tail in rank order, not in the order
+the partition leaves it, which depends on the SIMD code numpy dispatches
+to.  Thresholds are therefore bit-identical across CPUs and dispatch
+targets.
 
 Resamples are filled in blocks of rows, of at most 512 KB each (block
 rows in a scratch buffer that each thread keeps across calls); every block is
-reduced to its row fits and scored before the next is drawn.  Memory per
-call is therefore bounded whatever B is.  Indices are drawn as int32, which
+reduced to its gaps before the next is drawn.  Memory per call is
+therefore bounded whatever B is.  Indices are drawn as int32, which
 gives the same integers from the same stream as int64 draws, and
 consecutive blocks continue one stream, so the resamples, and the gaps,
 equal those of a single (B, L) draw whatever the block sizes.
@@ -38,7 +39,7 @@ fixed, and the gaps drawn so far are the first ones of the full draw (see
 ``selection``).  A curtailed draw's blocks hold at least those rows, at
 least the rows drawn so far (so blocks double) and at least max(64 rows,
 512 ranks), since a smaller block costs more per row: the iid VaR
-shortcut's fits, rows of one rank, come in one block up to B = 512.
+shortcut's rows of one rank come in one block up to B = 512.
 
 Streams derive from (seed, time_index, window_length) through
 ``numpy.random.SeedSequence``; the seed and time index are arguments of
@@ -168,16 +169,16 @@ def _ranks(window) -> np.ndarray:
 
 def _row_sampler(window, stats: WindowStats, target: ForecastTarget, cfg: BootstrapConfig,
                  rng: np.random.Generator):
-    """``(draw, L)``: ``draw(b)`` gives the (b, dim) fits of the next b
-    resample rows of the stream, of L ranks each.
+    """``(draw, L)``: ``draw(b)`` gives the next b resample rows of the
+    stream, of L ranks each.
 
     A row is i draws of single observations (iid) or m draws of length-l
-    blocks (block), concatenated in draw order: L = i or m * l ranks.
-    Fits from a target's ``iid_fits`` are served as rows of one rank.
+    blocks (block), concatenated in draw order: L = i or m * l ranks.  A
+    target's ``iid_rows`` gives rows of one rank, L = 1.
     """
     n = stats.n
-    if cfg.mode == "iid" and target.iid_fits is not None:
-        return (lambda b: target.iid_fits(stats, b, rng)), 1
+    if cfg.mode == "iid" and target.iid_rows is not None:
+        return (lambda b: target.iid_rows(stats, b, rng)), 1
     if cfg.mode == "iid":
         # iid resampling is exchangeable, so drawing ranks into the sorted
         # window makes thresholds invariant to permutations of the input
@@ -201,7 +202,7 @@ def _row_sampler(window, stats: WindowStats, target: ForecastTarget, cfg: Bootst
             # indices are in range, so "wrap" changes none; "raise" would
             # gather into a temporary and copy it to ``out``
             np.take(blocks, idx, axis=0, out=rows.reshape(b, draws, width), mode="wrap")
-        return target.row_fits(stats, rows)
+        return rows
 
     return draw, L
 
@@ -246,7 +247,7 @@ def bootstrap_gaps(window, target: ForecastTarget, cfg: BootstrapConfig, *,
     rng = np.random.default_rng(np.random.SeedSequence((seed, time_index, stats.n)))
     B = cfg.replications
     draw, L = _row_sampler(window, stats, target, cfg, rng)
-    scored = target.gap_scorer(stats, fit)
+    gaps = target.row_gaps(stats, fit)
     cap = max(1, _BLOCK_BYTES // (4 * L))
     smallest = max(_FIRST_ROWS, _FIRST_RANKS // L)
     need = B if until is None else smallest
@@ -254,7 +255,7 @@ def bootstrap_gaps(window, target: ForecastTarget, cfg: BootstrapConfig, *,
     drawn = 0
     while drawn < B and need > 0:
         b = min(max(need, drawn, smallest), cap, B - drawn)
-        parts.append(guarded_gaps(scored(draw(b)), fit.score, "bootstrap"))
+        parts.append(guarded_gaps(gaps(draw(b)), fit.score, "bootstrap"))
         drawn += b
         need = B - drawn if until is None else until(parts[-1])
     return np.concatenate(parts), fit

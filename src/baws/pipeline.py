@@ -57,6 +57,15 @@ class LossSeries:
         return int(self.values.size)
 
 
+def _check_error_control(error_control: str, methods) -> None:
+    """Reject an unknown ``error_control``, and "fwer" without a baws method."""
+    if error_control not in ERROR_CONTROLS:
+        raise ConfigError(f"error_control must be one of {ERROR_CONTROLS}, "
+                          f"got {error_control!r}")
+    if error_control == "fwer" and "baws" not in methods:
+        raise ConfigError("error_control 'fwer' requires method 'baws'")
+
+
 @dataclass(frozen=True)
 class BacktestConfig:
     """One forecasting method applied online over a loss series."""
@@ -82,11 +91,9 @@ class BacktestConfig:
             raise ConfigError("t0 must exceed the minimum window k_min")
         if self.method == "fixed" and (self.fixed_k is None or self.fixed_k < 1):
             raise ConfigError("fixed method requires fixed_k >= 1")
-        if self.error_control not in ERROR_CONTROLS:
-            raise ConfigError(f"error_control must be one of {ERROR_CONTROLS}, "
-                              f"got {self.error_control!r}")
-        if self.error_control == "fwer" and self.method != "baws":
-            raise ConfigError("error_control 'fwer' requires method 'baws'")
+        if self.fixed_k is not None and self.method != "fixed":
+            raise ConfigError(f"fixed_k requires method 'fixed', got {self.method!r}")
+        _check_error_control(self.error_control, [self.method])
         if self.saws is not None and self.method != "saws":
             raise ConfigError(f"a saws policy requires method 'saws', got {self.method!r}")
         if self.bootstrap is not None and self.method != "baws":
@@ -275,9 +282,9 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
     The bootstrap mode defaults to ``experiment_mode(scenario)``; ``block_c``
     (default ``BootstrapConfig.block_c``) applies to block mode only.
     Every replication's path must have the first one's loss law.
-    ``error_control`` applies to the BAWS methods.  Each method is named once
-    (``full`` and ``FULL`` are one), and labels its rows by its stripped
-    spec.  Replications run in parallel across ``workers`` processes
+    ``error_control`` applies to the BAWS methods, and "fwer" needs one.
+    Each method is named once (``full`` and ``FULL`` are one), and labels
+    its rows by its stripped spec.  Replications run in parallel across ``workers`` processes
     (default: the BAWS_WORKERS variable, else the CPU count); with one
     worker they run in this process.
     """
@@ -306,6 +313,7 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
     parsed = [(name.strip(), parse_method(name)) for name in methods]
     if not parsed or len({method for _, method in parsed}) < len(parsed):
         raise ConfigError(f"method list {methods} is empty or repeats a method")
+    _check_error_control(error_control, [kind for _, (kind, _) in parsed])
     configs = []
     for name, (kind, fixed_k) in parsed:
         is_baws = kind == "baws"

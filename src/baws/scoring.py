@@ -29,20 +29,13 @@ package decides anything per target.  A target class supplies
                             of fit c on window r; bit for bit those of fit
                             and score_at, whose arithmetic it shares
     fit(stats)              exact empirical-score minimizer, a FitResult
-    row_fits(stats, rows)   (b, dim) fits of a (b, L) block of resample
-                            rows of int32 ranks into stats.values_sorted,
-                            which it may overwrite; Mean's fits are
-                            relative to stats.center, and VaR's are ranks
-                            into stats.values_sorted
-    gap_scorer(stats, fit)  the function mapping a block of fits to their
-                            raw bootstrap score gaps against the window
-                            fit, built once per calibration; VaR's reads
-                            each gap from a table of the gaps at every
-                            rank
-    iid_fits(stats, b, rng) (b, dim) fits of the next b iid resamples of
-                            the stream rng, in row_fits' form, drawn
-                            without materializing them; None (the
-                            default) when the target has no such shortcut
+    row_gaps(stats, fit)    per calibration, the function mapping a (b, L)
+                            block of resample rows of int32 ranks into
+                            stats.values_sorted, which it may overwrite, to
+                            their b raw score gaps against the window fit
+    iid_rows(stats, b, rng) (b, 1) rows of one rank standing for the next b
+                            iid resamples of the stream rng, drawn without
+                            them; None (the default) for no such shortcut
     truth(path)             true parameter path of a scenario, shape (T,)
                             or (T, dim) with one column per component
     metric_rows(tensor, population, metrics)
@@ -67,7 +60,7 @@ import numpy as np
 from . import _special
 from .errors import ConfigError
 
-_GATHER_CHUNK = 8192  # ranks gathered per np.take call in Mean.row_fits
+_GATHER_CHUNK = 8192  # ranks gathered per np.take call in Mean.row_gaps
 
 
 def _check_level(alpha: float) -> None:
@@ -307,10 +300,7 @@ class ForecastTarget:
         _check_level(alpha)  # rejected even where the target has no level
         return cls()
 
-    iid_fits = None
-
-    def gap_scorer(self, stats: WindowStats, fit: FitResult):
-        return lambda fits: self.score_at(stats, fits) - fit.score
+    iid_rows = None
 
     def _path_truth(self, path, field: str):
         value = getattr(path, field)
@@ -343,23 +333,25 @@ class Mean(ForecastTarget):
         var = np.array([s.var for s in stats])
         return mean[:, None], _mean_score(mean[:, None], var[:, None], mean)
 
-    def row_fits(self, stats: WindowStats, rows: np.ndarray) -> np.ndarray:
-        # centered means keep constant windows at exactly zero gap
+    def row_gaps(self, stats: WindowStats, fit: FitResult):
+        # centered means keep constant windows at exactly zero gap, and the
+        # squared-loss gap reduces exactly to (mean_b - mean)^2
         centered = stats.values_sorted - stats.center
-        ranks = rows.reshape(-1)
-        values = np.empty(ranks.size)
-        # np.take casts each chunk's int32 ranks to a cache-resident index
-        # temporary; ranks are in range, so "wrap" changes none and, unlike
-        # "raise", writes straight to ``out``
-        for c in range(0, ranks.size, _GATHER_CHUNK):
-            np.take(centered, ranks[c:c + _GATHER_CHUNK], out=values[c:c + _GATHER_CHUNK],
-                    mode="wrap")
-        return (np.add.reduce(values.reshape(rows.shape), axis=1) / rows.shape[1])[:, None]
-
-    def gap_scorer(self, stats: WindowStats, fit: FitResult):
-        # squared-loss score: the gap reduces exactly to (mean_b - mean)^2
         centered_mean = stats.mean - stats.center
-        return lambda fits: np.square(fits[:, 0] - centered_mean)
+
+        def gaps(rows: np.ndarray) -> np.ndarray:
+            ranks = rows.reshape(-1)
+            values = np.empty(ranks.size)
+            # np.take casts each chunk's int32 ranks to a cache-resident index
+            # temporary; ranks are in range, so "wrap" changes none and, unlike
+            # "raise", writes straight to ``out``
+            for c in range(0, ranks.size, _GATHER_CHUNK):
+                np.take(centered, ranks[c:c + _GATHER_CHUNK], out=values[c:c + _GATHER_CHUNK],
+                        mode="wrap")
+            means = np.add.reduce(values.reshape(rows.shape), axis=1) / rows.shape[1]
+            return np.square(means - centered_mean)
+
+        return gaps
 
     def truth(self, path):
         return path.true_mean
@@ -437,12 +429,18 @@ class VaR(_TailTarget):
         v, sums = self.grid_quantiles(stats)
         return v[:, None], _pinball(*sums, self.alpha)
 
-    def row_fits(self, stats: WindowStats, rows: np.ndarray) -> np.ndarray:
-        # the rows may be a reused buffer: copy the fitted ranks out
-        j = self.partition_rows(rows)
-        return rows[:, j - 1:j].copy()
+    def row_gaps(self, stats: WindowStats, fit: FitResult):
+        # a row's fit is its j-th smallest rank, and its gap that of the value
+        # there: score every rank once, ties from the first of their group
+        table = pinball_score_at(stats, stats.values_sorted, self.alpha) - fit.score
 
-    def iid_fits(self, stats: WindowStats, b: int, rng) -> np.ndarray:
+        def gaps(rows: np.ndarray) -> np.ndarray:
+            j = self.partition_rows(rows)
+            return table[rows[:, j - 1]]
+
+        return gaps
+
+    def iid_rows(self, stats: WindowStats, b: int, rng) -> np.ndarray:
         # The fitted VaR of an iid resample is its j-th order statistic,
         # which lands on sorted-window position floor(n * U_(j)) with
         # U_(j) ~ Beta(j, n - j + 1); sampling that position directly is
@@ -450,13 +448,7 @@ class VaR(_TailTarget):
         n = stats.n
         j = self.quantile_index(n)
         u = rng.beta(j, n - j + 1, size=b)
-        return np.minimum((n * u).astype(np.int64), n - 1)[:, None]
-
-    def gap_scorer(self, stats: WindowStats, fit: FitResult):
-        # a fit is a rank r, and its gap that of the value at r: score every
-        # rank once, ties from the first of their group as score_at does
-        table = pinball_score_at(stats, stats.values_sorted, self.alpha) - fit.score
-        return lambda ranks: table[ranks[:, 0]]
+        return np.minimum((n * u).astype(np.int32), n - 1)[:, None]
 
     def metric_rows(self, tensor, population, metrics):
         return [("CR", metrics.cumulative_risk_var(tensor, *population, self.alpha))]
@@ -497,15 +489,18 @@ class VaRES(_TailTarget):
         e = _es(n[:, 0], v, upper.diagonal(), self.alpha)
         return np.column_stack((v, e)), _joint(n, below, upper, v, e, self.alpha)
 
-    def row_fits(self, stats: WindowStats, rows: np.ndarray) -> np.ndarray:
-        j = self.partition_rows(rows)
-        v = stats.values_sorted[rows[:, j - 1]]
-        # e(v) of each row: after the partition its values >= v sit past j,
-        # summed in rank order, not in the CPU-dependent order the partition
-        # leaves them
-        tail = stats.values_sorted[np.sort(rows[:, j:], axis=1)]
-        e = v + (tail - v[:, None]).sum(axis=1) / (rows.shape[1] * (1.0 - self.alpha))
-        return np.column_stack((v, e))
+    def row_gaps(self, stats: WindowStats, fit: FitResult):
+        def gaps(rows: np.ndarray) -> np.ndarray:
+            j = self.partition_rows(rows)
+            v = stats.values_sorted[rows[:, j - 1]]
+            # e(v) of each row: after the partition its values >= v sit past
+            # j, summed in rank order, not in the CPU-dependent order the
+            # partition leaves them
+            tail = stats.values_sorted[np.sort(rows[:, j:], axis=1)]
+            e = v + (tail - v[:, None]).sum(axis=1) / (rows.shape[1] * (1.0 - self.alpha))
+            return joint_score_at(stats, v, e, self.alpha) - fit.score
+
+        return gaps
 
     def truth(self, path):
         return np.stack([super().truth(path), self._path_truth(path, "true_es")], axis=-1)

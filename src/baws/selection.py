@@ -62,6 +62,7 @@ from .bootstrap import empirical_quantile  # noqa: F401
 from .scoring import fit_from_stats, score_at  # noqa: F401
 
 ERROR_CONTROLS = ("pcer", "fwer")
+_EXPLORE_STEP = 50  # grid step above a previous selection, from prev_k + 1
 
 
 @dataclass(frozen=True)
@@ -71,13 +72,12 @@ class CandidateGridConfig:
     ``bands`` lists (start, step) pairs: within [start, next_start) the grid
     holds the multiples of step.  The minimum window, the previous selection,
     and the largest usable window are always included.  Above a previous
-    selection, exploration proceeds at ``explore_step`` from prev_k + 1.
+    selection, exploration proceeds at a fixed step from prev_k + 1.
     """
 
     k_min: int = 20
     max_window: int | None = None
     bands: tuple[tuple[int, int], ...] = ((0, 5), (50, 10), (100, 20), (300, 50), (1000, 100))
-    explore_step: int = 50
 
     def __post_init__(self):
         if self.k_min < 2:
@@ -89,8 +89,6 @@ class CandidateGridConfig:
             raise ConfigError("band starts must be strictly increasing")
         if any(step < 1 for _, step in self.bands):
             raise ConfigError("band steps must be positive")
-        if self.explore_step < 1:
-            raise ConfigError("explore_step must be positive")
 
 
 class _PairCounts:
@@ -195,7 +193,7 @@ def candidate_windows(history_length: int, prev_k: int | None = None,
         anchor = min(prev_k, limit)
         pts.update(_band_points(cfg, cfg.k_min, anchor))
         pts.add(anchor)
-        pts.update(range(anchor + 1, limit + 1, cfg.explore_step))
+        pts.update(range(anchor + 1, limit + 1, _EXPLORE_STEP))
     return sorted(pts)
 
 
@@ -311,41 +309,36 @@ def select_window(history, target: ForecastTarget, policy,
     cand_arr = np.asarray(candidates, dtype=np.int64)
     kept = np.arange(cand_arr.size)  # the positions still admissible, ascending
     k_pos = cand_arr.size - 1  # the position of the selection so far, kept[-1]
-    refs, cands, gap_col, below_col, order_col, rows_drawn = [], [], [], [], [], []
-    for pos, i in enumerate(candidates):
+    # live[r, c] marks a live pair of the scan, and below[r, c] holds its count
+    live = np.zeros(gaps.shape, dtype=bool)
+    below = np.zeros(gaps.shape, dtype=np.int64)
+    rows_drawn = []
+    for pos in range(cand_arr.size):
         if pos >= k_pos:  # later references test only candidates above k_hat: all rejected
             break
         # the live pairs: those with the larger candidates still admissible
         split = kept.searchsorted(pos, side="right")
-        live = kept[split:]
-        g, j = gaps[pos, live], order[live]
-        below, rows = calibrate(pos, g, j)
-        kept = np.concatenate((kept[:split], live[below < j]))
+        cols = kept[split:]
+        j = order[cols]
+        counts, rows = calibrate(pos, gaps[pos, cols], j)
+        kept = np.concatenate((kept[:split], cols[counts < j]))
         k_pos = int(kept[-1])
-        refs.extend([i] * g.size)
-        cands.append(cand_arr[live])
-        gap_col.append(g)
-        below_col.append(below)
-        order_col.append(j)
+        live[pos, cols] = True
+        below[pos, cols] = counts
         rows_drawn.append(rows)
 
-    def column(parts, dtype):
-        return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
-
-    pair_reference = np.asarray(refs, dtype=np.int64)
-    pair_candidate = column(cands, np.int64)
-    # pairs ordered by ascending candidate, then reference
-    by_candidate = np.lexsort((pair_reference, pair_candidate))
+    # row-major over live.T: by ascending candidate, then reference
+    col, ref = np.nonzero(live.T)
     admissible = np.zeros(cand_arr.size, dtype=bool)
     admissible[kept] = True
     return SelectionTrace(
         time_index=t,
         candidates=cand_arr,
-        pair_reference=pair_reference[by_candidate],
-        pair_candidate=pair_candidate[by_candidate],
-        pair_gap=column(gap_col, float)[by_candidate],
-        pair_below=column(below_col, np.int64)[by_candidate],
-        pair_order=column(order_col, np.int64)[by_candidate],
+        pair_reference=cand_arr[ref],
+        pair_candidate=cand_arr[col],
+        pair_gap=gaps[ref, col],
+        pair_below=below[ref, col],
+        pair_order=order[col],
         rows_drawn=np.asarray(rows_drawn, dtype=np.int64),
         admissible=admissible,
         k_hat=candidates[k_pos],

@@ -276,12 +276,12 @@ def test_vares_resample_gaps_match_row_fits(L, alpha):
     rows = stats.values_sorted[ranks]
     target = VaRES(alpha)
     fit = target.fit(stats)
-    gaps = target.gap_scorer(stats, fit)(target.row_fits(stats, ranks))
-    row_fits = [fit_target(row, target) for row in rows]
-    expected = [joint_score_at(stats, *f.theta, alpha) - fit.score for f in row_fits]
+    gaps = target.row_gaps(stats, fit)(ranks)
+    fits = [fit_target(row, target) for row in rows]
+    expected = [joint_score_at(stats, *f.theta, alpha) - fit.score for f in fits]
     np.testing.assert_allclose(gaps, expected, rtol=0, atol=1e-12)
     if L <= 12:
-        for row, f in zip(rows[:15], row_fits):
+        for row, f in zip(rows[:15], fits):
             assert f.score == pytest.approx(brute_force_var_es(row, alpha)[2], abs=1e-9)
 
 
@@ -330,12 +330,13 @@ def test_rounded_iid_windows_match_oneshot_oracle(target, n):
        alpha=st.sampled_from([0.01, 0.5, 0.9, 0.95, 0.975]))
 def test_var_gap_table_is_pinball_score_at_every_rank(values, alpha):
     # a VaR fit is a rank r, whose gap is the score of values_sorted[r]; a
-    # tied value is scored from the first rank of its group
+    # tied value is scored from the first rank of its group.  A row of one
+    # rank, as iid_rows draws, has that rank as its fit.
     target = VaR(alpha)
     stats = window_stats(values)
     fit = target.fit(stats)
     ranks = np.arange(stats.n, dtype=np.int32)[:, None]
-    got = target.gap_scorer(stats, fit)(ranks)
+    got = target.row_gaps(stats, fit)(ranks)
     want = np.array([pinball_score_at(stats, stats.values_sorted[r], alpha) - fit.score
                      for r in range(stats.n)])
     assert got.tobytes() == want.tobytes()
@@ -374,8 +375,8 @@ def test_any_block_schedule_continues_one_stream(target, mode, n, B, schedule):
         rng = np.random.default_rng(np.random.SeedSequence((8, 3, n)))
         draw, ranks = bootstrap._row_sampler(w, stats, target, cfg, rng)
         assert ranks == L
-        scored = target.gap_scorer(stats, fit)
-        return [guarded_gaps(scored(draw(b)), fit.score, "bootstrap") for b in sizes]
+        gaps = target.row_gaps(stats, fit)
+        return [guarded_gaps(gaps(draw(b)), fit.score, "bootstrap") for b in sizes]
 
     # the row sampler, with 1-row and odd blocks
     sizes = []
@@ -413,15 +414,17 @@ def test_any_block_schedule_continues_one_stream(target, mode, n, B, schedule):
 @pytest.mark.parametrize("n", [20, 21, 250, 999, 1500])
 def test_iid_var_fits_in_chunks_equal_one_draw(n, alpha):
     # the Beta order-statistic draws continue one stream across chunks, so
-    # the iid VaR fits can be drawn block by block like resample rows
+    # the iid VaR rows can be drawn block by block like resample rows
     target = VaR(alpha)
     stats = window_stats(np.random.default_rng(n).standard_t(4, size=n))
 
-    def fits(sizes):
+    def rows(sizes):
         rng = np.random.default_rng(np.random.SeedSequence((5, 2, n)))
-        return np.concatenate([target.iid_fits(stats, b, rng) for b in sizes])
+        return np.concatenate([target.iid_rows(stats, b, rng) for b in sizes])
 
-    assert np.array_equal(fits([1, 63, 448, 1, 487]), fits([1000]))
+    one = rows([1000])
+    assert one.dtype == np.int32 and one.shape == (1000, 1)
+    assert np.array_equal(rows([1, 63, 448, 1, 487]), one)
 
 
 def test_null_exceedance_rate_small_reference():

@@ -167,6 +167,9 @@ def test_invalid_configs_exit_1_before_running(tmp_path, capsys):
                   "--T", "60", "--t0", "41", "--k0", "10", "--out", out]
     assert run(experiment + ["--methods", "baws", "--B", "0"]) == 1
     assert "replications must be >= 1" in capsys.readouterr().err
+    # fwer applies to BAWS only, in an experiment as in a backtest
+    assert run(experiment + ["--methods", "saws,full", "--error-control", "fwer"]) == 1
+    assert "fwer" in capsys.readouterr().err
     # a method list must be nonempty and name each method once
     for methods in (",", "full,full", "full, FULL", "fixed:30,fixed30"):
         assert run(experiment + ["--methods", methods]) == 1, methods

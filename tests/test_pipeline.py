@@ -334,6 +334,11 @@ def test_experiment_fwer_applies_to_baws_only():
     assert fwer.value("saws", "MSE") == pcer.value("saws", "MSE")
     with pytest.raises(ConfigError, match="error_control"):
         run_experiment("A1", ["baws"], VaR(0.9), error_control="bogus", **kwargs)
+    # the control is checked whatever the methods, and fwer needs a baws method
+    with pytest.raises(ConfigError, match="error_control"):
+        run_experiment("A1", ["full"], VaR(0.9), error_control="bogus", **kwargs)
+    with pytest.raises(ConfigError, match="fwer"):
+        run_experiment("A1", ["saws", "full"], VaR(0.9), error_control="fwer", **kwargs)
 
 
 def test_saws_policy_requires_saws_method():
@@ -342,6 +347,13 @@ def test_saws_policy_requires_saws_method():
         with pytest.raises(ConfigError, match="saws policy"):
             BacktestConfig(method=method, target=VaR(0.95), fixed_k=fixed_k, saws=policy)
     assert BacktestConfig(method="saws", target=VaR(0.95), saws=policy).saws is policy
+
+
+def test_fixed_k_requires_fixed_method():
+    for method in ("baws", "saws", "full"):
+        with pytest.raises(ConfigError, match="fixed_k"):
+            BacktestConfig(method=method, target=VaR(0.95), fixed_k=5)
+    assert BacktestConfig(method="fixed", target=VaR(0.95), fixed_k=5).fixed_k == 5
 
 
 def test_bootstrap_policy_requires_baws_method():

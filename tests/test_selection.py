@@ -184,6 +184,9 @@ def test_trace_consistency_invariants():
     trace = select_window(x, VaR(0.9), cfg, Grid(k_min=20), seed=1)
     cands = list(trace.candidates)
     assert trace.k_hat in cands
+    # the pairs are ordered by candidate, then by reference
+    order = np.lexsort((trace.pair_reference, trace.pair_candidate))
+    assert np.array_equal(order, np.arange(order.size))
     # every pair of a reference decides as its gap against the reference's
     # one threshold; the record is the count of drawn gaps below the gap
     assert np.all(trace.pair_order == order_index(0.8, 150))
