@@ -7,9 +7,10 @@ Subcommands:
     diagnose     closed-form rejection probabilities for the two-regime
                  Gaussian mean-shift model
 
-A JSON config file (--config) may supply any long-option value under its
-underscore name; explicit flags win.  Exit codes: 0 success, 1 usage or
-configuration error, 2 data error, 3 runtime failure.
+A JSON config file (--config) may supply the value of any optional long
+option but --config and --help, under its underscore name; explicit flags
+win.  Exit codes: 0 success, 1 usage or configuration error, 2 data error,
+3 runtime failure.
 """
 
 from __future__ import annotations
@@ -147,6 +148,11 @@ def _apply_config_file(parser, args, argv):
         unknown = set(defaults) - set(actions)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        # argparse checks required options before the file is read, and a
+        # file's config or help key would come too late to act
+        for key in defaults:
+            if actions[key].required or key in ("config", "help"):
+                raise ConfigError(f"config key {key!r} names no optional long option")
         # as text, a value meets its flag's `type` (argparse parses string defaults)
         defaults = {key: str(value) for key, value in defaults.items()}
         for key, text in defaults.items():

@@ -33,7 +33,7 @@ from .metrics import (  # cumulative_risk_* are called through this module
 )
 from .scenarios import DEFAULT_T, ScenarioPath, generate, scenario_name
 from .scoring import ForecastTarget, pointwise_score
-from .selection import ERROR_CONTROLS, CandidateGridConfig, select_window
+from .selection import CandidateGridConfig, check_error_control, select_window
 
 WORKERS_ENV = "BAWS_WORKERS"
 
@@ -55,15 +55,6 @@ class LossSeries:
 
     def __len__(self) -> int:
         return int(self.values.size)
-
-
-def _check_error_control(error_control: str, methods) -> None:
-    """Reject an unknown ``error_control``, and "fwer" without a baws method."""
-    if error_control not in ERROR_CONTROLS:
-        raise ConfigError(f"error_control must be one of {ERROR_CONTROLS}, "
-                          f"got {error_control!r}")
-    if error_control == "fwer" and "baws" not in methods:
-        raise ConfigError("error_control 'fwer' requires method 'baws'")
 
 
 @dataclass(frozen=True)
@@ -93,7 +84,11 @@ class BacktestConfig:
             raise ConfigError("fixed method requires fixed_k >= 1")
         if self.fixed_k is not None and self.method != "fixed":
             raise ConfigError(f"fixed_k requires method 'fixed', got {self.method!r}")
-        _check_error_control(self.error_control, [self.method])
+        if (self.method == "fixed" and self.grid.max_window is not None
+                and self.fixed_k > self.grid.max_window):
+            raise ConfigError(f"fixed window {self.fixed_k} exceeds "
+                              f"max_window={self.grid.max_window}")
+        check_error_control(self.error_control, self.method == "baws")
         if self.saws is not None and self.method != "saws":
             raise ConfigError(f"a saws policy requires method 'saws', got {self.method!r}")
         if self.bootstrap is not None and self.method != "baws":
@@ -156,7 +151,7 @@ def run_backtest(series, cfg: BacktestConfig, *, start_t: int | None = None,
     policy = {"baws": cfg.bootstrap, "saws": cfg.saws}.get(cfg.method)
     span = n if cfg.grid.max_window is None else cfg.grid.max_window
     if cfg.method == "fixed":
-        span = min(span, cfg.fixed_k)
+        span = cfg.fixed_k  # within max_window, as BacktestConfig checks
 
     prev_k = initial_prev_k
     records: list[ForecastRecord] = []
@@ -313,7 +308,7 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
     parsed = [(name.strip(), parse_method(name)) for name in methods]
     if not parsed or len({method for _, method in parsed}) < len(parsed):
         raise ConfigError(f"method list {methods} is empty or repeats a method")
-    _check_error_control(error_control, [kind for _, (kind, _) in parsed])
+    check_error_control(error_control, any(kind == "baws" for _, (kind, _) in parsed))
     configs = []
     for name, (kind, fixed_k) in parsed:
         is_baws = kind == "baws"

@@ -19,16 +19,15 @@ Each target is one ``ForecastTarget`` class, the only place where the
 package decides anything per target.  A target class supplies
 
     name, dim, columns      CLI name, parameter dimension, CSV columns
-    saws_defaults           SAWSConfig keyword defaults
+    saws_defaults           SAWSConfig keyword overrides (none by default)
     from_level(alpha)       the target at a tail level (used by the CLI)
     pointwise(x, theta)     loss at single observations
     score_at(stats, theta)  empirical score on a window's WindowStats
     grid(stats)             (theta, scores) of a sequence of C windows'
                             WindowStats in one pass: the (C, dim) fits and
                             the (C, C) scores, scores[r, c] being the score
-                            of fit c on window r; bit for bit those of fit
-                            and score_at, whose arithmetic it shares
-    fit(stats)              exact empirical-score minimizer, a FitResult
+                            of fit c on window r; bit for bit those of
+                            score_at, whose arithmetic it shares
     row_gaps(stats, fit)    per calibration, the function mapping a (b, L)
                             block of resample rows of int32 ranks into
                             stats.values_sorted, which it may overwrite, to
@@ -43,8 +42,11 @@ package decides anything per target.  A target class supplies
                             population is the loss law (mu, sigma, law)
                             of the replications' paths
 
-Adding a target means one class here plus its entry in ``TARGETS``.
-Callers fit a target through its two entry points:
+Adding a target means one class here plus its entry in ``TARGETS``.  The
+base class's ``fit(stats)``, the exact empirical-score minimizer on one
+window, reads window 0 of a grid of that window alone, so each target
+computes its fit in ``grid`` only.  Callers fit a target through its two
+entry points:
 
     fit_target(window, target)      fit on a raw window
     fit_from_stats(stats, target)   fit on precomputed WindowStats
@@ -209,11 +211,6 @@ def _mean_score(mean, var, mu):
     return var + d * d
 
 
-def mean_score_at(stats: WindowStats, mu) -> np.ndarray:
-    """Empirical squared-error score at mean estimates ``mu``."""
-    return _mean_score(stats.mean, stats.var, np.asarray(mu, dtype=float))
-
-
 def _split(n, n_lt, s_lt, vc, total):
     """Split sums of a window of n values whose centered values sum to
     ``total``, at a v of centered value ``vc``, from the count ``n_lt`` and
@@ -300,7 +297,12 @@ class ForecastTarget:
         _check_level(alpha)  # rejected even where the target has no level
         return cls()
 
+    saws_defaults = {}
     iid_rows = None
+
+    def fit(self, stats: WindowStats) -> FitResult:
+        theta, scores = self.grid([stats])
+        return FitResult(theta[0], float(scores[0, 0]), stats.n)
 
     def _path_truth(self, path, field: str):
         value = getattr(path, field)
@@ -316,17 +318,12 @@ class Mean(ForecastTarget):
 
     name = "mean"
     columns = ("mean_hat",)
-    saws_defaults = {"alpha_tau": 0.1, "c_tau": 0.3, "family": "convex_smooth"}
 
     def pointwise(self, x, theta):
         return squared_loss(x, theta[..., 0])
 
     def score_at(self, stats: WindowStats, theta) -> np.ndarray:
-        return mean_score_at(stats, theta[..., 0])
-
-    def fit(self, stats: WindowStats) -> FitResult:
-        return FitResult(np.array([stats.mean]), float(mean_score_at(stats, stats.mean)),
-                         stats.n)
+        return _mean_score(stats.mean, stats.var, theta[..., 0])
 
     def grid(self, stats) -> tuple[np.ndarray, np.ndarray]:
         mean = np.array([s.mean for s in stats])
@@ -366,7 +363,7 @@ class _TailTarget(ForecastTarget):
 
     alpha: float
 
-    saws_defaults = {"alpha_tau": 0.1, "c_tau": 0.5, "family": "lipschitz"}
+    saws_defaults = {"c_tau": 0.5, "family": "lipschitz"}
 
     def __post_init__(self):
         _check_level(self.alpha)
@@ -380,14 +377,10 @@ class _TailTarget(ForecastTarget):
         position j - 1 of a sorted window or of a row partitioned at j - 1."""
         return order_index(self.alpha, n)
 
-    def window_quantile(self, stats: WindowStats) -> float:
-        """The window's fitted VaR, its order statistic x_(j)."""
-        return float(stats.values_sorted[self.quantile_index(stats.n) - 1])
-
     def grid_quantiles(self, stats) -> tuple[np.ndarray, tuple]:
-        """The fitted VaR of each window, and the windows' (n, below, upper)
-        split sums at every one of them."""
-        v = np.array([self.window_quantile(s) for s in stats])
+        """The fitted VaR of each window, its order statistic x_(j), and the
+        windows' (n, below, upper) split sums at every one of them."""
+        v = np.array([s.values_sorted[self.quantile_index(s.n) - 1] for s in stats])
         return v, _grid_split_sums(stats, v)
 
     def partition_rows(self, rows: np.ndarray) -> int:
@@ -420,10 +413,6 @@ class VaR(_TailTarget):
 
     def score_at(self, stats: WindowStats, theta) -> np.ndarray:
         return pinball_score_at(stats, theta[..., 0], self.alpha)
-
-    def fit(self, stats: WindowStats) -> FitResult:
-        v = self.window_quantile(stats)
-        return FitResult(np.array([v]), float(pinball_score_at(stats, v, self.alpha)), stats.n)
 
     def grid(self, stats) -> tuple[np.ndarray, np.ndarray]:
         v, sums = self.grid_quantiles(stats)
@@ -478,12 +467,6 @@ class VaRES(_TailTarget):
     def score_at(self, stats: WindowStats, theta) -> np.ndarray:
         return joint_score_at(stats, theta[..., 0], theta[..., 1], self.alpha)
 
-    def fit(self, stats: WindowStats) -> FitResult:
-        v = self.window_quantile(stats)
-        theta = np.array([v, es_given_v(stats, v, self.alpha)])
-        score = float(joint_score_at(stats, theta[0], theta[1], self.alpha))
-        return FitResult(theta, score, stats.n)
-
     def grid(self, stats) -> tuple[np.ndarray, np.ndarray]:
         v, (n, below, upper) = self.grid_quantiles(stats)
         e = _es(n[:, 0], v, upper.diagonal(), self.alpha)
@@ -531,6 +514,7 @@ def fit_target(window, target: ForecastTarget) -> FitResult:
 
 
 def fit_from_stats(stats: WindowStats, target: ForecastTarget) -> FitResult:
-    """Fit from precomputed ``WindowStats``: the bootstrap's window fit when
-    its caller passes none (selection fits through the target's ``grid``)."""
+    """Fit from precomputed ``WindowStats``, through a grid of that window
+    alone: the bootstrap's window fit when its caller passes none (selection
+    passes the fit of its own step's grid)."""
     return target.fit(stats)

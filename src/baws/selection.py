@@ -65,6 +65,17 @@ ERROR_CONTROLS = ("pcer", "fwer")
 _EXPLORE_STEP = 50  # grid step above a previous selection, from prev_k + 1
 
 
+def check_error_control(error_control: str, calibrated: bool) -> None:
+    """Reject an unknown ``error_control``, and "fwer" unless the thresholds
+    are ``calibrated`` by bootstrap: its Bonferroni split raises the order
+    index of a bootstrap sample, and a fixed threshold has none."""
+    if error_control not in ERROR_CONTROLS:
+        raise ConfigError(f"error_control must be one of {ERROR_CONTROLS}, "
+                          f"got {error_control!r}")
+    if error_control == "fwer" and not calibrated:
+        raise ConfigError("error_control 'fwer' requires bootstrap thresholds (method 'baws')")
+
+
 @dataclass(frozen=True)
 class CandidateGridConfig:
     """Increasing-interval grid of candidate window lengths.
@@ -254,9 +265,8 @@ def select_window(history, target: ForecastTarget, policy,
     stops drawing once its live pairs are decided, and the trace holds
     those pairs only.
     """
-    if error_control not in ERROR_CONTROLS:
-        raise ValueError(f"error_control must be one of {ERROR_CONTROLS}, "
-                         f"got {error_control!r}")
+    bootstrap_policy = isinstance(policy, BootstrapConfig)
+    check_error_control(error_control, bootstrap_policy)
     x = np.asarray(history, dtype=float)
     if x.ndim != 1:
         raise ValueError("history must be 1-dimensional")
@@ -268,9 +278,6 @@ def select_window(history, target: ForecastTarget, policy,
     if not np.isfinite(x[n - candidates[-1]:]).all():
         raise ValueError("history must be finite within the largest candidate window")
 
-    bootstrap_policy = isinstance(policy, BootstrapConfig)
-    if error_control == "fwer" and not bootstrap_policy:
-        raise ValueError("error_control='fwer' requires a bootstrap policy")
     if not bootstrap_policy and not hasattr(policy, "threshold_for"):
         raise TypeError(f"unsupported threshold policy {policy!r}")
 

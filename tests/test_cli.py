@@ -128,6 +128,15 @@ def test_exit_codes(tmp_path, capsys):
     cfgfile.write_text('{"error_control": "bogus"}')
     assert run(experiment) == 1
     assert "invalid choice 'bogus'" in capsys.readouterr().err
+    # config error: a key the file cannot set, a required option among them
+    for key, value in (("out", "elsewhere.csv"), ("scenario", "A2"),
+                       ("config", "nothere.json"), ("help", True)):
+        cfgfile.write_text(json.dumps({key: value}))
+        assert run(experiment) == 1, key
+        assert f"config key {key!r} names no optional long option" in capsys.readouterr().err
+    cfgfile.write_text(json.dumps({"input": "in.csv", "out": "out.csv"}))
+    assert run(["backtest", "--input", tmp_path / "none.csv", "--config", cfgfile,
+                "--out", out]) == 1
     assert not out.exists()
     # data error: missing input file
     assert run(["backtest", "--input", tmp_path / "none.csv", "--out", out]) == 2
@@ -170,6 +179,10 @@ def test_invalid_configs_exit_1_before_running(tmp_path, capsys):
     # fwer applies to BAWS only, in an experiment as in a backtest
     assert run(experiment + ["--methods", "saws,full", "--error-control", "fwer"]) == 1
     assert "fwer" in capsys.readouterr().err
+    # a fixed window must fit within --max-window
+    assert run(base + ["--method", "fixed:30", "--k0", "10", "--max-window", "20"]) == 1
+    assert run(experiment + ["--methods", "fixed:30,full", "--max-window", "20"]) == 1
+    assert "fixed window 30 exceeds max_window=20" in capsys.readouterr().err
     # a method list must be nonempty and name each method once
     for methods in (",", "full,full", "full, FULL", "fixed:30,fixed30"):
         assert run(experiment + ["--methods", methods]) == 1, methods

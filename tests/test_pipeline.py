@@ -356,6 +356,13 @@ def test_fixed_k_requires_fixed_method():
     assert BacktestConfig(method="fixed", target=VaR(0.95), fixed_k=5).fixed_k == 5
 
 
+def test_fixed_k_within_max_window():
+    with pytest.raises(ConfigError, match="fixed window 251 exceeds max_window=250"):
+        BacktestConfig(method="fixed", target=VaR(0.95), fixed_k=251,
+                       grid=Grid(max_window=250))
+    BacktestConfig(method="fixed", target=VaR(0.95), fixed_k=250, grid=Grid(max_window=250))
+
+
 def test_bootstrap_policy_requires_baws_method():
     policy = BootstrapConfig(mode="block", block_c=10)
     for method, fixed_k in (("saws", None), ("fixed", 5), ("full", None)):

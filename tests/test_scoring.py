@@ -179,7 +179,9 @@ def same_bits(a, b) -> bool:
 @example(values=[1.0, -2.0], data=None, alpha=0.9)  # k = 2 only
 def test_grid_matches_per_window_fits_and_scores(values, data, alpha):
     # target.grid scores every candidate's fit on every window in one pass;
-    # each fit and each score must be the per-window one, bit for bit
+    # target.fit reads a grid of one window, so each fit must be the same in
+    # a grid of one window as in a grid of many, and each score score_at's,
+    # bit for bit
     x = np.asarray(values, dtype=float)
     n = x.size
     lengths = [n] if data is None else sorted(data.draw(

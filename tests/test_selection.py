@@ -281,6 +281,9 @@ def test_fwer_mode_tightens_thresholds():
     with pytest.raises(ValueError):
         select_window(x, Mean(), fixed(0.1), Grid(k_min=20),
                       error_control="fwer")
+    for policy in (cfg, fixed(0.1)):
+        with pytest.raises(ValueError, match="error_control"):
+            select_window(x, Mean(), policy, Grid(k_min=20), error_control="bogus")
 
 
 def test_select_window_insufficient_history():
