@@ -64,6 +64,8 @@ from .scoring import (FitResult, ForecastTarget, WindowStats, fit_from_stats, or
 # unused here; bound so that benchmark/tracing.py can patch these names
 from .scoring import joint_score_at, pinball_score_at  # noqa: F401
 
+MODES = ("iid", "block")
+BLOCK_C = 1.0  # block mode's default block length constant
 _GAP_SLACK = 1e-9  # tolerated negative rounding noise, relative to score scale
 _BLOCK_BYTES = 1 << 19  # bytes of resample rows per row block
 _FIRST_ROWS, _FIRST_RANKS = 64, 512  # a curtailed draw's smallest block: max(rows, ranks)
@@ -77,7 +79,8 @@ class BootstrapConfig:
     beta          quantile level of the gap distribution used as threshold
     replications  number of bootstrap resamples per window
     mode          "iid" (classic) or "block" (moving block, dependent data)
-    block_c       block length constant: l = round(block_c * ceil(i^(1/3)))
+    block_c       block length constant: l = round(block_c * ceil(i^(1/3)));
+                  block mode only, where it defaults to ``BLOCK_C``
 
     The stream seed is not part of the policy: ``bootstrap_gaps`` takes it
     as a call argument beside the time index.
@@ -86,16 +89,20 @@ class BootstrapConfig:
     beta: float = 0.9
     replications: int = 500
     mode: str = "iid"
-    block_c: float = 1.0
+    block_c: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
             raise ConfigError(f"beta must lie in (0, 1), got {self.beta}")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
-        if self.mode not in ("iid", "block"):
-            raise ConfigError(f"mode must be 'iid' or 'block', got {self.mode!r}")
-        if not 0.0 < self.block_c < math.inf:
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.mode == "iid" and self.block_c is not None:
+            raise ConfigError("block_c applies to bootstrap mode 'block' only")
+        if self.mode == "block" and self.block_c is None:
+            object.__setattr__(self, "block_c", BLOCK_C)
+        if self.block_c is not None and not 0.0 < self.block_c < math.inf:
             raise ConfigError(f"block_c must be positive and finite, got {self.block_c}")
 
 

@@ -9,8 +9,9 @@ Subcommands:
 
 A JSON config file (--config) may supply the value of any optional long
 option but --config and --help, under its underscore name; explicit flags
-win.  Exit codes: 0 success, 1 usage or configuration error, 2 data error,
-3 runtime failure.
+win.  The library checks the bootstrap options as it does any caller's.  Exit
+codes: 0 success, 1 usage or configuration error, 2 data error, 3 runtime
+failure.
 """
 
 from __future__ import annotations
@@ -20,22 +21,23 @@ import itertools
 import json
 import sys
 
-from .bootstrap import BootstrapConfig
+from .bootstrap import BLOCK_C, MODES, BootstrapConfig
 from .pipeline import (
+    FORMATS,
     BacktestConfig,
     ConfigError,
     DataError,
     _fmt,
     _write_csv,
+    default_mode,
     emit_results,
-    experiment_mode,
     load_price_csv,
     parse_method,
     run_backtest,
     run_experiment,
 )
 from .baselines import SAWS_FAMILIES, SAWSConfig
-from .scenarios import DEFAULT_ALPHA, DEFAULT_T, generate, scenario_name
+from .scenarios import DEFAULT_ALPHA, DEFAULT_T, SCENARIOS, generate
 from .scoring import TARGETS
 from .selection import ERROR_CONTROLS, CandidateGridConfig, rejection_probability_gaussian
 
@@ -66,17 +68,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_method_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target", default="var", help=" | ".join(TARGETS))
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="tail level")
-    # the bootstrap options default to None, so that one given to a run that
-    # cannot use it is rejected; BootstrapConfig holds their defaults
+    # the bootstrap options default to None, so that the library rejects one
+    # given to a run that cannot use it and supplies the defaults
     p.add_argument("--beta", type=float, default=None,
                    help=f"threshold level, baws only (default {BootstrapConfig.beta})")
     p.add_argument("--B", dest="boot_b", type=int, default=None,
                    help=f"bootstrap replications, baws only "
                         f"(default {BootstrapConfig.replications})")
-    p.add_argument("--bootstrap-mode", default=None, choices=("iid", "block"))
+    p.add_argument("--bootstrap-mode", default=None, choices=MODES,
+                   help="baws only (default: block on real data and GARCH, else iid)")
     p.add_argument("--block-c", type=float, default=None,
-                   help=f"block length constant, block mode only "
-                        f"(default {BootstrapConfig.block_c})")
+                   help=f"block length constant, block mode only (default {BLOCK_C})")
     p.add_argument("--k0", type=int, default=CandidateGridConfig.k_min,
                    help="minimum candidate window")
     p.add_argument("--max-window", type=int, default=None)
@@ -91,8 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a scenario path as CSV")
-    p.add_argument("--scenario", required=True,
-                   help="A1, A2, A3, B1, B2, B3, or GARCH")
+    p.add_argument("--scenario", required=True, help=", ".join(SCENARIOS))
     p.add_argument("--T", dest="horizon", type=int, default=DEFAULT_T)
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     _add_common(p)
@@ -103,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--price-col", default=None)
     p.add_argument("--loss-col", default=None)
     p.add_argument("--date-col", default=None)
-    p.add_argument("--format", default="wide", choices=("wide", "long"))
+    p.add_argument("--format", default="wide", choices=FORMATS)
     p.add_argument("--saws-alpha-tau", type=float, default=None)
     p.add_argument("--saws-c-tau", type=float, default=None)
     p.add_argument("--saws-family", default=None, choices=SAWS_FAMILIES)
@@ -111,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("experiment", help="replicated scenario comparison")
-    p.add_argument("--scenario", required=True)
+    p.add_argument("--scenario", required=True, help=", ".join(SCENARIOS))
     p.add_argument("--methods", default="baws,saws,fixed:250,fixed:500,fixed:750,full",
                    help="comma-separated method specs")
     p.add_argument("--n", type=int, default=1000, help="number of replications")
@@ -170,18 +171,11 @@ def _saws_override(args, target) -> SAWSConfig | None:
     return SAWSConfig(**{**target.saws_defaults, **given}) if given else None
 
 
-def _bootstrap_options(args, methods, mode: str) -> dict:
-    """The bootstrap options given, as ``BootstrapConfig`` fields.  Only BAWS
-    resamples, so each must reach a BAWS method, and ``--block-c`` a run in
-    block mode, ``mode`` being the run's resolved one."""
-    flags = {"--bootstrap-mode": args.bootstrap_mode, "--beta": args.beta,
-             "--B": args.boot_b, "--block-c": args.block_c}
-    given = [flag for flag, value in flags.items() if value is not None]
-    if given and all(parse_method(m)[0] != "baws" for m in methods):
-        raise ConfigError(f"{given[0]} applies to method 'baws' only")
-    if args.block_c is not None and mode == "iid":
-        raise ConfigError("--block-c applies to --bootstrap-mode block only")
-    fields = {"beta": args.beta, "replications": args.boot_b, "block_c": args.block_c}
+def _bootstrap_options(args) -> dict:
+    """The bootstrap flags given, as ``BootstrapConfig`` fields; the library
+    rejects them for a run with no BAWS method, or in the wrong mode."""
+    fields = {"beta": args.beta, "replications": args.boot_b,
+              "mode": args.bootstrap_mode, "block_c": args.block_c}
     return {key: value for key, value in fields.items() if value is not None}
 
 
@@ -193,9 +187,10 @@ def _cmd_simulate(args) -> None:
 def _cmd_backtest(args) -> None:
     target = _target(args.target, args.alpha)
     kind, fixed_k = parse_method(args.method)
-    mode = args.bootstrap_mode or "block"  # real data is serially dependent
-    given = _bootstrap_options(args, [args.method], mode)
-    boot = BootstrapConfig(mode=mode, **given) if kind == "baws" else None
+    given = _bootstrap_options(args)
+    # built for any method when a flag is given, so BacktestConfig rejects it
+    boot = (BootstrapConfig(**{"mode": default_mode(), **given})
+            if kind == "baws" or given else None)
     cfg = BacktestConfig(method=kind, target=target, t0=args.t0, grid=_grid(args),
                          bootstrap=boot, saws=_saws_override(args, target),
                          fixed_k=fixed_k, seed=args.seed,
@@ -208,14 +203,11 @@ def _cmd_backtest(args) -> None:
 
 def _cmd_experiment(args) -> None:
     target = _target(args.target, args.alpha)
-    scenario = scenario_name(args.scenario)
     methods = [m for m in args.methods.split(",") if m.strip()]
-    mode = experiment_mode(scenario, args.bootstrap_mode)
-    given = _bootstrap_options(args, methods, mode)
     report = run_experiment(
-        scenario, methods, target,
-        n=args.n, T=args.horizon, t0=args.t0, seed=args.seed, mode=mode,
-        grid=_grid(args), error_control=args.error_control, **given,
+        args.scenario, methods, target,
+        n=args.n, T=args.horizon, t0=args.t0, seed=args.seed,
+        grid=_grid(args), error_control=args.error_control, **_bootstrap_options(args),
     )
     emit_results(report, args.out)
 

@@ -38,6 +38,7 @@ from .selection import CandidateGridConfig, check_error_control, select_window
 WORKERS_ENV = "BAWS_WORKERS"
 
 METHODS = ("baws", "saws", "fixed", "full")
+FORMATS = ("wide", "long")  # of emitted forecast records
 
 
 @dataclass(frozen=True)
@@ -145,6 +146,8 @@ def run_backtest(series, cfg: BacktestConfig, *, start_t: int | None = None,
     if initial_prev_k is not None and cfg.method not in ("baws", "saws"):
         raise ConfigError(f"initial_prev_k applies to adaptive methods only, "
                           f"not {cfg.method!r}")
+    if initial_prev_k is not None and initial_prev_k < cfg.grid.k_min:
+        raise ConfigError(f"initial_prev_k={initial_prev_k} is below k_min={cfg.grid.k_min}")
 
     # adaptive methods select with a threshold policy; the others fit the
     # last min(t - 1, span) observations
@@ -252,19 +255,16 @@ def _replication(spec: _ExperimentSpec, rep: int) -> dict:
     return out
 
 
-def experiment_mode(scenario, mode: str | None = None) -> str:
-    """The bootstrap mode of an experiment on ``scenario`` (a canonical name
-    or a callable): ``mode`` if given, else moving-block for the serially
-    dependent GARCH scenario and iid otherwise."""
-    if mode is not None:
-        return mode
-    return "block" if scenario == "GARCH" else "iid"
+def default_mode(scenario=None) -> str:
+    """The bootstrap mode of a run on ``scenario`` (a canonical name or a
+    callable), or on real data (None): moving-block for serially dependent
+    losses, real ones and GARCH's, and iid otherwise."""
+    return "block" if scenario in (None, "GARCH") else "iid"
 
 
 def run_experiment(scenario, methods, target: ForecastTarget, *,
                    n: int, T: int = DEFAULT_T, t0: int = BacktestConfig.t0, seed: int = 0,
-                   beta: float = BootstrapConfig.beta,
-                   replications: int = BootstrapConfig.replications,
+                   beta: float | None = None, replications: int | None = None,
                    mode: str | None = None, block_c: float | None = None,
                    grid: CandidateGridConfig = CandidateGridConfig(), workers: int | None = None,
                    error_control: str = BacktestConfig.error_control) -> MetricsReport:
@@ -274,8 +274,9 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
     are labelled by the canonical name) or a callable mapping a seed to a
     ``ScenarioPath``.  Paths are generated, and the truth is taken, at the
     target's own tail level (none for the mean).
-    The bootstrap mode defaults to ``experiment_mode(scenario)``; ``block_c``
-    (default ``BootstrapConfig.block_c``) applies to block mode only.
+    ``beta``, ``replications``, ``mode`` and ``block_c`` set the BAWS methods'
+    ``BootstrapConfig`` (mode by default ``default_mode(scenario)``); one given
+    with no BAWS method is rejected.
     Every replication's path must have the first one's loss law.
     ``error_control`` applies to the BAWS methods, and "fwer" needs one.
     Each method is named once (``full`` and ``FULL`` are one), and labels
@@ -295,20 +296,19 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
         # by each backtest
         if T < t0:
             raise ConfigError(f"series length {T} is shorter than t0={t0}")
-    mode = experiment_mode(scenario, mode)
-    if block_c is None:
-        block_c = BootstrapConfig.block_c
-    elif mode == "iid":
-        raise ConfigError("block_c applies to bootstrap mode 'block' only")
     scenario_label = scenario if isinstance(scenario, str) else getattr(
         scenario, "__name__", "custom")
 
-    boot = BootstrapConfig(beta=beta, replications=replications, mode=mode,
-                           block_c=block_c)
     parsed = [(name.strip(), parse_method(name)) for name in methods]
     if not parsed or len({method for _, method in parsed}) < len(parsed):
         raise ConfigError(f"method list {methods} is empty or repeats a method")
-    check_error_control(error_control, any(kind == "baws" for _, (kind, _) in parsed))
+    any_baws = any(kind == "baws" for _, (kind, _) in parsed)
+    check_error_control(error_control, any_baws)
+    given = dict(beta=beta, replications=replications, mode=mode, block_c=block_c)
+    given = {key: value for key, value in given.items() if value is not None}
+    if given and not any_baws:
+        raise ConfigError(f"bootstrap options {list(given)} apply to method 'baws' only")
+    boot = BootstrapConfig(**{"mode": default_mode(scenario), **given})
     configs = []
     for name, (kind, fixed_k) in parsed:
         is_baws = kind == "baws"
@@ -375,6 +375,8 @@ def load_price_csv(path, price_col: str | None = None, loss_col: str | None = No
     matched case-insensitively; explicit names override detection.  Bad
     numbers raise ``DataError`` with the offending row.
     """
+    if price_col is not None and loss_col is not None:
+        raise ConfigError("price_col and loss_col exclude each other; give one")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -393,13 +395,9 @@ def load_price_csv(path, price_col: str | None = None, loss_col: str | None = No
             return lower.index(name.lower())
         return lower.index(fallback) if fallback in lower else None
 
-    price_idx = find(price_col, "price")
-    loss_idx = find(loss_col, "loss")
+    price_idx = find(price_col, "price") if loss_col is None else None
+    loss_idx = find(loss_col, "loss") if price_col is None else None
     date_idx = find(date_col, "date")
-    if loss_col is not None:
-        price_idx = None
-    if price_col is not None:
-        loss_idx = None
     if price_idx is None and loss_idx is None:
         raise ConfigError(f"{path}: need a 'price' or 'loss' column (header: {header})")
     if price_idx is not None and loss_idx is not None:
@@ -467,8 +465,8 @@ def emit_results(obj, path, fmt: str = "wide",
         return
     if target is None:
         raise ConfigError("emitting forecast records requires the target")
-    if fmt not in ("wide", "long"):
-        raise ConfigError(f"unknown format {fmt!r}")
+    if fmt not in FORMATS:
+        raise ConfigError(f"format must be one of {FORMATS}, got {fmt!r}")
     records = list(obj)
     dated = fmt == "wide" and any(r.date is not None for r in records)
     names = ["k_hat", *target.columns, "realized_loss", "realized_score"]

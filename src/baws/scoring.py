@@ -18,7 +18,7 @@ tail weight's kernel is ``scipy.special.expit``, looked up through
 Each target is one ``ForecastTarget`` class, the only place where the
 package decides anything per target.  A target class supplies
 
-    name, dim, columns      CLI name, parameter dimension, CSV columns
+    name, columns           CLI name, CSV columns (one per parameter: dim)
     saws_defaults           SAWSConfig keyword overrides (none by default)
     from_level(alpha)       the target at a tail level (used by the CLI)
     pointwise(x, theta)     loss at single observations
@@ -290,7 +290,9 @@ class FitResult:
 class ForecastTarget:
     """Base of the target classes; the module docstring lists the protocol."""
 
-    dim = 1
+    @property
+    def dim(self) -> int:
+        return len(self.columns)
 
     @classmethod
     def from_level(cls, alpha: float) -> ForecastTarget:
@@ -458,7 +460,6 @@ class VaRES(_TailTarget):
     """
 
     name = "vares"
-    dim = 2
     columns = ("var_hat", "es_hat")
 
     def pointwise(self, x, theta):

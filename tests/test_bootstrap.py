@@ -90,6 +90,14 @@ def test_block_constant_must_be_positive_and_finite(block_c):
         BootstrapConfig(mode="block", block_c=block_c)
 
 
+def test_block_constant_applies_to_block_mode_only():
+    with pytest.raises(ConfigError, match="block_c applies to bootstrap mode 'block' only"):
+        BootstrapConfig(mode="iid", block_c=2.0)
+    assert BootstrapConfig(mode="iid").block_c is None
+    # block mode fills in its default, so an explicit default is the same policy
+    assert BootstrapConfig(mode="block") == BootstrapConfig(mode="block", block_c=1.0)
+
+
 def test_oversized_block_matches_full_scan():
     for c in (0.5, 1.0, 2.5, 4.0, 8.0, 10.0, 17.0):
         for k_min in range(2, 60):

@@ -138,6 +138,12 @@ def test_exit_codes(tmp_path, capsys):
     assert run(["backtest", "--input", tmp_path / "none.csv", "--config", cfgfile,
                 "--out", out]) == 1
     assert not out.exists()
+    # config error: a price and a loss column at once
+    both = tmp_path / "both.csv"
+    both.write_text("date,price,loss\n2020-01-01,1.0,0.1\n2020-01-02,1.1,0.2\n")
+    assert run(["backtest", "--input", both, "--price-col", "price", "--loss-col", "loss",
+                "--method", "full", "--t0", "2", "--k0", "2", "--out", out]) == 1
+    assert "price_col and loss_col exclude each other" in capsys.readouterr().err
     # data error: missing input file
     assert run(["backtest", "--input", tmp_path / "none.csv", "--out", out]) == 2
     # data error: corrupt number
@@ -247,8 +253,8 @@ def test_options_the_method_ignores_exit_1(tmp_path, capsys):
                             ("baws", ["--bootstrap-mode", "iid", "--block-c", "3"])):
         assert run(base + ["--method", method, *options]) == 1, (method, options)
     err = capsys.readouterr().err
-    assert "--beta applies to method 'baws' only" in err
-    assert "--block-c applies to --bootstrap-mode block only" in err
+    assert "a bootstrap policy requires method 'baws', got 'full'" in err
+    assert "block_c applies to bootstrap mode 'block' only" in err
     for options in (["--method", "full"], ["--method", "baws", "--B", "20", "--block-c", "2"]):
         assert run(base + options) == 0, options
         out.unlink()
@@ -262,7 +268,8 @@ def test_options_the_method_ignores_exit_1(tmp_path, capsys):
     experiment = ["experiment", "--scenario", "A1", "--n", "1", "--T", "60", "--t0", "41",
                   "--k0", "10", "--B", "20", "--bootstrap-mode", "block", "--out", out]
     assert run(experiment + ["--methods", "saws,fixed:20,full"]) == 1
-    assert "--bootstrap-mode applies to method 'baws' only" in capsys.readouterr().err
+    assert ("bootstrap options ['replications', 'mode'] apply to method 'baws' only"
+            in capsys.readouterr().err)
     assert run(experiment + ["--methods", "baws", "--bootstrap-mode", "iid",
                              "--block-c", "2"]) == 1
     # with no --bootstrap-mode an experiment runs block mode on GARCH only

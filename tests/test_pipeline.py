@@ -206,7 +206,7 @@ def test_checkpoint_resume_reproduces_suffix():
     prev_k = next(r.k_hat for r in full if r.t == t_resume - 1)
     suffix = run_backtest(x, cfg, start_t=t_resume, initial_prev_k=prev_k)
     assert suffix == [r for r in full if r.t >= t_resume]
-    # a previous selection below k_min fails on the first step, not midway
+    # a previous selection below k_min is rejected on entry, not midway
     for bad_k in (0, 5):
         with pytest.raises(ValueError, match="below k_min"):
             run_backtest(x, cfg, start_t=t_resume, initial_prev_k=bad_k)
@@ -234,6 +234,11 @@ def test_backtest_validation():
         cfg = BacktestConfig(method=method, target=VaR(0.9), t0=50, fixed_k=fixed_k)
         with pytest.raises(ConfigError, match="initial_prev_k"):
             run_backtest(np.zeros(60), cfg, initial_prev_k=3)
+    # and an adaptive one's previous selection must lie on that grid
+    for method in ("baws", "saws"):
+        cfg = BacktestConfig(method=method, target=VaR(0.9), t0=50, grid=Grid(k_min=20))
+        with pytest.raises(ConfigError, match="initial_prev_k=5 is below k_min=20"):
+            run_backtest(np.zeros(60), cfg, initial_prev_k=5)
 
 
 def test_negative_seed_rejected_on_entry():
@@ -298,9 +303,9 @@ def test_block_length_checked_at_construction():
     config(8, 27, max_window=27)
     config(8, 32)
     config(1.0, 20)
-    # the iid bootstrap draws no blocks
-    BacktestConfig(method="baws", target=VaR(0.95), grid=Grid(k_min=20),
-                   bootstrap=BootstrapConfig(mode="iid", block_c=10))
+    # the iid bootstrap draws no blocks, so it takes no block constant
+    with pytest.raises(ConfigError, match="block_c applies to bootstrap mode 'block'"):
+        BootstrapConfig(mode="iid", block_c=10)
 
 
 def test_experiment_block_c_applies_to_block_mode_only():
@@ -327,13 +332,14 @@ def test_experiment_rejects_replications_of_different_laws():
 
 
 def test_experiment_fwer_applies_to_baws_only():
-    kwargs = dict(n=1, T=80, t0=41, seed=3, replications=40, grid=Grid(k_min=10),
-                  workers=1)
-    fwer = run_experiment("A1", ["baws", "saws"], VaR(0.9), error_control="fwer", **kwargs)
-    pcer = run_experiment("A1", ["baws", "saws"], VaR(0.9), **kwargs)
+    kwargs = dict(n=1, T=80, t0=41, seed=3, grid=Grid(k_min=10), workers=1)
+    fwer = run_experiment("A1", ["baws", "saws"], VaR(0.9), error_control="fwer",
+                          replications=40, **kwargs)
+    pcer = run_experiment("A1", ["baws", "saws"], VaR(0.9), replications=40, **kwargs)
     assert fwer.value("saws", "MSE") == pcer.value("saws", "MSE")
     with pytest.raises(ConfigError, match="error_control"):
-        run_experiment("A1", ["baws"], VaR(0.9), error_control="bogus", **kwargs)
+        run_experiment("A1", ["baws"], VaR(0.9), error_control="bogus", replications=40,
+                       **kwargs)
     # the control is checked whatever the methods, and fwer needs a baws method
     with pytest.raises(ConfigError, match="error_control"):
         run_experiment("A1", ["full"], VaR(0.9), error_control="bogus", **kwargs)
@@ -404,6 +410,24 @@ def test_experiment_method_list_checked_before_replications():
     report = run_experiment(constant_scenario, [" full", "fixed:5 ", "FIXED:6"], Mean(),
                             n=1, t0=10, workers=1)
     assert list(dict.fromkeys(row[0] for row in report.rows)) == ["full", "fixed:5", "FIXED:6"]
+
+
+def test_experiment_bootstrap_options_need_a_baws_method():
+    def no_path(seed):
+        raise AssertionError("a replication ran")
+
+    for option in (dict(beta=0.5), dict(replications=3), dict(mode="block"),
+                   dict(block_c=2.0), dict(mode="block", block_c=2.0)):
+        with pytest.raises(ConfigError, match=r"bootstrap options \[.*\] apply to method 'baws'"):
+            run_experiment(no_path, ["saws", "fixed:5", "full"], Mean(), n=2, t0=10,
+                           workers=1, **option)
+
+
+def test_default_mode_is_block_for_dependent_losses():
+    assert pipeline.default_mode() == "block"  # real data
+    assert pipeline.default_mode("GARCH") == "block"
+    assert pipeline.default_mode("A1") == "iid"
+    assert pipeline.default_mode(constant_scenario) == "iid"
 
 
 def test_experiment_worker_count_checked_on_entry():
