@@ -142,7 +142,9 @@ def oversized_block(k_min: int, c: float,
 
 
 def empirical_quantile(values, beta: float) -> float:
-    """The ceil(beta * B)-th order statistic (1-based) of ``values``."""
+    """The ceil(beta * B)-th order statistic (1-based) of ``values``.  Kept
+    though only tests call it: it is public (``baws.__all__``), and bound in
+    ``selection`` for the benchmark's tracing patch (ROADMAP item 3)."""
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     v = np.asarray(values, dtype=float)

@@ -57,10 +57,6 @@ class ExperimentTensor:
     def n(self) -> int:
         return self.estimates.shape[0]
 
-    @property
-    def horizon(self) -> int:
-        return self.estimates.shape[1]
-
     def errors(self, component: int = 0) -> np.ndarray:
         return self.estimates[:, :, component] - self.truths[:, :, component]
 

@@ -22,7 +22,7 @@ import numpy as np
 from .baselines import SAWSConfig, rolling_forecast
 from .bootstrap import BootstrapConfig, oversized_block
 from .errors import ConfigError, DataError
-from .metrics import (  # cumulative_risk_* are called through this module
+from .metrics import (  # the metric functions are called through this module
     ExperimentTensor,
     cumulative_loss,
     cumulative_risk_mean,
@@ -230,20 +230,14 @@ def _derived_seed(*key: int) -> int:
 class _ExperimentSpec:
     """Everything a replication needs besides its index."""
 
-    scenario: object  # scenario name, or a callable seed -> ScenarioPath
-    T: int
+    scenario: object  # a callable seed -> ScenarioPath
     seed: int
     target: ForecastTarget
     methods: tuple[tuple[str, BacktestConfig], ...]  # (spec, config template)
 
 
 def _replication(spec: _ExperimentSpec, rep: int) -> dict:
-    path_seed = _derived_seed(spec.seed, 1, rep)
-    if callable(spec.scenario):
-        path = spec.scenario(path_seed)
-    else:
-        path = generate(spec.scenario, T=spec.T, seed=path_seed,
-                        alpha=getattr(spec.target, "alpha", None))
+    path = spec.scenario(_derived_seed(spec.seed, 1, rep))
     # a path without the target's truth fails here, before its backtests run
     out = {"path": path, "truth": spec.target.truth(path), "methods": {}}
     for idx, (name, cfg) in enumerate(spec.methods):
@@ -253,6 +247,14 @@ def _replication(spec: _ExperimentSpec, rep: int) -> dict:
         assert len(records) == len(path.losses) - cfg.t0 + 1
         out["methods"][name] = np.array([r.theta for r in records])
     return out
+
+
+def error_rows(tensor: ExperimentTensor, component: int = 0, suffix: str = "") -> list:
+    """MAB, Var (when n >= 2) and MSE of one estimate component, named with ``suffix``."""
+    rows = [("MAB" + suffix, mab(tensor, component))]
+    if tensor.n >= 2:
+        rows.append(("Var" + suffix, mean_variance(tensor, component)))
+    return rows + [("MSE" + suffix, mse(tensor, component))]
 
 
 def default_mode(scenario=None) -> str:
@@ -272,17 +274,19 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
 
     ``scenario`` is a scenario name (A1-A3, B1-B3, GARCH, in any case; rows
     are labelled by the canonical name) or a callable mapping a seed to a
-    ``ScenarioPath``.  Paths are generated, and the truth is taken, at the
-    target's own tail level (none for the mean).
+    ``ScenarioPath``; a name becomes the callable ``partial(generate, name, T,
+    alpha)``.  Paths are generated, and the truth is taken, at the target's
+    own tail level (none for the mean).
     ``beta``, ``replications``, ``mode`` and ``block_c`` set the BAWS methods'
     ``BootstrapConfig`` (mode by default ``default_mode(scenario)``); one given
     with no BAWS method is rejected.
     Every replication's path must have the first one's loss law.
     ``error_control`` applies to the BAWS methods, and "fwer" needs one.
     Each method is named once (``full`` and ``FULL`` are one), and labels
-    its rows by its stripped spec.  Replications run in parallel across ``workers`` processes
-    (default: the BAWS_WORKERS variable, else the CPU count); with one
-    worker they run in this process.
+    its rows by its stripped spec: ``error_rows`` (MAB, Var if n >= 2, MSE),
+    the target's ``metric_rows``, then CL.  Replications run in parallel
+    across ``workers`` processes (default: the BAWS_WORKERS variable, else
+    the CPU count); with one worker they run in this process.
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
@@ -292,8 +296,7 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
         raise ConfigError("seed must be nonnegative")
     if isinstance(scenario, str):
         scenario = scenario_name(scenario)
-        # a named scenario's paths hold T losses; a callable's are checked
-        # by each backtest
+        # a named scenario's paths hold T losses; each backtest checks a callable's
         if T < t0:
             raise ConfigError(f"series length {T} is shorter than t0={t0}")
     scenario_label = scenario if isinstance(scenario, str) else getattr(
@@ -307,8 +310,11 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
     given = dict(beta=beta, replications=replications, mode=mode, block_c=block_c)
     given = {key: value for key, value in given.items() if value is not None}
     if given and not any_baws:
-        raise ConfigError(f"bootstrap options {list(given)} apply to method 'baws' only")
+        named = ", ".join(f"{key}={value!r}" for key, value in given.items())
+        raise ConfigError(f"bootstrap options [{named}] apply to method 'baws' only")
     boot = BootstrapConfig(**{"mode": default_mode(scenario), **given})
+    if isinstance(scenario, str):
+        scenario = partial(generate, scenario, T, alpha=getattr(target, "alpha", None))
     configs = []
     for name, (kind, fixed_k) in parsed:
         is_baws = kind == "baws"
@@ -316,7 +322,7 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
             method=kind, target=target, t0=t0, grid=grid,
             bootstrap=boot if is_baws else None, fixed_k=fixed_k,
             error_control=error_control if is_baws else BacktestConfig.error_control)))
-    spec = _ExperimentSpec(scenario, T, seed, target, tuple(configs))
+    spec = _ExperimentSpec(scenario, seed, target, tuple(configs))
     workers = _experiment_workers() if workers is None else workers
     if workers > 1 and n > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -349,12 +355,8 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
     for name, _ in configs:
         est = np.stack([res["methods"][name] for res in results])
         tensor = ExperimentTensor(est, truths, realized)
-        values = [("MAB", mab(tensor))]
-        if n >= 2:
-            values.append(("Var", mean_variance(tensor)))
-        values.append(("MSE", mse(tensor)))
-        values += target.metric_rows(tensor, population, metrics)
-        values.append(("CL", cumulative_loss(tensor, target)))
+        values = [*error_rows(tensor), *target.metric_rows(tensor, population, metrics),
+                  ("CL", cumulative_loss(tensor, target))]
         rows += [(name, scenario_label, metric, value) for metric, value in values]
     return MetricsReport(tuple(rows))
 

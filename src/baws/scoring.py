@@ -38,9 +38,10 @@ package decides anything per target.  A target class supplies
     truth(path)             true parameter path of a scenario, shape (T,)
                             or (T, dim) with one column per component
     metric_rows(tensor, population, metrics)
-                            experiment metric rows between MSE and CL;
-                            population is the loss law (mu, sigma, law)
-                            of the replications' paths
+                            experiment metric rows between MSE and CL,
+                            from ``metrics.error_rows`` and the metric
+                            functions; population is the loss law (mu,
+                            sigma, law) of the replications' paths
 
 Adding a target means one class here plus its entry in ``TARGETS``.  The
 base class's ``fit(stats)``, the exact empirical-score minimizer on one
@@ -228,15 +229,14 @@ def _split_sums(stats: WindowStats, v: np.ndarray):
 def _grid_split_sums(stats, v: np.ndarray):
     """(n, below, upper) of the windows ``stats`` at the C values ``v``: the
     (C, 1) window lengths and the (C, C) split sums, row r holding window
-    r's ``_split_sums`` at every v.  One ``searchsorted`` per window, and
-    one gather from the windows' concatenated prefix sums."""
+    r's ``_split_sums`` at every v.  One ``searchsorted`` into, and one
+    gather from the prefix sums of, each window."""
     n_lt = np.array([s.values_sorted.searchsorted(v, side="left") for s in stats])
     n = np.array([s.n for s in stats])[:, None]
-    ends = np.cumsum(n + 1)  # each prefix holds n + 1 sums
-    prefix = np.concatenate([s.prefix for s in stats])
+    s_lt = np.array([s.prefix[r] for s, r in zip(stats, n_lt)])
     center = np.array([s.center for s in stats])[:, None]
-    s_lt = prefix[n_lt + (ends[:, None] - n - 1)]
-    return n, *_split(n, n_lt, s_lt, v - center, prefix[ends - 1][:, None])
+    total = np.array([s.total for s in stats])[:, None]
+    return n, *_split(n, n_lt, s_lt, v - center, total)
 
 
 def _pinball(n, below, upper, alpha: float) -> np.ndarray:
@@ -256,7 +256,9 @@ def _es(n, v, upper, alpha: float):
 
 def es_given_v(stats: WindowStats, v, alpha: float) -> np.ndarray:
     """Shortfall estimate e(v) = v + mean((x - v)+) / (1 - alpha) minimizing
-    the empirical joint score in e at a fixed quantile estimate v."""
+    the empirical joint score in e at a fixed quantile estimate v.  Kept though
+    only tests call it: ``VaRES`` cites it, and it is the tests' bit-exact
+    oracle of the ES column of ``VaRES.grid``."""
     return _es(stats.n, v, _split_sums(stats, np.asarray(v, dtype=float))[1], alpha)
 
 
@@ -490,10 +492,7 @@ class VaRES(_TailTarget):
         return np.stack([super().truth(path), self._path_truth(path, "true_es")], axis=-1)
 
     def metric_rows(self, tensor, population, metrics):
-        rows = [("MAB_es", metrics.mab(tensor, component=1))]
-        if tensor.n >= 2:
-            rows.append(("Var_es", metrics.mean_variance(tensor, component=1)))
-        return rows + [("MSE_es", metrics.mse(tensor, component=1))]
+        return metrics.error_rows(tensor, component=1, suffix="_es")
 
 
 TARGETS = {cls.name: cls for cls in (Mean, VaR, VaRES)}

@@ -268,7 +268,7 @@ def test_options_the_method_ignores_exit_1(tmp_path, capsys):
     experiment = ["experiment", "--scenario", "A1", "--n", "1", "--T", "60", "--t0", "41",
                   "--k0", "10", "--B", "20", "--bootstrap-mode", "block", "--out", out]
     assert run(experiment + ["--methods", "saws,fixed:20,full"]) == 1
-    assert ("bootstrap options ['replications', 'mode'] apply to method 'baws' only"
+    assert ("bootstrap options [replications=20, mode='block'] apply to method 'baws' only"
             in capsys.readouterr().err)
     assert run(experiment + ["--methods", "baws", "--bootstrap-mode", "iid",
                              "--block-c", "2"]) == 1

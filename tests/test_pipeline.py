@@ -3,6 +3,7 @@ import signal
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -496,6 +497,24 @@ def test_experiment_vares_reports_both_components():
         assert np.isfinite(report.value("fixed:20", metric))
     with pytest.raises(KeyError):
         report.value("fixed:20", "CR")  # no VaR/ES cumulative risk row
+
+
+def test_experiment_vares_single_replication_has_no_var_rows():
+    report = run_experiment("A1", ["fixed:20", "full"], VaRES(0.9), n=1, T=60, t0=41,
+                            grid=Grid(k_min=10), seed=2, workers=1)
+    for method in ("fixed:20", "full"):
+        assert [metric for m, _, metric, _ in report.rows if m == method] == [
+            "MAB", "MSE", "MAB_es", "MSE_es", "CL"]
+
+
+def test_named_scenario_runs_as_its_generate_partial():
+    kwargs = dict(n=2, t0=41, seed=4, replications=30, grid=Grid(k_min=10), workers=1)
+    named = run_experiment("A3", ["baws", "full"], VaRES(0.9), T=80, **kwargs)
+    made = run_experiment(partial(generate, "A3", 80, alpha=0.9), ["baws", "full"],
+                          VaRES(0.9), **kwargs)
+    assert [row[1] for row in made.rows] == ["custom"] * len(made.rows)
+    assert ([(m, metric, value) for m, _, metric, value in named.rows]
+            == [(m, metric, value) for m, _, metric, value in made.rows])
 
 
 def test_experiment_vares_perfect_forecaster_has_zero_error(monkeypatch):
