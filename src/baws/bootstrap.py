@@ -239,7 +239,8 @@ def bootstrap_gaps(window, target: ForecastTarget, cfg: BootstrapConfig, *,
 
     The resamples come from the stream keyed by (seed, time_index, window
     length).  All gaps are evaluated under the original window's empirical
-    score.  ``stats`` and ``fit``, when given, are the window's.
+    score.  ``stats`` and ``fit``, when given, must be the window's own:
+    the tail targets subtract the fit's score from every resample's.
 
     Rows are drawn in stream order, in blocks within the 512 KB cap and the
     rows left.  Without ``until`` all B rows are drawn.  With it, ``until``

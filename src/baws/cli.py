@@ -37,8 +37,8 @@ from .pipeline import (
     run_experiment,
 )
 from .baselines import SAWS_FAMILIES, SAWSConfig
-from .scenarios import DEFAULT_ALPHA, DEFAULT_T, SCENARIOS, generate
-from .scoring import TARGETS
+from .scenarios import DEFAULT_T, SCENARIOS, generate
+from .scoring import DEFAULT_ALPHA, TARGETS
 from .selection import ERROR_CONTROLS, CandidateGridConfig, rejection_probability_gaussian
 
 
@@ -48,7 +48,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _target(name: str, alpha: float):
+def _target(name: str, alpha: float | None):
     name = name.lower()
     if name not in TARGETS:
         raise ConfigError(f"unknown target {name!r}; expected one of {', '.join(TARGETS)}")
@@ -67,7 +67,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_method_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target", default="var", help=" | ".join(TARGETS))
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="tail level")
+    p.add_argument("--alpha", type=float, default=None,
+                   help=f"tail level, var and vares only (default {DEFAULT_ALPHA})")
     # the bootstrap options default to None, so that the library rejects one
     # given to a run that cannot use it and supplies the defaults
     p.add_argument("--beta", type=float, default=None,

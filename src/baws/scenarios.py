@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _special
 from .errors import ConfigError
-from .scoring import _check_level
+from .scoring import DEFAULT_ALPHA, _check_level
 
 GARCH_OMEGA = 1e-5
 GARCH_ARCH = 0.04
@@ -43,7 +43,6 @@ GARCH_SKEW = 0.95
 
 SCENARIOS = ("A1", "A2", "A3", "B1", "B2", "B3", "GARCH")
 DEFAULT_T = 2000  # path length
-DEFAULT_ALPHA = 0.95  # tail level
 
 
 def scenario_name(name: str) -> str:
@@ -262,8 +261,9 @@ def generate(name: str, T: int = DEFAULT_T, seed: int = 0,
              alpha: float | None = None) -> ScenarioPath:
     """Generate the scenario path ``name`` (one of ``SCENARIOS``, in any case).
 
-    GARCH is ``gen_garch`` at the default innovation law and at tail
-    level ``DEFAULT_ALPHA`` when ``alpha`` is None.
+    The VaR and ES truths are taken at tail level ``alpha``; with None, the
+    path of every scenario has none.  GARCH is ``gen_garch`` at the default
+    innovation law.
     """
     if alpha is not None:
         _check_level(alpha)
@@ -271,7 +271,7 @@ def generate(name: str, T: int = DEFAULT_T, seed: int = 0,
         raise ConfigError("seed must be nonnegative")
     key = scenario_name(name)
     if key == "GARCH":
-        return gen_garch(T, seed, alpha if alpha is not None else DEFAULT_ALPHA)
+        return gen_garch(T, seed, alpha)
     if T < 1:
         raise ConfigError("T must be >= 1")
     rng = np.random.default_rng(seed)

@@ -8,19 +8,22 @@ Every forecast target is scored by a consistent (elicitable) loss:
                 a logistic tail weight on the ES component
 
 ``score_at`` gives the average pointwise loss over a look-back window from
-its ``WindowStats``; window selection compares these averages across
-windows, all of them at once through a target's ``grid``.  All scores are
-evaluated in double precision and are overflow-safe for large |e|.  The
-tail weight's kernel is ``scipy.special.expit``, looked up through
-``_special`` on first use, so that only VaR/ES scoring imports
-``scipy.special``.
+its ``WindowStats``: the sorted window and the lazy prefix sums the tail
+targets read (``Mean`` computes its moments from the sorted values each
+time).  Window selection compares these averages across windows, all of
+them at once through a target's ``grid``.  All scores are evaluated in
+double precision and are overflow-safe for large |e|.  The tail weight's
+kernel is ``scipy.special.expit``, looked up through ``_special`` on first
+use, so that only VaR/ES scoring imports ``scipy.special``.
 
 Each target is one ``ForecastTarget`` class, the only place where the
 package decides anything per target.  A target class supplies
 
     name, columns           CLI name, CSV columns (one per parameter: dim)
     saws_defaults           SAWSConfig keyword overrides (none by default)
-    from_level(alpha)       the target at a tail level (used by the CLI)
+    from_level(alpha)       the target at tail level alpha, DEFAULT_ALPHA
+                            when None; a target with no level rejects any
+                            alpha but None (used by the CLI)
     pointwise(x, theta)     loss at single observations
     score_at(stats, theta)  empirical score on a window's WindowStats
     grid(stats)             (theta, scores) of a sequence of C windows'
@@ -64,6 +67,7 @@ from . import _special
 from .errors import ConfigError
 
 _GATHER_CHUNK = 8192  # ranks gathered per np.take call in Mean.row_gaps
+DEFAULT_ALPHA = 0.95  # tail level of VaR and VaRES when none is given
 
 
 def _check_level(alpha: float) -> None:
@@ -148,20 +152,16 @@ class WindowStats:
     pinball and tail terms only involve differences, and centering keeps
     them exact for degenerate (constant) windows instead of leaving
     cancellation noise.  ``prefix[r]`` is the sum of the r smallest
-    centered observations.  The prefix sums and the moment statistics are
-    computed lazily: the mean paths never need the former, and the
-    quantile paths never need the latter.
+    centered observations, computed lazily: the mean paths never need it.
     """
 
-    __slots__ = ("values_sorted", "center", "n", "_prefix", "_mean", "_var")
+    __slots__ = ("values_sorted", "center", "n", "_prefix")
 
     def __init__(self, values_sorted: np.ndarray, center: float, n: int):
         self.values_sorted = values_sorted
         self.center = center
         self.n = n
         self._prefix = None
-        self._mean = None
-        self._var = None
 
     @property
     def prefix(self) -> np.ndarray:
@@ -178,21 +178,6 @@ class WindowStats:
     def total(self) -> float:
         return float(self.prefix[-1])
 
-    @property
-    def mean(self) -> float:
-        if self._mean is None:
-            # np.mean of float64 is this reduce and one true divide
-            self._mean = self.center + float(
-                np.add.reduce(self.values_sorted - self.center) / self.n)
-        return self._mean
-
-    @property
-    def var(self) -> float:
-        """Mean squared deviation from the mean (divisor k)."""
-        if self._var is None:
-            self._var = float(np.add.reduce((self.values_sorted - self.mean) ** 2) / self.n)
-        return self._var
-
 
 def window_stats(window) -> WindowStats:
     """Precompute ``WindowStats`` for a window."""
@@ -201,6 +186,17 @@ def window_stats(window) -> WindowStats:
         raise ValueError("window must be a non-empty 1-d sequence")
     ws = np.sort(w)
     return WindowStats(ws, float(ws[0]), w.size)
+
+
+def _mean(stats: WindowStats) -> float:
+    """A window's mean as np.mean computes it of float64, on centered values."""
+    return stats.center + float(np.add.reduce(stats.values_sorted - stats.center) / stats.n)
+
+
+def _moments(stats: WindowStats) -> tuple[float, float]:
+    """(mean, mean squared deviation from it) of a window, both by np.mean."""
+    mean = _mean(stats)
+    return mean, float(np.add.reduce((stats.values_sorted - mean) ** 2) / stats.n)
 
 
 def _mean_score(mean, var, mu):
@@ -282,11 +278,11 @@ def joint_score_at(stats: WindowStats, v, e, alpha: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted parameter vector, its achieved empirical score, and window length."""
+    """Fitted parameter vector and its achieved empirical score on the
+    window it was fitted to."""
 
     theta: np.ndarray
     score: float
-    window_length: int
 
 
 class ForecastTarget:
@@ -297,8 +293,9 @@ class ForecastTarget:
         return len(self.columns)
 
     @classmethod
-    def from_level(cls, alpha: float) -> ForecastTarget:
-        _check_level(alpha)  # rejected even where the target has no level
+    def from_level(cls, alpha: float | None) -> ForecastTarget:
+        if alpha is not None:
+            raise ConfigError(f"target {cls.name!r} takes no tail level, got alpha={alpha}")
         return cls()
 
     saws_defaults = {}
@@ -306,7 +303,7 @@ class ForecastTarget:
 
     def fit(self, stats: WindowStats) -> FitResult:
         theta, scores = self.grid([stats])
-        return FitResult(theta[0], float(scores[0, 0]), stats.n)
+        return FitResult(theta[0], float(scores[0, 0]))
 
     def _path_truth(self, path, field: str):
         value = getattr(path, field)
@@ -327,18 +324,18 @@ class Mean(ForecastTarget):
         return squared_loss(x, theta[..., 0])
 
     def score_at(self, stats: WindowStats, theta) -> np.ndarray:
-        return _mean_score(stats.mean, stats.var, theta[..., 0])
+        return _mean_score(*_moments(stats), theta[..., 0])
 
     def grid(self, stats) -> tuple[np.ndarray, np.ndarray]:
-        mean = np.array([s.mean for s in stats])
-        var = np.array([s.var for s in stats])
+        mean, var = np.array([_moments(s) for s in stats]).T
         return mean[:, None], _mean_score(mean[:, None], var[:, None], mean)
 
     def row_gaps(self, stats: WindowStats, fit: FitResult):
         # centered means keep constant windows at exactly zero gap, and the
-        # squared-loss gap reduces exactly to (mean_b - mean)^2
+        # squared-loss gap reduces exactly to (mean_b - mean)^2 against the
+        # window's own mean, taken here and not from fit
         centered = stats.values_sorted - stats.center
-        centered_mean = stats.mean - stats.center
+        centered_mean = _mean(stats) - stats.center
 
         def gaps(rows: np.ndarray) -> np.ndarray:
             ranks = rows.reshape(-1)
@@ -373,8 +370,8 @@ class _TailTarget(ForecastTarget):
         _check_level(self.alpha)
 
     @classmethod
-    def from_level(cls, alpha: float) -> ForecastTarget:
-        return cls(alpha)
+    def from_level(cls, alpha: float | None) -> ForecastTarget:
+        return cls(DEFAULT_ALPHA if alpha is None else alpha)
 
     def quantile_index(self, n: int) -> int:
         """1-based index j = ceil(alpha * n) of the fitted order statistic:

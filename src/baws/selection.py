@@ -289,7 +289,7 @@ def select_window(history, target: ForecastTarget, policy,
     gaps = guarded_gaps(np.triu(scores - own[:, None], 1), own[:, None], "pairwise")
 
     def fit(pos: int) -> FitResult:
-        return FitResult(theta[pos], float(own[pos]), candidates[pos])
+        return FitResult(theta[pos], float(own[pos]))
 
     # a pair with the candidate at position s rejects when order[s] gaps of
     # its reference's sample lie below its gap

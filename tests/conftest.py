@@ -169,7 +169,7 @@ def oneshot_gaps(stats, rows: np.ndarray, fit, target: ForecastTarget) -> np.nda
     """Raw score gaps of every row of ``rows`` (reordered in place)."""
     if isinstance(target, Mean):
         # the gap of squared loss is (mean_b - mean)^2, on centered values
-        d = (rows - stats.center).mean(axis=1) - (stats.mean - stats.center)
+        d = (rows - stats.center).mean(axis=1) - (fit.theta[0] - stats.center)
         return d * d
     j = order_index(target.alpha, rows.shape[1])
     rows.partition(j - 1, axis=1)

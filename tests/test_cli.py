@@ -218,6 +218,33 @@ def test_invalid_configs_exit_1_before_running(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_alpha_takes_effect_or_is_rejected(tmp_path, capsys):
+    sim = tmp_path / "sim.csv"
+    run(["simulate", "--scenario", "A1", "--T", "80", "--seed", "3", "--out", sim])
+    out = tmp_path / "o.csv"
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"alpha": 0.9}))
+    backtest = ["backtest", "--input", sim, "--loss-col", "loss", "--method", "full",
+                "--t0", "50", "--k0", "10", "--out", out]
+    experiment = ["experiment", "--scenario", "A1", "--methods", "full", "--n", "1",
+                  "--T", "60", "--t0", "41", "--k0", "10", "--out", out]
+    # the mean has no tail level: a given alpha is an error, as a flag or a key
+    for command in (backtest, experiment):
+        for given in (["--alpha", "0.9"], ["--config", cfgfile]):
+            assert run(command + ["--target", "mean", *given]) == 1, (command[0], given)
+            assert "target 'mean' takes no tail level" in capsys.readouterr().err
+    assert not out.exists()
+    # var and vares default to 0.95
+    for target in ("var", "vares"):
+        for command in (backtest, experiment):
+            assert run(command + ["--target", target]) == 0
+            default = out.read_bytes()
+            assert run(command + ["--target", target, "--alpha", "0.95"]) == 0
+            assert out.read_bytes() == default, (command[0], target)
+            assert run(command + ["--target", target, "--config", cfgfile]) == 0
+            assert out.read_bytes() != default, (command[0], target)
+
+
 def test_experiment_rejects_saws_options(tmp_path):
     out = tmp_path / "m.csv"
     base = ["experiment", "--scenario", "A1", "--methods", "saws", "--n", "1",

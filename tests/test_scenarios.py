@@ -186,6 +186,14 @@ def test_garch_true_es_matches_monte_carlo():
     assert es_z[0] > q
 
 
+def test_generate_without_alpha_has_no_truths():
+    for name in ("A1", "B3", "GARCH"):
+        path = generate(name, T=50, seed=1)
+        assert path.alpha is None and path.true_var is None and path.true_es is None
+    # gen_garch keeps its own default level
+    assert gen_garch(T=50, seed=1).alpha == 0.95
+
+
 def test_generate_dispatch_and_reproducibility():
     for name in ("A1", "B2", "GARCH"):
         a = generate(name, T=400, seed=11, alpha=0.9)
