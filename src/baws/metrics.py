@@ -7,6 +7,8 @@ of shape (replications or 1, horizon, dim) holds one truth per estimate
 component; a 1- or 2-d truth is shared by every component.  All
 reductions subtract the aligned truth before averaging, which coincides
 with the usual definitions when the truth is common across replications.
+An ``ExperimentTensor`` holds its inputs as (broadcast) views and never
+writes to them; every metric computes fresh arrays from them.
 
     MAB   mean over time of |mean over replications of (estimate - truth)|
     Var   mean over time of the (n-1)-divisor variance across replications
@@ -31,7 +33,7 @@ from .scoring import ForecastTarget, pointwise_score
 
 @dataclass(frozen=True)
 class ExperimentTensor:
-    """Replication-by-time stack of forecasts with aligned truth and outcomes."""
+    """Replication-by-time views of forecasts with aligned truth and outcomes."""
 
     estimates: np.ndarray
     truths: np.ndarray
@@ -47,8 +49,8 @@ class ExperimentTensor:
         truths = np.asarray(self.truths, dtype=float)
         if truths.ndim < 3:  # one truth shared by every component
             truths = np.broadcast_to(truths, (n, horizon))[:, :, None]
-        truths = np.broadcast_to(truths, (n, horizon, dim)).copy()
-        realized = np.broadcast_to(np.asarray(self.realized, dtype=float), (n, horizon)).copy()
+        truths = np.broadcast_to(truths, (n, horizon, dim))
+        realized = np.broadcast_to(np.asarray(self.realized, dtype=float), (n, horizon))
         object.__setattr__(self, "estimates", est)
         object.__setattr__(self, "truths", truths)
         object.__setattr__(self, "realized", realized)

@@ -236,17 +236,23 @@ class _ExperimentSpec:
     methods: tuple[tuple[str, BacktestConfig], ...]  # (spec, config template)
 
 
-def _replication(spec: _ExperimentSpec, rep: int) -> dict:
+def _replication(spec: _ExperimentSpec, rep: int) -> tuple:
+    """Replication ``rep``'s record, the arrays its metrics read: the path's
+    loss law, then from t0 on its losses, truth, true mean, true sigma and
+    the (methods, horizon, dim) estimates in ``spec.methods`` order."""
     path = spec.scenario(_derived_seed(spec.seed, 1, rep))
     # a path without the target's truth fails here, before its backtests run
-    out = {"path": path, "truth": spec.target.truth(path), "methods": {}}
-    for idx, (name, cfg) in enumerate(spec.methods):
+    truth = spec.target.truth(path)
+    cut = spec.methods[0][1].t0 - 1  # every method starts at t0
+    estimates = []
+    for idx, (_, cfg) in enumerate(spec.methods):
         # BAWS draws its bootstrap streams from cfg.seed; other methods ignore it
         cfg = replace(cfg, seed=_derived_seed(spec.seed, 2, rep, idx))
         records = run_backtest(path.losses, cfg)
         assert len(records) == len(path.losses) - cfg.t0 + 1
-        out["methods"][name] = np.array([r.theta for r in records])
-    return out
+        estimates.append([r.theta for r in records])
+    return (path.law, path.losses[cut:], truth[cut:], path.true_mean[cut:],
+            path.true_sigma[cut:], np.array(estimates))
 
 
 def error_rows(tensor: ExperimentTensor, component: int = 0, suffix: str = "") -> list:
@@ -265,7 +271,7 @@ def default_mode(scenario=None) -> str:
 
 
 def run_experiment(scenario, methods, target: ForecastTarget, *,
-                   n: int, T: int = DEFAULT_T, t0: int = BacktestConfig.t0, seed: int = 0,
+                   n: int, T: int | None = None, t0: int = BacktestConfig.t0, seed: int = 0,
                    beta: float | None = None, replications: int | None = None,
                    mode: str | None = None, block_c: float | None = None,
                    grid: CandidateGridConfig = CandidateGridConfig(), workers: int | None = None,
@@ -275,8 +281,9 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
     ``scenario`` is a scenario name (A1-A3, B1-B3, GARCH, in any case; rows
     are labelled by the canonical name) or a callable mapping a seed to a
     ``ScenarioPath``; a name becomes the callable ``partial(generate, name, T,
-    alpha)``.  Paths are generated, and the truth is taken, at the target's
-    own tail level (none for the mean).
+    alpha)``, with T by default ``DEFAULT_T``.  A callable's paths set their
+    own length, so ``T`` given with one is rejected.  Paths are generated,
+    and the truth is taken, at the target's own tail level (none for the mean).
     ``beta``, ``replications``, ``mode`` and ``block_c`` set the BAWS methods'
     ``BootstrapConfig`` (mode by default ``default_mode(scenario)``); one given
     with no BAWS method is rejected.
@@ -286,7 +293,8 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
     its rows by its stripped spec: ``error_rows`` (MAB, Var if n >= 2, MSE),
     the target's ``metric_rows``, then CL.  Replications run in parallel
     across ``workers`` processes (default: the BAWS_WORKERS variable, else
-    the CPU count); with one worker they run in this process.
+    the CPU count); with one worker they run in this process.  Their
+    ``_replication`` records are stacked once; each method reads its slice.
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
@@ -296,9 +304,13 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
         raise ConfigError("seed must be nonnegative")
     if isinstance(scenario, str):
         scenario = scenario_name(scenario)
+        T = DEFAULT_T if T is None else T
         # a named scenario's paths hold T losses; each backtest checks a callable's
         if T < t0:
             raise ConfigError(f"series length {T} is shorter than t0={t0}")
+    elif T is not None:
+        raise ConfigError(f"T={T} applies to a named scenario only; "
+                          "a callable's paths set their own length")
     scenario_label = scenario if isinstance(scenario, str) else getattr(
         scenario, "__name__", "custom")
 
@@ -336,25 +348,21 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
     else:
         results = [_replication(spec, rep) for rep in range(n)]
 
-    paths = [res["path"] for res in results]
-    law = paths[0].law
-    for p in paths[1:]:
-        if p.law != law:
-            raise ConfigError(f"replications have different loss laws, {law} and {p.law}; "
+    laws, *columns = zip(*results)
+    for law in laws:
+        if law != laws[0]:
+            raise ConfigError(f"replications have different loss laws, {laws[0]} and {law}; "
                               "their cumulative risk needs one law")
-    realized = np.stack([p.losses[t0 - 1:] for p in paths])
-    truths = np.stack([res["truth"][t0 - 1:] for res in results])
+    realized, truths, true_mean, true_sigma, estimates = map(np.stack, columns)
     # the loss law: losses = mu + sigma * Z, Z ~ law, in each replication
-    population = (np.stack([p.true_mean[t0 - 1:] for p in paths]),
-                  np.stack([p.true_sigma[t0 - 1:] for p in paths]), law)
+    population = (true_mean, true_sigma, laws[0])
     # targets call the metric functions through this module's names, as the
     # rows below do, so that patching a name here reaches every call
     metrics = sys.modules[__name__]
 
     rows: list[tuple[str, str, str, float]] = []
-    for name, _ in configs:
-        est = np.stack([res["methods"][name] for res in results])
-        tensor = ExperimentTensor(est, truths, realized)
+    for m, (name, _) in enumerate(configs):
+        tensor = ExperimentTensor(estimates[:, m], truths, realized)
         values = [*error_rows(tensor), *target.metric_rows(tensor, population, metrics),
                   ("CL", cumulative_loss(tensor, target))]
         rows += [(name, scenario_label, metric, value) for metric, value in values]

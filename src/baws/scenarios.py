@@ -229,6 +229,16 @@ def skewed_t_partial_expectation(a, nu: float, r: float):
     return float(out) if out.ndim == 0 else out
 
 
+def _check_path_args(T: int, seed: int, alpha: float | None) -> None:
+    """The argument checks of ``generate`` and ``gen_garch``, before any draw."""
+    if alpha is not None:
+        _check_level(alpha)
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative")
+    if T < 1:
+        raise ConfigError("T must be >= 1")
+
+
 def gen_garch(T: int = DEFAULT_T, seed: int = 0, alpha: float | None = DEFAULT_ALPHA,
               nu: float = GARCH_NU, skew: float = GARCH_SKEW) -> ScenarioPath:
     """Loss path L_t = -sigma_t eps_t with GARCH(1,1) volatility.
@@ -238,8 +248,7 @@ def gen_garch(T: int = DEFAULT_T, seed: int = 0, alpha: float | None = DEFAULT_A
     recursion starts at the pre-break unconditional variance and a 200-step
     burn-in (discarded) washes out the initialization.
     """
-    if T < 1:
-        raise ConfigError("T must be >= 1")
+    _check_path_args(T, seed, alpha)
     rng = np.random.default_rng(seed)
     total = T + GARCH_BURN_IN
     eps = skewed_t_sample(nu, skew, rng, size=total)
@@ -265,15 +274,10 @@ def generate(name: str, T: int = DEFAULT_T, seed: int = 0,
     path of every scenario has none.  GARCH is ``gen_garch`` at the default
     innovation law.
     """
-    if alpha is not None:
-        _check_level(alpha)
-    if seed < 0:
-        raise ConfigError("seed must be nonnegative")
+    _check_path_args(T, seed, alpha)
     key = scenario_name(name)
     if key == "GARCH":
         return gen_garch(T, seed, alpha)
-    if T < 1:
-        raise ConfigError("T must be >= 1")
     rng = np.random.default_rng(seed)
     t = np.arange(1, T + 1)
     sigma = np.full(T, 0.5)

@@ -41,6 +41,15 @@ def test_mab_examples():
     assert mab(one) == pytest.approx(0.3)
 
 
+def test_tensor_holds_its_inputs_as_views():
+    rng = np.random.default_rng(1)
+    truths, realized = rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
+    tensor = ExperimentTensor(rng.normal(size=(3, 5, 2)), truths, realized)
+    assert np.shares_memory(tensor.truths, truths)
+    assert np.shares_memory(tensor.realized, realized)
+    assert tensor.truths.shape == (3, 5, 2) and tensor.realized.shape == (3, 5)
+
+
 def test_variance_and_mse_hand_example():
     t = _tensor(np.array([[[2.0]], [[4.0]]]), np.array([3.0]))
     assert mean_variance(t) == pytest.approx(2.0)  # divisor n - 1 = 1

@@ -274,6 +274,15 @@ def test_experiment_checks_t0_against_named_path_length(monkeypatch):
     assert report.value("full", "MSE") >= 0.0
 
 
+def test_experiment_rejects_T_with_a_callable_scenario(monkeypatch):
+    def unreachable(spec, rep):
+        raise AssertionError("a replication ran before the T check")
+
+    monkeypatch.setattr(pipeline, "_replication", unreachable)
+    with pytest.raises(ConfigError, match="T=60 applies to a named scenario only"):
+        run_experiment(constant_scenario, ["full"], Mean(), n=2, T=60, t0=10, workers=1)
+
+
 def test_experiment_rows_carry_the_canonical_scenario_name():
     report = run_experiment("a1", ["full"], Mean(), n=1, T=60, t0=41, workers=1)
     assert {row[1] for row in report.rows} == {"A1"}
@@ -321,6 +330,27 @@ def test_experiment_block_c_applies_to_block_mode_only():
                   workers=1)
     assert (run_experiment("A1", ["baws"], VaR(0.9), mode="block", block_c=1.0, **kwargs)
             == run_experiment("A1", ["baws"], VaR(0.9), mode="block", **kwargs))
+
+
+def test_replication_record_holds_the_arrays_its_metrics_read():
+    target = VaRES(0.9)
+    scenario = partial(generate, "A3", 60, alpha=0.9)
+    methods = (("fixed:20", BacktestConfig(method="fixed", target=target, t0=41, fixed_k=20)),
+               ("full", BacktestConfig(method="full", target=target, t0=41)))
+    record = pipeline._replication(pipeline._ExperimentSpec(scenario, 7, target, methods), 3)
+    law, realized, truth, true_mean, true_sigma, estimates = record
+    assert not any(isinstance(part, (ScenarioPath, dict)) for part in record)
+    path = scenario(pipeline._derived_seed(7, 1, 3))
+    assert law == path.law
+    # every array starts at t0 = 41, position 40 of the path
+    assert np.array_equal(realized, path.losses[40:])
+    assert np.array_equal(truth, np.column_stack([path.true_var, path.true_es])[40:])
+    assert np.array_equal(true_mean, path.true_mean[40:])
+    assert np.array_equal(true_sigma, path.true_sigma[40:])
+    assert estimates.shape == (2, 60 - 41 + 1, 2)
+    for m, (_, cfg) in enumerate(methods):
+        thetas = [r.theta for r in run_backtest(path.losses, cfg)]
+        assert np.array_equal(estimates[m], thetas)
 
 
 def test_experiment_rejects_replications_of_different_laws():
@@ -532,7 +562,7 @@ def test_experiment_vares_perfect_forecaster_has_zero_error(monkeypatch):
         return [SimpleNamespace(theta=theta, k_hat=1) for theta in truth]
 
     monkeypatch.setattr(pipeline, "run_backtest", oracle_backtest)
-    report = run_experiment(scenario, ["full"], VaRES(0.9), n=2, T=60, t0=41,
+    report = run_experiment(scenario, ["full"], VaRES(0.9), n=2, t0=41,
                             grid=Grid(k_min=10), workers=1)
     for metric in ("MAB", "MSE", "MAB_es", "Var_es", "MSE_es"):
         assert report.value("full", metric) == 0.0
@@ -546,7 +576,7 @@ def test_experiment_vares_perfect_forecaster_has_zero_error(monkeypatch):
     monkeypatch.setattr(pipeline, "run_backtest", unreachable)
     for target, path, field in ((VaRES(0.9), no_es, "true_es"), (VaR(0.9), no_var, "true_var")):
         with pytest.raises(ValueError, match=field):
-            run_experiment(lambda seed: path, ["full"], target, n=2, T=60, t0=41,
+            run_experiment(lambda seed: path, ["full"], target, n=2, t0=41,
                            grid=Grid(k_min=10), workers=1)
 
 

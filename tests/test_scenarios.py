@@ -9,6 +9,8 @@ from scipy.special import ndtri
 from scipy.stats import norm
 from scipy.stats import t as student_t
 
+from baws import scenarios
+from baws.errors import ConfigError
 from baws.scenarios import (
     GARCH_BURN_IN,
     GaussianLaw,
@@ -192,6 +194,17 @@ def test_generate_without_alpha_has_no_truths():
         assert path.alpha is None and path.true_var is None and path.true_es is None
     # gen_garch keeps its own default level
     assert gen_garch(T=50, seed=1).alpha == 0.95
+
+
+def test_gen_garch_checks_its_arguments_before_drawing(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a path was drawn before the argument check")
+
+    monkeypatch.setattr(scenarios, "skewed_t_sample", unreachable)
+    with pytest.raises(ConfigError, match="seed must be nonnegative"):
+        gen_garch(T=50, seed=-1)
+    with pytest.raises(ConfigError, match=r"tail level must lie strictly in \(0, 1\)"):
+        gen_garch(T=50, alpha=1.5)
 
 
 def test_generate_dispatch_and_reproducibility():
