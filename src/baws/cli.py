@@ -7,11 +7,13 @@ Subcommands:
     diagnose     closed-form rejection probabilities for the two-regime
                  Gaussian mean-shift model
 
-A JSON config file (--config) may supply the value of any optional long
-option but --config and --help, under its underscore name; explicit flags
-win.  The library checks the bootstrap options as it does any caller's.  Exit
-codes: 0 success, 1 usage or configuration error, 2 data error, 3 runtime
-failure.
+A JSON config file (--config) may give simulate, backtest and experiment
+the value of any optional long option but --config and --help.  Its key is
+the option's name with _ for -, e.g. T, B, max_window, bootstrap_mode; each
+value is parsed as that flag's text would be, and explicit flags win.
+diagnose, whose options are all required, takes no config file.  The
+library checks the bootstrap options as it does any caller's.  Exit codes:
+0 success, 1 usage or configuration error, 2 data error, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -48,25 +50,20 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _target(name: str, alpha: float | None):
-    name = name.lower()
-    if name not in TARGETS:
-        raise ConfigError(f"unknown target {name!r}; expected one of {', '.join(TARGETS)}")
-    return TARGETS[name].from_level(alpha)
-
-
 def _grid(args) -> CandidateGridConfig:
     return CandidateGridConfig(k_min=args.k0, max_window=args.max_window)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file of option defaults (flags win)")
+    p.add_argument("--config", help="JSON file of option values, each keyed by its long "
+                   "option's name with _ for - (T, B, max_window, bootstrap_mode, ...); "
+                   "flags win; diagnose takes none")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--seed", type=int, default=0)
 
 
 def _add_method_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--target", default="var", help=" | ".join(TARGETS))
+    p.add_argument("--target", default="var", type=str.lower, choices=TARGETS)
     p.add_argument("--alpha", type=float, default=None,
                    help=f"tail level, var and vares only (default {DEFAULT_ALPHA})")
     # the bootstrap options default to None, so that the library rejects one
@@ -128,41 +125,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True, help="value or comma-separated list")
     p.add_argument("--k0", dest="k0_list", required=True,
                    help="value or comma-separated list")
-    p.add_argument("--config", help="JSON file of option defaults (flags win)")
     p.add_argument("--out", required=True)
     return parser
 
 
 def _apply_config_file(parser, args, argv):
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                defaults = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad config file {args.config}: {exc}") from exc
-        if not isinstance(defaults, dict):
-            raise ConfigError("config file must hold a JSON object")
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        command_parser = sub.choices[args.command]
-        actions = {a.dest: a for a in command_parser._actions}
-        unknown = set(defaults) - set(actions)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        # argparse checks required options before the file is read, and a
-        # file's config or help key would come too late to act
-        for key in defaults:
-            if actions[key].required or key in ("config", "help"):
-                raise ConfigError(f"config key {key!r} names no optional long option")
-        # as text, a value meets its flag's `type` (argparse parses string defaults)
-        defaults = {key: str(value) for key, value in defaults.items()}
-        for key, text in defaults.items():
-            if actions[key].choices is not None and text not in actions[key].choices:
-                raise ConfigError(f"config key {key!r}: invalid choice {text!r}")
-        command_parser.set_defaults(**defaults)
-        args = parser.parse_args(argv)  # explicit flags win over file defaults
-    return args
+    if getattr(args, "config", None) is None:
+        return args
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            values = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"bad config file {args.config}: {exc}") from exc
+    if not isinstance(values, dict):
+        raise ConfigError("config file must hold a JSON object")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = sub.choices[args.command]._option_string_actions
+    flags = {key: "--" + key.replace("_", "-") for key in values}
+    # a key holds no "-", so that no two keys name one flag
+    unknown = sorted(key for key, flag in flags.items() if "-" in key or flag not in options)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {unknown}")
+    # argparse checks required options before the file is read, and a
+    # file's config or help key would come too late to act
+    for key, flag in flags.items():
+        if options[flag].required or key in ("config", "help"):
+            raise ConfigError(f"config key {key!r} names no optional long option")
+    # argparse checks each file value as the flag's text; explicit flags come
+    # later and win
+    given = [f"{flags[key]}={value}" for key, value in values.items()]
+    return parser.parse_args([args.command, *given, *argv[1:]])
 
 
 def _saws_override(args, target) -> SAWSConfig | None:
@@ -186,7 +180,7 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_backtest(args) -> None:
-    target = _target(args.target, args.alpha)
+    target = TARGETS[args.target].from_level(args.alpha)
     kind, fixed_k = parse_method(args.method)
     given = _bootstrap_options(args)
     # built for any method when a flag is given, so BacktestConfig rejects it
@@ -203,7 +197,7 @@ def _cmd_backtest(args) -> None:
 
 
 def _cmd_experiment(args) -> None:
-    target = _target(args.target, args.alpha)
+    target = TARGETS[args.target].from_level(args.alpha)
     methods = [m for m in args.methods.split(",") if m.strip()]
     report = run_experiment(
         args.scenario, methods, target,

@@ -326,7 +326,7 @@ def run_experiment(scenario, methods, target: ForecastTarget, *,
         raise ConfigError(f"bootstrap options [{named}] apply to method 'baws' only")
     boot = BootstrapConfig(**{"mode": default_mode(scenario), **given})
     if isinstance(scenario, str):
-        scenario = partial(generate, scenario, T, alpha=getattr(target, "alpha", None))
+        scenario = partial(generate, scenario, T, alpha=target.alpha)
     configs = []
     for name, (kind, fixed_k) in parsed:
         is_baws = kind == "baws"
@@ -388,7 +388,7 @@ def load_price_csv(path, price_col: str | None = None, loss_col: str | None = No
     if price_col is not None and loss_col is not None:
         raise ConfigError("price_col and loss_col exclude each other; give one")
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             rows = list(reader)
     except OSError as exc:

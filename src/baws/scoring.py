@@ -20,6 +20,7 @@ Each target is one ``ForecastTarget`` class, the only place where the
 package decides anything per target.  A target class supplies
 
     name, columns           CLI name, CSV columns (one per parameter: dim)
+    alpha                   tail level; None (the default) for no such level
     saws_defaults           SAWSConfig keyword overrides (none by default)
     from_level(alpha)       the target at tail level alpha, DEFAULT_ALPHA
                             when None; a target with no level rejects any
@@ -298,6 +299,7 @@ class ForecastTarget:
             raise ConfigError(f"target {cls.name!r} takes no tail level, got alpha={alpha}")
         return cls()
 
+    alpha = None
     saws_defaults = {}
     iid_rows = None
 
@@ -480,7 +482,7 @@ class VaRES(_TailTarget):
             # j, summed in rank order, not in the CPU-dependent order the
             # partition leaves them
             tail = stats.values_sorted[np.sort(rows[:, j:], axis=1)]
-            e = v + (tail - v[:, None]).sum(axis=1) / (rows.shape[1] * (1.0 - self.alpha))
+            e = _es(rows.shape[1], v, (tail - v[:, None]).sum(axis=1), self.alpha)
             return joint_score_at(stats, v, e, self.alpha) - fit.score
 
         return gaps

@@ -178,7 +178,7 @@ def oneshot_gaps(stats, rows: np.ndarray, fit, target: ForecastTarget) -> np.nda
         return pinball_score_at(stats, v, target.alpha) - fit.score
     # the tail summed in sorted order, the rank order of the library's rows
     tail = np.sort(rows[:, j:], axis=1)
-    e = v + (tail - v[:, None]).sum(axis=1) / (rows.shape[1] * (1.0 - target.alpha))
+    e = v + (tail - v[:, None]).sum(axis=1) / rows.shape[1] / (1.0 - target.alpha)
     return joint_score_at(stats, v, e, target.alpha) - fit.score
 
 

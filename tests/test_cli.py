@@ -92,7 +92,7 @@ def test_diagnose_matches_library(tmp_path):
 
 def test_config_file_defaults_flags_win(tmp_path):
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"horizon": 200, "seed": 5, "alpha": 0.9}))
+    cfgfile.write_text(json.dumps({"T": 200, "seed": 5, "alpha": 0.9}))
     out1 = tmp_path / "o1.csv"
     assert run(["simulate", "--scenario", "A1", "--config", cfgfile,
                 "--out", out1]) == 0
@@ -102,6 +102,53 @@ def test_config_file_defaults_flags_win(tmp_path):
     assert run(["simulate", "--scenario", "A1", "--config", cfgfile,
                 "--T", "50", "--out", out2]) == 0
     assert len(out2.read_text().strip().splitlines()) == 51
+
+
+def test_config_keys_are_the_flags_they_name(tmp_path, capsys):
+    out, from_file = tmp_path / "flags.csv", tmp_path / "file.csv"
+    cfgfile = tmp_path / "cfg.json"
+    values = {"T": 60, "B": 20, "k0": 10}
+    experiment = ["experiment", "--scenario", "A1", "--methods", "baws", "--n", "1",
+                  "--t0", "41", "--seed", "2"]
+    for key, value in values.items():
+        others = [text for k, v in values.items() if k != key for text in (f"--{k}", v)]
+        assert run(experiment + others + [f"--{key}", value, "--out", out]) == 0
+        cfgfile.write_text(json.dumps({key: value}))
+        assert run(experiment + others + ["--config", cfgfile, "--out", from_file]) == 0, key
+        assert from_file.read_bytes() == out.read_bytes(), key
+        from_file.unlink()
+    # a key is the flag's name, not the name the parsed value is stored under,
+    # and only its underscore spelling, so that no two keys name one flag
+    for key in ("horizon", "boot_b", "max-window"):
+        cfgfile.write_text(json.dumps({key: 60}))
+        assert run(experiment + ["--config", cfgfile, "--out", from_file]) == 1, key
+        assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
+    # every diagnose option is required, so a file could set none of them
+    cfgfile.write_text("{}")
+    assert run(["diagnose", "--mu1", "0", "--mu2", "1", "--var1", "1", "--var2", "1",
+                "--tau", "0.1", "--k", "100", "--k0", "50", "--config", cfgfile,
+                "--out", from_file]) == 1
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert not from_file.exists()
+
+
+def test_target_is_one_of_the_targets(tmp_path, capsys):
+    sim = tmp_path / "sim.csv"
+    run(["simulate", "--scenario", "A1", "--T", "80", "--seed", "3", "--out", sim])
+    out = tmp_path / "o.csv"
+    backtest = ["backtest", "--input", sim, "--loss-col", "loss", "--method", "full",
+                "--t0", "50", "--k0", "10", "--out", out]
+    experiment = ["experiment", "--scenario", "A1", "--methods", "full", "--n", "1",
+                  "--T", "60", "--t0", "41", "--k0", "10", "--out", out]
+    for command in (backtest, experiment):
+        assert run(command + ["--target", "bogus"]) == 1, command[0]
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+    # a target's name is read in any case
+    assert run(backtest + ["--target", "vares"]) == 0
+    lower = out.read_bytes()
+    assert run(backtest + ["--target", "VaRES"]) == 0
+    assert out.read_bytes() == lower
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -118,7 +165,7 @@ def test_exit_codes(tmp_path, capsys):
     # config error: a file value must pass the check its flag's text would
     experiment = ["experiment", "--scenario", "A1", "--methods", "full", "--T", "60",
                   "--k0", "10", "--config", cfgfile, "--out", out]
-    for values in ({"t0": 41.5}, {"boot_b": 20.5}, {"n": 1.5}, {"seed": True}):
+    for values in ({"t0": 41.5}, {"B": 20.5}, {"n": 1.5}, {"seed": True}):
         cfgfile.write_text(json.dumps(values))
         assert run(experiment) == 1, values
         assert "invalid int value" in capsys.readouterr().err
@@ -127,7 +174,7 @@ def test_exit_codes(tmp_path, capsys):
                 "--out", out]) == 1
     cfgfile.write_text('{"error_control": "bogus"}')
     assert run(experiment) == 1
-    assert "invalid choice 'bogus'" in capsys.readouterr().err
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
     # config error: a key the file cannot set, a required option among them
     for key, value in (("out", "elsewhere.csv"), ("scenario", "A2"),
                        ("config", "nothere.json"), ("help", True)):

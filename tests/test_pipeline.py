@@ -74,6 +74,19 @@ def test_load_loss_csv_without_dates(tmp_path):
     assert series.dates is None
 
 
+@pytest.mark.parametrize("text", ["date,loss\n2020-01-01,0.01\n2020-01-02,-0.02\n",
+                                  "date,price\n2020-01-01,100\n2020-01-02,99\n",
+                                  "price,date\n100,2020-01-01\n99,2020-01-02\n"])
+def test_load_csv_reads_past_a_byte_order_mark(tmp_path, text):
+    # spreadsheet exports often begin with one; it is no part of the header
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    expected, got = load_price_csv(plain), load_price_csv(marked)
+    assert got.values.tolist() == expected.values.tolist()
+    assert got.dates == expected.dates is not None
+
+
 @pytest.mark.parametrize("header", ["loss,date", "price,date"])
 def test_load_csv_names_a_row_without_its_date(tmp_path, header):
     # named where it is read, not left to misalign the dates and the values
